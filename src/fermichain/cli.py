@@ -7,6 +7,8 @@ import dataclasses
 import sys
 import time
 
+import numpy as np
+
 from .errors import NumericalError, ParameterError
 from .scenarios import (
     ScenarioConfig,
@@ -152,7 +154,7 @@ def main(argv=None) -> int:
     except ParameterError as exc:  # includes ConfigError
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except NumericalError as exc:
+    except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -2,31 +2,45 @@
 
 Three interchangeable propagators: a dense eigendecomposition (the oracle,
 capped in dimension), a Lanczos/Krylov stepper (production default), and a
-truncated Taylor series (independent cross-check).  The Krylov and Taylor
-steppers keep the local error per step below tolerance * dt, so a run to
-time t accumulates at most tolerance * t.
+truncated Taylor series (independent cross-check).  Every Krylov or Taylor
+step of length s keeps its estimated local error below tolerance * s, so a
+run to time t accumulates at most tolerance * t.
+
+A trajectory is propagated over its whole time grid and handed out in blocks
+of consecutive samples, each an (n, dim) array.  The dense propagator reads
+every sample from one eigendecomposition; the Krylov propagator reads all
+samples inside an accepted step from one Lanczos basis ("dense output", as
+in Expokit: Sidje, ACM TOMS 24:130, 1998); the Taylor propagator, kept as
+the independent reference, steps from sample to sample.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import CapacityError, NumericalError, ParameterError
 from .hamiltonian import DENSE_CAP, SparseHamiltonian
+from .observables import StateBlock
 from .states import StateVector, _finish
 
 METHODS = ("dense_eig", "krylov", "taylor")
 
 _TAYLOR_THETA = 4.0  # max ||H|| * dt per Taylor substep; keeps term growth mild
 _MAX_KRYLOV_SPLITS = 4096
+_BLOCK_ELEMENTS = 1 << 20  # amplitudes per block (16 MiB): bounds a trajectory's memory
 
 
 @dataclass(frozen=True)
 class PropagatorConfig:
-    """Stepper selection and accuracy knobs (times in 1/J)."""
+    """Stepper selection and accuracy knobs (times in 1/J).
+
+    dt is the first trial step of the adaptive Krylov stepper and the
+    longest sub-step of the Taylor stepper.
+    """
 
     method: str = "krylov"
     dt: float = 0.05
@@ -38,10 +52,14 @@ class PropagatorConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ParameterError(f"method must be one of {METHODS}, got {self.method!r}")
-        if not self.dt > 0:
-            raise ParameterError(f"dt={self.dt} must be positive")
-        if not self.tolerance > 0:
-            raise ParameterError(f"tolerance={self.tolerance} must be positive")
+        for name in ("dt", "tolerance"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ParameterError(f"{name}={value} must be positive and finite")
+        for name in ("krylov_dim", "max_taylor_terms"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ParameterError(f"{name}={value!r} must be an integer")
         if self.krylov_dim < 2:
             raise ParameterError(f"krylov_dim={self.krylov_dim} must be at least 2")
         if self.max_taylor_terms < 1:
@@ -80,6 +98,10 @@ def _operator(H):
     )
 
 
+def _block_rows(dim: int) -> int:
+    return max(1, _BLOCK_ELEMENTS // max(dim, 1))
+
+
 class DensePropagator:
     """Exact evolution through a cached full eigendecomposition."""
 
@@ -94,24 +116,49 @@ class DensePropagator:
         coef = self.evecs.T @ amps
         return self.evecs @ (np.exp(-1j * dt * self.evals) * coef)
 
+    def blocks(self, amps: np.ndarray, times: np.ndarray):
+        """States at every grid time, in blocks: (exp(-i t (x) E) * c) @ W^T."""
+        coef = self.evecs.T @ amps
+        rows = _block_rows(self.dim)
+        for lo in range(0, len(times), rows):
+            phases = np.exp(-1j * np.outer(times[lo:lo + rows], self.evals))
+            yield (phases * coef) @ self.evecs.T
+
+
+class _KrylovBasis(NamedTuple):
+    """Lanczos basis of one vector v: orthonormal rows V, the eigenpairs of the
+    tridiagonal T, the residual norm beta and ||v||.  beta is 0 when the Krylov
+    space is invariant; every exponential read from it is then exact."""
+
+    V: np.ndarray
+    evals: np.ndarray
+    evecs: np.ndarray
+    beta: float
+    norm: float
+
 
 class KrylovPropagator:
     """Lanczos approximation of exp(-iHt) acting on a vector.
 
     One reorthogonalization pass keeps the Krylov basis orthonormal at machine
-    precision, so norms are preserved over long runs.  Steps whose error
-    estimate exceeds tolerance * dt are bisected.
+    precision, so norms are preserved over long runs.  A state read from a
+    basis a time s after its start has the a-posteriori error estimate
+    |beta_m y_m(s)| ||v|| (Hochbruck & Lubich, SIAM J. Numer. Anal. 34:1911,
+    1997).  A step is accepted only when that estimate is at most
+    tolerance * s; a step that fails is bisected, and a non-finite estimate
+    raises NumericalError.
     """
 
     def __init__(self, H, config: PropagatorConfig):
         self.matvec, self.dim, _, _ = _operator(H)
         self.m = min(config.krylov_dim, self.dim)
         self.tolerance = config.tolerance
+        self.dt = config.dt
 
-    def _step(self, amps: np.ndarray, tau: float) -> tuple[np.ndarray, float]:
+    def _lanczos(self, amps: np.ndarray) -> _KrylovBasis:
         nv = np.linalg.norm(amps)
         if nv == 0.0:
-            return amps.copy(), 0.0
+            return _KrylovBasis(np.zeros((1, self.dim)), np.zeros(1), np.ones((1, 1)), 0.0, 0.0)
         m = self.m
         V = np.empty((m, self.dim), dtype=np.complex128)
         alpha = np.empty(m)
@@ -126,6 +173,9 @@ class KrylovPropagator:
                 w -= beta[k - 1] * V[k - 1]
             w -= (V[: k + 1].conj() @ w) @ V[: k + 1]  # one reorthogonalization pass
             beta[k] = np.linalg.norm(w)
+            if not math.isfinite(beta[k]):  # the error estimate scales with beta
+                raise NumericalError("krylov error estimate is not finite",
+                                     dimension=self.dim, krylov_dim=m)
             if k + 1 == m:
                 break
             if beta[k] < 1e-14 * max(1.0, abs(alpha[k])):
@@ -137,33 +187,84 @@ class KrylovPropagator:
         if k > 1:
             T += np.diag(beta[: k - 1], 1) + np.diag(beta[: k - 1], -1)
         evals, evecs = np.linalg.eigh(T)
-        y = evecs @ (np.exp(-1j * tau * evals) * evecs[0])
-        err = abs(beta[k - 1] * y[k - 1]) * nv if k == self.m else 0.0
-        return nv * (y @ V[:k]), err
+        residual = beta[k - 1] if k == m < self.dim else 0.0
+        return _KrylovBasis(V[:k], evals, evecs, residual, nv)
 
-    def advance(self, amps: np.ndarray, dt: float) -> np.ndarray:
-        if dt == 0.0:
-            return amps.copy()
-        nsub = 1
+    def _read(self, basis: _KrylovBasis, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Coefficients exp(-iTs) e1 (one column per time in s) and their error estimates."""
+        Y = basis.evecs @ (np.exp(-1j * np.outer(basis.evals, s)) * basis.evecs[0][:, None])
+        return Y, np.abs(basis.beta * Y[-1]) * basis.norm
+
+    def _step(self, amps: np.ndarray, tau: float) -> tuple[np.ndarray, float]:
+        basis = self._lanczos(amps)
+        Y, err = self._read(basis, np.array([tau]))
+        return basis.norm * (Y[:, 0] @ basis.V), float(err[0])
+
+    def _split(self, amps: np.ndarray, dt: float, nsub: int) -> np.ndarray:
+        """Cover dt with nsub equal steps, doubling nsub until every step is accepted."""
         worst = math.inf
         while nsub <= _MAX_KRYLOV_SPLITS:
             tau = dt / nsub
-            budget = self.tolerance * abs(tau)
             cur = amps
-            ok = True
             for _ in range(nsub):
                 cur, err = self._step(cur, tau)
-                if err > budget:
+                if not err <= self.tolerance * abs(tau):
                     worst = err
-                    ok = False
                     break
-            if ok:
+            else:
                 return cur
             nsub *= 2
         raise NumericalError(
             "krylov step failed to reach tolerance",
             residual=worst, step=dt, dimension=self.dim, krylov_dim=self.m,
         )
+
+    def advance(self, amps: np.ndarray, dt: float) -> np.ndarray:
+        if dt == 0.0:
+            return amps.copy()
+        return self._split(amps, dt, 1)
+
+    def blocks(self, amps: np.ndarray, times: np.ndarray):
+        """States at every grid time, in blocks, one Lanczos basis per accepted step.
+
+        A step starts at the last sample reached and covers the longest run of
+        following samples whose estimates stay within tolerance times their
+        distance from the start.  It tries samples up to a window that starts
+        at dt and is twice the last accepted step; the first following sample
+        is always tried, and when even it fails the interval up to it is
+        bisected.  An exact basis serves every remaining sample.
+        """
+        rows = _block_rows(self.dim)
+        cur = np.array(amps, dtype=np.complex128)
+        head = cur[None]  # the t = 0 state rides with the first block
+        window = self.dt
+        basis = None
+        i, last = 0, len(times) - 1
+        while i < last:
+            if basis is None:
+                basis, t0 = self._lanczos(cur), times[i]
+            hi = min(last + 1, i + 1 + rows)
+            if basis.beta:
+                hi = min(hi, max(i + 2, int(np.searchsorted(times, t0 + window, "right"))))
+            s = times[i + 1:hi] - t0
+            Y, err = self._read(basis, s)
+            ok = err <= self.tolerance * s
+            n = len(s) if ok.all() else int(ok.argmin())
+            if n:
+                block = basis.norm * (Y[:, :n].T @ basis.V)
+                window = 2.0 * s[n - 1]
+            else:
+                block = self._split(cur, s[0], 2)[None]
+                n = 1
+            cur = block[-1].copy()
+            i += n
+            if basis.beta:
+                basis = None  # only an exact basis serves later samples
+            if head is not None:
+                block, head = np.concatenate([head, block]), None
+            yield block
+        if head is not None:
+            yield head
 
 
 class TaylorPropagator:
@@ -174,6 +275,7 @@ class TaylorPropagator:
         self.hnorm = inf_norm()
         self.tolerance = config.tolerance
         self.max_terms = config.max_taylor_terms
+        self.dt = config.dt
 
     def advance(self, amps: np.ndarray, dt: float) -> np.ndarray:
         if dt == 0.0:
@@ -202,6 +304,24 @@ class TaylorPropagator:
             "taylor series did not converge",
             residual=tn, step=tau, dimension=self.dim, terms=self.max_terms,
         )
+
+    def blocks(self, amps: np.ndarray, times: np.ndarray):
+        """States at every grid time, in blocks; each sample interval is covered by
+        equal steps no longer than dt."""
+        rows = _block_rows(self.dim)
+        cur = np.array(amps, dtype=np.complex128)
+        block = [cur]
+        for k in range(1, len(times)):
+            delta = times[k] - times[k - 1]
+            nsteps = max(1, math.ceil(delta / self.dt - 1e-9))
+            for _ in range(nsteps):
+                cur = self.advance(cur, delta / nsteps)
+            block.append(cur)
+            if len(block) == rows:
+                yield np.array(block)
+                block = []
+        if block:
+            yield np.array(block)
 
 
 def make_propagator(H, config: PropagatorConfig):
@@ -233,9 +353,12 @@ def evolve_trajectory(
 ) -> Trajectory:
     """Sample named observables along the evolution of psi0.
 
-    times must increase strictly from 0; each interval is covered by equal
-    sub-steps no longer than config.dt, landing exactly on the grid points
-    (no interpolation of observables).
+    times must increase strictly from 0.  The configured propagator lands on
+    every grid time (no interpolation of observables) and hands the states
+    out in blocks of consecutive samples; each observable is a callable that
+    maps a StateBlock of n states to n values (see
+    observables.observable_functions).  At most one block of states is held
+    at a time unless store_states keeps the whole (len(times), dim) array.
     """
     times = np.asarray(times, dtype=np.float64)
     if times.ndim != 1 or len(times) == 0:
@@ -246,29 +369,17 @@ def evolve_trajectory(
         raise ParameterError("time grid must be strictly increasing")
 
     prop = make_propagator(H, config)
-    dense = isinstance(prop, DensePropagator)
     columns = {name: np.empty(len(times)) for name in observables}
-    states = [] if store_states else None
+    states = np.empty((len(times), prop.dim), dtype=np.complex128) if store_states else None
 
-    cur = np.array(psi0.amplitudes, dtype=np.complex128)
-    for k, t in enumerate(times):
-        if k > 0:
-            delta = times[k] - times[k - 1]
-            if dense:
-                cur = prop.advance(cur, delta)
-            else:
-                nsteps = max(1, math.ceil(delta / config.dt - 1e-9))
-                tau = delta / nsteps
-                for _ in range(nsteps):
-                    cur = prop.advance(cur, tau)
-        snapshot = StateVector(basis=psi0.basis, amplitudes=cur)
+    start = 0
+    for amps in prop.blocks(psi0.amplitudes, times):
+        stop = start + len(amps)
+        block = StateBlock(psi0.basis, amps)
         for name, fn in observables.items():
-            columns[name][k] = fn(snapshot)
+            columns[name][start:stop] = fn(block)
         if store_states:
-            states.append(cur.copy())
+            states[start:stop] = amps
+        start = stop
 
-    return Trajectory(
-        times=times,
-        columns=columns,
-        states=np.asarray(states) if store_states else None,
-    )
+    return Trajectory(times=times, columns=columns, states=states)

@@ -17,6 +17,7 @@ from .basis import ProductBasis, enumerate_sector, popcount, site_bit
 from .errors import CapacityError, ParameterError
 
 DENSE_CAP = 4096  # largest dimension handled by dense eigendecompositions
+_TERMS_PER_PRODUCT = 1 << 16  # (state, nonzero) terms per block product: bounds its memory
 
 
 class BarrierOrientation(Enum):
@@ -107,7 +108,22 @@ class SparseHamiltonian:
         return csr_matvec(self.indptr, self.indices, self.data, x)
 
     def expectation(self, amplitudes: np.ndarray) -> float:
-        return float(np.vdot(amplitudes, self.matvec(amplitudes)).real)
+        return float(self.expectations(amplitudes[None])[0])
+
+    @cached_property
+    def _rows(self) -> np.ndarray:
+        return np.repeat(np.arange(self.dim), np.diff(self.indptr))
+
+    def expectations(self, block: np.ndarray) -> np.ndarray:
+        """<psi|A|psi> for each row psi of an (n, dim) block: the sum over stored
+        entries of A_rc conj(psi_r) psi_c, a few states at a time."""
+        out = np.empty(len(block))
+        step = max(1, _TERMS_PER_PRODUCT // max(self.nnz, 1))
+        for lo in range(0, len(block), step):
+            rows = block[lo:lo + step]
+            terms = (rows[:, self._rows].conj() * rows[:, self.indices]).real
+            out[lo:lo + step] = (terms * self.data).sum(axis=1)
+        return out
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.dim, self.dim))

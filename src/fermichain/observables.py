@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -12,7 +13,7 @@ from .hamiltonian import SparseHamiltonian, total_spin_squared
 from .states import StateVector
 
 KINDS = (
-    "n_site", "n_site_spin", "n_after", "n_h2",
+    "n_site", "n_site_spin", "n_after", "n_h2", "n_total",
     "norm", "energy", "s_squared", "doublon_count",
 )
 SPINS = ("up", "down")
@@ -37,49 +38,101 @@ class ObservableSpec:
             raise ParameterError(f"{self.kind} takes no site/spin parameters")
 
 
-def _probabilities(psi: StateVector) -> np.ndarray:
-    basis = psi.basis
-    p = np.abs(psi.amplitudes) ** 2
-    return p.reshape(basis.up.dim, basis.down.dim)
+class StateBlock:
+    """Consecutive states of one run over one basis, one per row of an (n, dim) array.
+
+    Observable callables map a block to n values.  What several columns
+    read, the occupation probabilities and the per-site densities, is
+    computed once per block and shared.
+    """
+
+    def __init__(self, basis: ProductBasis | None, amplitudes: np.ndarray):
+        self.basis = basis
+        self.amplitudes = amplitudes
+
+    @classmethod
+    def of(cls, psi: StateVector) -> "StateBlock":
+        return cls(psi.basis, psi.amplitudes[None])
+
+    @cached_property
+    def probabilities(self) -> np.ndarray:
+        """|psi|^2 of each row, shaped (n, dim_up, dim_down)."""
+        a = self.amplitudes
+        return (a.real ** 2 + a.imag ** 2).reshape(len(a), self.basis.up.dim, self.basis.down.dim)
+
+    @cached_property
+    def _densities(self) -> dict:
+        p = self.probabilities
+        up = p.sum(axis=2) @ self.basis.up.occupations
+        down = p.sum(axis=1) @ self.basis.down.occupations
+        return {None: up + down, "up": up, "down": down}
+
+    def density(self, spin: str | None = None) -> np.ndarray:
+        """Per-site expected occupations, (n, L): both species, or one spin."""
+        if spin is not None and spin not in SPINS:
+            raise ParameterError(f"spin must be in {SPINS} or None, got {spin!r}")
+        return self._densities[spin]
+
+
+def _site_column(site: int, spin: str | None):
+    def column(block: StateBlock) -> np.ndarray:
+        return block.density(spin)[:, site - 1]
+    return column
+
+
+def _total_number(block: StateBlock) -> np.ndarray:
+    return block.density().sum(axis=1)
+
+
+def _n_after(block: StateBlock) -> np.ndarray:
+    L = block.basis.L
+    if L % 2:
+        raise ParameterError(f"n_after needs an even chain, got L={L}")
+    return block.density()[:, L // 2 + 1:].sum(axis=1)
+
+
+def _doublon_count(block: StateBlock) -> np.ndarray:
+    return block.probabilities.reshape(len(block.amplitudes), -1) @ block.basis.doublon_counts
+
+
+def _norm(block: StateBlock) -> np.ndarray:
+    return np.linalg.norm(block.amplitudes, axis=1)
+
+
+def _expectation_column(op: SparseHamiltonian):
+    def column(block: StateBlock) -> np.ndarray:
+        return op.expectations(block.amplitudes)
+    return column
+
+
+def _check_site(basis: ProductBasis, site: int) -> None:
+    if not 1 <= site <= basis.L:
+        raise ParameterError(f"site {site} outside chain [1, {basis.L}]")
 
 
 def density_profile(psi: StateVector, spin: str | None = None) -> np.ndarray:
     """Per-site expected occupations, length L."""
-    basis = psi.basis
-    p = _probabilities(psi)
-    n_up = p.sum(axis=1) @ basis.up.occupations
-    n_down = p.sum(axis=0) @ basis.down.occupations
-    if spin is None:
-        return n_up + n_down
-    if spin == "up":
-        return n_up
-    if spin == "down":
-        return n_down
-    raise ParameterError(f"spin must be in {SPINS} or None, got {spin!r}")
+    return StateBlock.of(psi).density(spin)[0]
 
 
 def site_density(psi: StateVector, site: int, spin: str | None = None) -> float:
     """<n_{site}> (total) or <n_{site,spin}>."""
-    if not 1 <= site <= psi.basis.L:
-        raise ParameterError(f"site {site} outside chain [1, {psi.basis.L}]")
+    _check_site(psi.basis, site)
     return float(density_profile(psi, spin)[site - 1])
 
 
 def total_number(psi: StateVector) -> float:
-    return float(density_profile(psi).sum())
+    return float(_total_number(StateBlock.of(psi))[0])
 
 
 def n_after(psi: StateVector) -> float:
     """Total density on the sites after the central barrier, L/2+2 .. L."""
-    L = psi.basis.L
-    if L % 2:
-        raise ParameterError(f"n_after needs an even chain, got L={L}")
-    return float(density_profile(psi)[L // 2 + 1:].sum())
+    return float(_n_after(StateBlock.of(psi))[0])
 
 
 def doublon_count(psi: StateVector) -> float:
     """Expected number of doubly occupied sites."""
-    return float(_probabilities(psi).ravel() @ psi.basis.doublon_counts)
+    return float(_doublon_count(StateBlock.of(psi))[0])
 
 
 def norm(psi: StateVector) -> float:
@@ -100,36 +153,35 @@ def observable_functions(
     H: SparseHamiltonian | None = None,
     jstar: int | None = None,
 ) -> dict:
-    """Bind (column name, spec) pairs to callables over StateVector.
+    """Bind (column name, spec) pairs to callables over a StateBlock.
 
+    Each callable maps a block of n consecutive states to an array of n
+    values; the density columns of one block share one density computation.
     H is required when an energy column is requested, jstar when an n_h2
     column is; the S^2 matrix is built once on demand.
     """
     s2 = None
+    unbound = {"n_after": _n_after, "n_total": _total_number,
+               "norm": _norm, "doublon_count": _doublon_count}
     fns = {}
     for name, spec in specs:
-        if spec.kind == "n_site":
-            fns[name] = (lambda s: lambda psi: site_density(psi, s))(spec.site)
-        elif spec.kind == "n_site_spin":
-            fns[name] = (lambda s, sp: lambda psi: site_density(psi, s, sp))(spec.site, spec.spin)
-        elif spec.kind == "n_after":
-            fns[name] = n_after
+        if spec.kind in ("n_site", "n_site_spin"):
+            _check_site(basis, spec.site)
+            fns[name] = _site_column(spec.site, spec.spin)
         elif spec.kind == "n_h2":
             if jstar is None:
                 raise ParameterError("n_h2 requires a barrier (jstar site unknown)")
-            fns[name] = (lambda s: lambda psi: site_density(psi, s))(jstar)
-        elif spec.kind == "norm":
-            fns[name] = norm
+            fns[name] = _site_column(jstar, None)
         elif spec.kind == "energy":
             if H is None:
                 raise ParameterError("energy observable requires the Hamiltonian")
-            fns[name] = (lambda ham: lambda psi: energy(psi, ham))(H)
+            fns[name] = _expectation_column(H)
         elif spec.kind == "s_squared":
             if s2 is None:
                 s2 = total_spin_squared(basis)
-            fns[name] = (lambda op: lambda psi: s_squared(psi, op))(s2)
-        elif spec.kind == "doublon_count":
-            fns[name] = doublon_count
+            fns[name] = _expectation_column(s2)
+        else:
+            fns[name] = unbound[spec.kind]
     return fns
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -28,7 +29,6 @@ from .observables import (
     ObservableSpec,
     observable_functions,
     time_average,
-    total_number,
     trap_time,
 )
 from .states import (
@@ -170,16 +170,27 @@ class SweepConfig:
 # config parsing with field-level error collection
 # ---------------------------------------------------------------------------
 
+def _cast(value, cast, label: str, errors: list, default=None):
+    try:
+        return cast(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        errors.append(f"{label}: {exc}")
+        return default
+
+
 def _take(d: dict, key: str, errors: list, cast, required: bool = True, default=None):
     if key not in d:
         if required:
             errors.append(f"{key}: missing")
         return default
-    try:
-        return cast(d[key])
-    except (TypeError, ValueError) as exc:
-        errors.append(f"{key}: {exc}")
-        return default
+    return _cast(d[key], cast, key, errors, default)
+
+
+def _finite(value) -> float:
+    out = float(value)
+    if not math.isfinite(out):
+        raise ValueError(f"must be finite, got {out}")
+    return out
 
 
 def _initial_state_from(d, errors) -> InitialState | None:
@@ -203,7 +214,9 @@ def _initial_state_from(d, errors) -> InitialState | None:
         if key not in d:
             errors.append(f"initial_state.{key}: missing for kind {kind!r}")
             return None
-        fields[key] = str(d[key]) if key == "path" else int(d[key])
+        fields[key] = _cast(d[key], str if key == "path" else int, f"initial_state.{key}", errors)
+        if fields[key] is None:
+            return None
     extras = set(d) - {"kind", *required[kind]}
     if extras:
         errors.append(f"initial_state: unexpected keys {sorted(extras)}")
@@ -222,7 +235,7 @@ def _propagator_from(d, errors) -> PropagatorConfig:
         errors.append(f"propagator: unexpected keys {sorted(extras)}")
     try:
         return PropagatorConfig(**{k: d[k] for k in known & set(d)})
-    except ParameterError as exc:
+    except (ParameterError, TypeError) as exc:
         errors.append(f"propagator: {exc}")
         return PropagatorConfig()
 
@@ -230,15 +243,15 @@ def _propagator_from(d, errors) -> PropagatorConfig:
 def scenario_from_dict(doc: dict, name: str = "", description: str = "") -> ScenarioConfig:
     errors: list[str] = []
     L = _take(doc, "L", errors, int)
-    U = _take(doc, "U", errors, float)
-    h = _take(doc, "h", errors, float)
-    J = _take(doc, "J", errors, float, required=False, default=1.0)
+    U = _take(doc, "U", errors, _finite)
+    h = _take(doc, "h", errors, _finite)
+    J = _take(doc, "J", errors, _finite, required=False, default=1.0)
     orientation = str(doc.get("orientation", "both")).strip().lower()
     if orientation not in ORIENTATIONS:
         errors.append(f"orientation: must be one of {ORIENTATIONS}, got {orientation!r}")
     initial = _initial_state_from(doc.get("initial_state"), errors)
-    t_max = _take(doc, "t_max", errors, float)
-    sample_dt = _take(doc, "sample_dt", errors, float, required=False, default=0.05)
+    t_max = _take(doc, "t_max", errors, _finite)
+    sample_dt = _take(doc, "sample_dt", errors, _finite, required=False, default=0.05)
     propagator = _propagator_from(doc.get("propagator"), errors)
     tokens = doc.get("observables")
     if not isinstance(tokens, (list, tuple)) or not tokens:
@@ -305,13 +318,21 @@ def _values_from(spec, parameter, errors) -> tuple:
         if missing:
             errors.append(f"sweep.values: range form needs start/stop/step, missing {sorted(missing)}")
             return ()
-        start, stop, step = float(spec["start"]), float(spec["stop"]), float(spec["step"])
+        start, stop, step = (_cast(spec[k], _finite, f"sweep.values.{k}", errors)
+                             for k in ("start", "stop", "step"))
+        if None in (start, stop, step):
+            return ()
         if step <= 0:
             errors.append("sweep.values: step must be positive")
             return ()
         vals = np.arange(start, stop + step * 1e-9, step)
     elif isinstance(spec, (list, tuple)) and spec:
-        vals = np.asarray(spec, dtype=np.float64)
+        vals = _cast(spec, lambda v: np.asarray(v, dtype=np.float64), "sweep.values", errors)
+        if vals is None:
+            return ()
+        if vals.ndim != 1 or not np.all(np.isfinite(vals)):
+            errors.append("sweep.values: must be a flat list of finite numbers")
+            return ()
     else:
         errors.append("sweep.values: must be a non-empty list or {start, stop, step}")
         return ()
@@ -337,11 +358,14 @@ def sweep_from_dict(doc: dict, base: ScenarioConfig, name: str = "", description
     if kind not in REDUCTIONS:
         errors.append(f"sweep.reduction.kind: must be one of {REDUCTIONS}, got {kind!r}")
         kind = "time_average"
+    if not isinstance(rdoc, dict):
+        rdoc = {}
     reduction = Reduction(
         kind=kind,
-        T=float(rdoc["T"]) if isinstance(rdoc, dict) and "T" in rdoc else None,
-        threshold=float(rdoc.get("threshold", 0.01)) if isinstance(rdoc, dict) else 0.01,
-        column=str(rdoc.get("column", "n_h2")) if isinstance(rdoc, dict) else "n_h2",
+        T=_cast(rdoc["T"], _finite, "sweep.reduction.T", errors) if "T" in rdoc else None,
+        threshold=_cast(rdoc.get("threshold", 0.01), _finite, "sweep.reduction.threshold",
+                        errors, 0.01),
+        column=str(rdoc.get("column", "n_h2")),
     )
     if errors:
         raise ConfigError("invalid sweep config:\n  " + "\n  ".join(errors))
@@ -368,6 +392,9 @@ def load_config(source) -> ScenarioConfig | SweepConfig:
         doc = source
     if not isinstance(doc, dict) or "scenario" not in doc:
         raise ConfigError("config must be a mapping with a 'scenario' section")
+    for section in ("scenario", "sweep"):
+        if section in doc and not isinstance(doc[section], dict):
+            raise ConfigError(f"config section {section!r} must be a mapping")
     name = str(doc.get("name", "run"))
     description = str(doc.get("description", ""))
     base = scenario_from_dict(doc["scenario"], name=name, description=description)
@@ -381,12 +408,8 @@ def load_config(source) -> ScenarioConfig | SweepConfig:
 # ---------------------------------------------------------------------------
 
 def _parse_token(token: str, L: int):
-    """One token -> list of (column name, ObservableSpec or 'n_total')."""
+    """One token -> list of (column name, ObservableSpec)."""
     if token in _SIMPLE_TOKENS:
-        if token == "n_total":
-            return [(token, "n_total")]
-        if token == "n_h2":
-            return [(token, ObservableSpec(kind="n_h2"))]
         return [(token, ObservableSpec(kind=token))]
     if token in ("n_all", "n_up_all", "n_down_all"):
         spin = None if token == "n_all" else token[2:-4].strip("_")
@@ -451,16 +474,10 @@ def _single_run(config: ScenarioConfig, orientation: str) -> Trajectory:
     H = build_hamiltonian(params, basis)
     psi0 = config.initial_state.build(basis)
 
-    named = resolve_observables(config.observables, config.L)
-    specs = [(name, spec) for name, spec in named if spec != "n_total"]
+    specs = resolve_observables(config.observables, config.L)
     fns = observable_functions(specs, basis, H=H, jstar=jstar)
-    for name, spec in named:
-        if spec == "n_total":
-            fns[name] = total_number
-    ordered = {name: fns[name] for name, _ in named}
-
     times = _time_grid(config.t_max, config.sample_dt)
-    return evolve_trajectory(H, psi0, times, config.propagator, ordered)
+    return evolve_trajectory(H, psi0, times, config.propagator, fns)
 
 
 def run_scenario(config: ScenarioConfig, output_dir=None, threads: int = 1):
@@ -516,17 +533,17 @@ def _with_value(base: ScenarioConfig, parameter: str, value) -> ScenarioConfig:
 def run_sweep(sweep: SweepConfig, output_dir=None, threads: int = 1):
     """Run a sweep; returns (header, rows, csv_path or None), rows in values order."""
     def one(value):
-        config = _with_value(sweep.base, sweep.parameter, value)
+        # the base scenario's output_path names the sweep table, not each value's run
+        config = dataclasses.replace(_with_value(sweep.base, sweep.parameter, value),
+                                     output_path=None)
+        traj, _ = run_scenario(config)
         if sweep.reduction.kind == "trajectory":
             path = None
             if output_dir is not None:
                 tag = f"{sweep.parameter}={value:g}" if sweep.parameter != "L" else f"L={value}"
                 path = Path(output_dir) / f"{sweep.name}_{tag}.csv"
-            traj, written = run_scenario(config, output_dir=None)
-            if path is not None:
                 write_trajectory_csv(traj, path)
             return {"trajectory": str(path) if path else ""}
-        traj, _ = run_scenario(config)
         return _reduce(sweep, traj)
 
     results = _map_ordered(one, list(sweep.values), threads)

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from fermichain.cli import main
 
@@ -60,6 +61,57 @@ def test_invalid_config_file_is_config_error(tmp_path, capsys):
     bad.write_text("scenario:\n  L: 4\n")
     assert main(["simulate", str(bad)]) == 1
     assert "config error" in capsys.readouterr().err
+
+
+_VALID_SCENARIO = {
+    "L": "4", "U": "0.0", "h": "10.0", "orientation": "a",
+    "initial_state": "{kind: doublon, site: 1}", "t_max": "1.0", "observables": "[n_L]",
+}
+
+
+@pytest.mark.parametrize("override, field", [
+    ({"initial_state": "{kind: doublon, site: one}"}, "initial_state.site:"),
+    ({"L": ".inf"}, "L:"),
+    ({"U": ".nan"}, "U:"),
+    ({"h": ".inf"}, "h:"),
+    ({"h": ".nan"}, "h:"),
+    ({"J": "-.inf"}, "J:"),
+    ({"t_max": ".nan"}, "t_max:"),
+    ({"sample_dt": ".inf"}, "sample_dt:"),
+    ({"propagator": "{tolerance: .inf}"}, "tolerance"),
+    ({"propagator": "{krylov_dim: 2.5}"}, "krylov_dim"),
+    ({"propagator": "{dt: x}"}, "propagator:"),
+    ({"sweep": "{parameter: U, values: {start: a, stop: 2, step: 1}}"}, "sweep.values.start:"),
+    ({"sweep": "{parameter: U, values: [0, .nan]}"}, "sweep.values:"),
+    ({"sweep": "{parameter: U, values: [0, 1], reduction: {kind: time_average, T: x}}"},
+     "sweep.reduction.T:"),
+    ({"sweep": "{parameter: U, values: [0, 1], reduction: {kind: trap_time, threshold: x}}"},
+     "sweep.reduction.threshold:"),
+    ({"sweep": "[U]"}, "'sweep'"),
+])
+def test_malformed_config_value_is_config_error(tmp_path, capsys, override, field):
+    fields = dict(_VALID_SCENARIO, **{k: v for k, v in override.items() if k != "sweep"})
+    text = "name: bad\nscenario:\n" + "".join(f"  {k}: {v}\n" for k, v in fields.items())
+    command = "simulate"
+    if "sweep" in override:
+        text += f"sweep: {override['sweep']}\n"
+        command = "sweep"
+    config = tmp_path / "bad.yaml"
+    config.write_text(text)
+    assert main([command, str(config), "--output", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and field in err and "Traceback" not in err
+
+
+def test_linalg_failure_is_numerical_exit_code(monkeypatch, capsys):
+    from fermichain import cli
+
+    def diverge(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(cli, "run_scenario", diverge)
+    assert main(["simulate", "fig2"]) == 2
+    assert "numerical failure" in capsys.readouterr().err
 
 
 def test_numerical_failure_exit_code(tmp_path, capsys):

@@ -15,12 +15,19 @@ from fermichain.evolution import (
 from fermichain.hamiltonian import (
     HubbardParams,
     SparseHamiltonian,
+    barrier_potential,
     build_hamiltonian,
     total_spin_squared,
     _csr_from_dense,
 )
 from fermichain.observables import site_density
-from fermichain.states import doublon_at, from_amplitudes, single_particle_at, triplet_pair
+from fermichain.states import (
+    StateVector,
+    doublon_at,
+    from_amplitudes,
+    single_particle_at,
+    triplet_pair,
+)
 
 
 def _random_sparse(dim, seed, density=0.08, scale=2.0):
@@ -83,8 +90,6 @@ def test_two_site_doublon_oscillation_closed_form():
 
 @pytest.mark.parametrize("method", ["krylov", "taylor"])
 def test_step_matches_dense_oracle_random_100dim(method):
-    from fermichain.states import StateVector
-
     H, rng = _random_sparse(100, seed=21)
     v = _random_vec(100, rng)
     config = PropagatorConfig(method=method)
@@ -150,9 +155,9 @@ def test_trajectory_conserved_columns():
     psi0 = triplet_pair(basis, 1, 2)
     s2 = total_spin_squared(basis)
     observables = {
-        "norm": lambda psi: psi.norm(),
-        "energy": lambda psi: H.expectation(psi.amplitudes),
-        "s_squared": lambda psi: s2.expectation(psi.amplitudes),
+        "norm": lambda block: np.linalg.norm(block.amplitudes, axis=1),
+        "energy": lambda block: [H.expectation(v) for v in block.amplitudes],
+        "s_squared": lambda block: [s2.expectation(v) for v in block.amplitudes],
     }
     times = np.arange(0.0, 10.0 + 1e-9, 0.1)
     traj = evolve_trajectory(H, psi0, times, PropagatorConfig(), observables)
@@ -216,3 +221,88 @@ def test_config_validation():
         PropagatorConfig(tolerance=-1.0)
     with pytest.raises(ParameterError):
         PropagatorConfig(krylov_dim=1)
+
+
+@pytest.fixture
+def count_matvecs(monkeypatch):
+    """Counts SparseHamiltonian matvecs made while the test runs."""
+    calls = [0]
+    matvec = SparseHamiltonian.matvec
+
+    def counting(self, x):
+        calls[0] += 1
+        return matvec(self, x)
+
+    monkeypatch.setattr(SparseHamiltonian, "matvec", counting)
+    return calls
+
+
+def _barrier_sector(L, orientation):
+    basis = product_basis(L, 1, 1)
+    V = barrier_potential(L, 20.0, orientation)
+    return basis, build_hamiltonian(HubbardParams(L=L, J=1.0, U=10.0, V=V), basis)
+
+
+def _trajectory_error(H, psi0, times, method="krylov"):
+    """Per-sample distance of a stored trajectory from the dense oracle."""
+    config = PropagatorConfig(method=method)
+    traj = evolve_trajectory(H, psi0, times, config, {}, store_states=True)
+    oracle = DensePropagator(H)
+    exact = np.array([oracle.advance(psi0.amplitudes, t) for t in times])
+    return np.linalg.norm(traj.states - exact, axis=1), config.tolerance
+
+
+@pytest.mark.parametrize("method", ["dense_eig", "krylov", "taylor"])
+def test_trajectory_blocks_cover_the_grid(method, monkeypatch):
+    from fermichain import evolution
+
+    basis, H = _barrier_sector(6, "b")
+    monkeypatch.setattr(evolution, "_BLOCK_ELEMENTS", 3 * basis.dim)  # three states per block
+    times = np.concatenate([[0.0], np.cumsum(np.linspace(0.02, 0.4, 16))])  # uneven grid
+    err, tol = _trajectory_error(H, doublon_at(basis, 2), times, method)
+    assert np.all(err <= tol * times + 1e-13)
+
+
+@pytest.mark.parametrize("orientation", ["a", "b"])
+def test_krylov_trajectory_matches_dense_oracle_with_few_builds(orientation, count_matvecs):
+    # the trapping sector: L=20 (1,1), U = h/2 = 10, sampled every 0.05 up to t=15;
+    # stepping every sample with a 30-vector basis costs 300 builds (~9000 matvecs)
+    basis, H = _barrier_sector(20, orientation)
+    times = 0.05 * np.arange(301)
+    count_matvecs[0] = 0
+    err, tol = _trajectory_error(H, doublon_at(basis, 3), times)
+    assert count_matvecs[0] <= 1200
+    assert np.all(err <= tol * times + 1e-13)
+
+
+def test_krylov_exact_sector_needs_one_build(count_matvecs):
+    basis, H = _barrier_sector(4, "a")  # dim 16 <= krylov_dim
+    times = 0.05 * np.arange(101)
+    err, tol = _trajectory_error(H, doublon_at(basis, 1), times)
+    assert count_matvecs[0] == basis.dim  # one Lanczos build, one matvec per basis vector
+    assert np.all(err <= tol * times + 1e-13)
+
+
+def test_krylov_coarse_grid_bisects(monkeypatch):
+    basis, H = _barrier_sector(20, "a")
+    splits = []
+    split = KrylovPropagator._split
+
+    def recording(self, amps, dt, nsub):
+        splits.append(dt)
+        return split(self, amps, dt, nsub)
+
+    monkeypatch.setattr(KrylovPropagator, "_split", recording)
+    times = np.array([0.0, 5.0, 10.0, 15.0])
+    err, tol = _trajectory_error(H, doublon_at(basis, 3), times)
+    assert splits == [5.0, 5.0, 5.0]  # no single step reaches 5/J at this tolerance
+    assert np.all(err <= tol * times + 1e-13)
+
+
+def test_krylov_rejects_non_finite_operator():
+    H = np.diag([1.0, 2.0, np.nan, 3.0])
+    v = np.full(4, 0.5, dtype=complex)
+    with pytest.raises(NumericalError):
+        KrylovPropagator(H, PropagatorConfig()).advance(v, 0.05)
+    with pytest.raises(NumericalError):
+        evolve_trajectory(H, StateVector(None, v), [0.0, 0.05, 0.1], PropagatorConfig(), {})

@@ -64,6 +64,19 @@ def test_hamiltonian_is_symmetric_and_real():
     assert dense.dtype == np.float64
 
 
+def test_block_expectations_match_dense_products(monkeypatch):
+    from fermichain import hamiltonian
+
+    rng = np.random.default_rng(4)
+    basis = product_basis(5, 2, 1)
+    H = build_hamiltonian(HubbardParams(L=5, J=1.0, U=3.0, V=rng.uniform(-4, 4, size=5)), basis)
+    block = rng.normal(size=(5, basis.dim)) + 1j * rng.normal(size=(5, basis.dim))
+    want = np.einsum("ti,ij,tj->t", block.conj(), H.to_dense(), block).real
+    assert np.allclose(H.expectations(block), want, rtol=0, atol=1e-12)
+    monkeypatch.setattr(hamiltonian, "_TERMS_PER_PRODUCT", 2 * H.nnz)  # two states per product
+    assert np.allclose(H.expectations(block), want, rtol=0, atol=1e-12)
+
+
 def test_dimension_mismatch_rejected():
     basis = product_basis(4, 1, 1)
     params = HubbardParams(L=6, J=1.0, U=0.0, V=np.zeros(6))

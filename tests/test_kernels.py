@@ -5,7 +5,7 @@ from fermichain import _kernels
 from fermichain.basis import product_basis
 from fermichain.hamiltonian import HubbardParams, build_hamiltonian, _csr_from_dense
 
-pytestmark = pytest.mark.skipif(
+needs_numba = pytest.mark.skipif(
     len(_kernels.available_backends()) < 2, reason="numba backend unavailable"
 )
 
@@ -26,6 +26,7 @@ def _assemble_with(backend, restore=None):
     return H.indptr, H.indices, H.data
 
 
+@needs_numba
 def test_backends_assemble_identically(restore_backend):
     ref = _assemble_with("numpy")
     got = _assemble_with("numba")
@@ -33,6 +34,7 @@ def test_backends_assemble_identically(restore_backend):
         assert np.array_equal(a, b)  # bit-identical, including float data
 
 
+@needs_numba
 def test_backends_matvec_identically(restore_backend):
     rng = np.random.default_rng(5)
     basis = product_basis(5, 2, 1)

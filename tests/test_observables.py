@@ -1,15 +1,26 @@
 import numpy as np
 import pytest
 
-from fermichain.basis import product_basis
+from fermichain.basis import popcount, product_basis
 from fermichain.errors import ParameterError
 from fermichain.evolution import DensePropagator
-from fermichain.hamiltonian import HubbardParams, barrier_potential, build_hamiltonian
+from fermichain.hamiltonian import (
+    HubbardParams,
+    barrier_potential,
+    build_hamiltonian,
+    jstar_site,
+    total_spin_squared,
+)
 from fermichain.observables import (
     ObservableSpec,
+    StateBlock,
     density_profile,
     doublon_count,
+    energy,
     n_after,
+    norm,
+    observable_functions,
+    s_squared,
     site_density,
     time_average,
     total_number,
@@ -83,6 +94,61 @@ def test_mirror_covariance_of_densities():
         a = density_profile(StateVector(basis, fwd.advance(psi0.amplitudes, t)))
         b = density_profile(StateVector(basis, mir.advance(psi0_m.amplitudes, t)))
         assert np.max(np.abs(a - b[::-1])) <= 1e-10
+
+
+def _loop_reference(basis, amps, H, s2):
+    """Expected values of one state by a loop over its configurations."""
+    up, down = np.zeros(basis.L), np.zeros(basis.L)
+    doublons = 0.0
+    for g, a in enumerate(amps):
+        mu, md = basis.config(g)
+        p = abs(a) ** 2
+        doublons += p * popcount(mu & md)
+        for j in range(basis.L):
+            up[j] += p * (mu >> j & 1)
+            down[j] += p * (md >> j & 1)
+    total = up + down
+    return {
+        "n_3": total[2], "n_up_1": up[0], "n_down_L": down[-1], "n_h2": total[3],
+        "n_after": total[basis.L // 2 + 1:].sum(), "n_total": total.sum(),
+        "norm": np.linalg.norm(amps), "doublon_count": doublons,
+        "energy": np.vdot(amps, H.to_dense() @ amps).real,
+        "s_squared": np.vdot(amps, s2.to_dense() @ amps).real,
+    }
+
+
+def test_block_observables_match_state_functions():
+    L = 6
+    basis = product_basis(L, 2, 1)
+    H = build_hamiltonian(HubbardParams(L=L, J=1.0, U=4.0, V=barrier_potential(L, 10.0, "a")),
+                          basis)
+    s2 = total_spin_squared(basis)
+    specs = [
+        ("n_3", ObservableSpec("n_site", site=3)),
+        ("n_up_1", ObservableSpec("n_site_spin", site=1, spin="up")),
+        ("n_down_L", ObservableSpec("n_site_spin", site=L, spin="down")),
+        ("n_h2", ObservableSpec("n_h2")),
+        *((kind, ObservableSpec(kind)) for kind in
+          ("n_after", "n_total", "norm", "doublon_count", "energy", "s_squared")),
+    ]
+    fns = observable_functions(specs, basis, H=H, jstar=jstar_site(L, 10.0, "a"))
+    rng = np.random.default_rng(11)
+    amps = rng.normal(size=(7, basis.dim)) + 1j * rng.normal(size=(7, basis.dim))
+    amps /= np.linalg.norm(amps, axis=1, keepdims=True)
+    columns = {name: fn(StateBlock(basis, amps)) for name, fn in fns.items()}
+    for row, v in enumerate(amps):
+        psi = StateVector(basis, v)
+        state = {
+            "n_3": site_density(psi, 3), "n_up_1": site_density(psi, 1, "up"),
+            "n_down_L": density_profile(psi, "down")[-1], "n_h2": site_density(psi, 4),
+            "n_after": n_after(psi), "n_total": total_number(psi), "norm": norm(psi),
+            "doublon_count": doublon_count(psi), "energy": energy(psi, H),
+            "s_squared": s_squared(psi, s2),
+        }
+        reference = _loop_reference(basis, v, H, s2)
+        for name, col in columns.items():
+            assert abs(col[row] - state[name]) <= 1e-13, name
+            assert abs(col[row] - reference[name]) <= 1e-12, name
 
 
 def test_time_average_examples():
