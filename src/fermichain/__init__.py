@@ -8,7 +8,6 @@ by a dense eigendecomposition oracle, a Lanczos/Krylov stepper, or a
 truncated Taylor series.
 """
 
-from ._kernels import active_backend, available_backends, use_backend
 from .basis import (
     ProductBasis,
     SpinSectorBasis,

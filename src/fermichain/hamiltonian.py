@@ -12,9 +12,8 @@ from functools import cached_property
 
 import numpy as np
 
-from ._kernels import assemble_hubbard, csr_matvec
-from .basis import ProductBasis, enumerate_sector, popcount, site_bit
-from .errors import CapacityError, ParameterError
+from .basis import ProductBasis, enumerate_sector
+from .errors import ParameterError
 
 DENSE_CAP = 4096  # largest dimension handled by dense eigendecompositions
 _TERMS_PER_PRODUCT = 1 << 16  # (state, nonzero) terms per block product: bounds its memory
@@ -105,14 +104,25 @@ class SparseHamiltonian:
         return len(self.indices)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        return csr_matvec(self.indptr, self.indices, self.data, x)
+        """A @ x for a complex vector x; rows without entries give 0."""
+        out = np.zeros(self.dim, dtype=np.complex128)
+        if self.nnz == 0:
+            return out
+        prod = self.data * np.asarray(x, dtype=np.complex128)[self.indices]
+        out[self._nonempty] = np.add.reduceat(prod, self.indptr[self._nonempty])
+        return out
 
     def expectation(self, amplitudes: np.ndarray) -> float:
         return float(self.expectations(amplitudes[None])[0])
 
     @cached_property
     def _rows(self) -> np.ndarray:
+        """Row index of every stored entry."""
         return np.repeat(np.arange(self.dim), np.diff(self.indptr))
+
+    @cached_property
+    def _nonempty(self) -> np.ndarray:
+        return np.flatnonzero(np.diff(self.indptr))
 
     def expectations(self, block: np.ndarray) -> np.ndarray:
         """<psi|A|psi> for each row psi of an (n, dim) block: the sum over stored
@@ -127,9 +137,7 @@ class SparseHamiltonian:
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.dim, self.dim))
-        for i in range(self.dim):
-            sl = slice(self.indptr[i], self.indptr[i + 1])
-            out[i, self.indices[sl]] = self.data[sl]
+        out[self._rows, self.indices] = self.data
         return out
 
     @cached_property
@@ -138,20 +146,17 @@ class SparseHamiltonian:
         if self.nnz == 0:
             return 0.0
         sums = np.zeros(self.dim)
-        np.add.at(sums, np.repeat(np.arange(self.dim), np.diff(self.indptr)), np.abs(self.data))
+        np.add.at(sums, self._rows, np.abs(self.data))
         return float(sums.max())
 
 
-def _csr_from_dense(matrix: np.ndarray, basis: ProductBasis | None = None) -> SparseHamiltonian:
-    rows, cols = np.nonzero(matrix)
-    indptr = np.zeros(matrix.shape[0] + 1, dtype=np.int64)
-    indptr[1:] = np.cumsum(np.bincount(rows, minlength=matrix.shape[0]))
-    return SparseHamiltonian(
-        indptr=indptr,
-        indices=cols.astype(np.int64),
-        data=matrix[rows, cols].astype(np.float64),
-        basis=basis,
-    )
+def _csr(dim: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
+         basis: ProductBasis | None) -> SparseHamiltonian:
+    """Canonical CSR from (row, col, value) triplets with unique (row, col) pairs."""
+    order = np.argsort(rows * dim + cols)
+    indptr = np.zeros(dim + 1, dtype=np.int64)
+    indptr[1:] = np.cumsum(np.bincount(rows, minlength=dim))
+    return SparseHamiltonian(indptr=indptr, indices=cols[order], data=vals[order], basis=basis)
 
 
 def barrier_potential(L: int, h: float, orientation) -> np.ndarray:
@@ -184,15 +189,47 @@ def jstar_site(L: int, h: float, orientation) -> int:
     return L // 2 + 1 if orientation is BarrierOrientation.A else L // 2
 
 
+def _species_hops(L: int, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """All nearest-neighbor moves within one species: (source, target) index pairs."""
+    src, dst = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+    for j in range(L - 1):
+        pair = np.int64(3) << j
+        idx = np.flatnonzero(np.bitwise_count(masks & pair) == 1)
+        src.append(idx)
+        dst.append(np.searchsorted(masks, masks[idx] ^ pair))
+    return np.concatenate(src), np.concatenate(dst)
+
+
 def build_hamiltonian(params: HubbardParams, basis: ProductBasis) -> SparseHamiltonian:
-    """Assemble the chain Hamiltonian on a fixed (N_up, N_down) sector."""
+    """Assemble the chain Hamiltonian on a fixed (N_up, N_down) sector.
+
+    Terms: -hop_up (-hop_down) nearest-neighbor hops within the up (down)
+    species, open boundaries; on the diagonal U per doubly occupied site plus
+    the potential V dotted with the total site occupations, accumulated
+    site-ascending so identical inputs give bit-identical arrays.
+    """
     if basis.L != params.L:
         raise ParameterError(f"basis has L={basis.L}, params have L={params.L}")
-    indptr, indices, data = assemble_hubbard(
-        params.L, basis.up.masks, basis.down.masks,
-        params.hop_up, params.hop_down, params.U, params.V,
-    )
-    return SparseHamiltonian(indptr=indptr, indices=indices, data=data, basis=basis)
+    up, down = basis.up.masks, basis.down.masks
+    du, dd = len(up), len(down)
+    diag = float(params.U) * np.bitwise_count(up[:, None] & down[None, :]).astype(np.float64)
+    for j in range(params.L):
+        bu = ((up >> j) & 1).astype(np.float64)
+        bd = ((down >> j) & 1).astype(np.float64)
+        diag += params.V[j] * (bu[:, None] + bd[None, :])
+
+    su, tu = _species_hops(params.L, up)
+    sd, td = _species_hops(params.L, down)
+    ru, rd = np.arange(du, dtype=np.int64), np.arange(dd, dtype=np.int64)
+    g = np.arange(basis.dim, dtype=np.int64)
+    rows = np.concatenate([g, (su[:, None] * dd + rd).ravel(), (ru[:, None] * dd + sd).ravel()])
+    cols = np.concatenate([g, (tu[:, None] * dd + rd).ravel(), (ru[:, None] * dd + td).ravel()])
+    vals = np.concatenate([
+        diag.ravel(),
+        np.full(len(su) * dd, -float(params.hop_up)),
+        np.full(len(sd) * du, -float(params.hop_down)),
+    ])
+    return _csr(basis.dim, rows, cols, vals, basis)
 
 
 def build_single_particle(L: int, J: float, V) -> np.ndarray:
@@ -217,36 +254,46 @@ def build_fk_hamiltonian(L: int, J: float, U: float, h: float, orientation) -> n
 def total_spin_squared(basis: ProductBasis) -> SparseHamiltonian:
     """S^2 restricted to a fixed (N_up, N_down) sector, via S^- S^+ + S_z(S_z + 1).
 
-    S^+ maps the sector to (N_up+1, N_down-1), so S^- S^+ is sector-diagonal;
-    the combination avoids building the sector-mixing S_x, S_y.
+    S^+ = sum_j c+_{j,up} c_{j,down} maps the sector to (N_up+1, N_down-1),
+    so S^- S^+ = (S^+)^T S^+ is sector-diagonal; the combination avoids the
+    sector-mixing S_x, S_y.  S^+ is built as (row, col, sign) triplets, one
+    pass per site, and the product pairs the triplets that share a row.
     """
-    if basis.dim > DENSE_CAP:
-        raise CapacityError(f"S^2 construction capped at dim {DENSE_CAP}, got {basis.dim}")
-    L = basis.L
+    L, dim = basis.L, basis.dim
     n_up, n_down = basis.up.N, basis.down.N
     sz = 0.5 * (n_up - n_down)
-    sq = np.zeros((basis.dim, basis.dim))
+    rows, cols, signs = [np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0, np.int64)]
     if n_down >= 1 and n_up < L:
-        up_t = enumerate_sector(L, n_up + 1)
-        down_t = enumerate_sector(L, n_down - 1)
-        splus = np.zeros((up_t.dim * down_t.dim, basis.dim))
-        for idn, md in enumerate(basis.down.masks):
-            md = int(md)
-            for site in range(1, L + 1):
-                bit = site_bit(site)
-                if not md & bit:
-                    continue
-                below = bit - 1
-                md2 = md ^ bit
-                col_d = down_t.index_of[md2]
-                par_d = popcount(md & below)
-                for iu, mu in enumerate(basis.up.masks):
-                    mu = int(mu)
-                    if mu & bit:
-                        continue
-                    sign = -1 if (n_up + par_d + popcount(mu & below)) & 1 else 1
-                    row = up_t.index_of[mu | bit] * down_t.dim + col_d
-                    splus[row, iu * basis.down.dim + idn] = sign
-        sq = splus.T @ splus
-    sq[np.diag_indices_from(sq)] += sz * (sz + 1.0)
-    return _csr_from_dense(sq, basis=basis)
+        up_t, down_t = enumerate_sector(L, n_up + 1).masks, enumerate_sector(L, n_down - 1).masks
+        mu, md = basis.up.masks, basis.down.masks
+        for j in range(L):
+            bit = np.int64(1) << j
+            iu, idn = np.flatnonzero((mu & bit) == 0), np.flatnonzero(md & bit)
+            rows.append((np.searchsorted(up_t, mu[iu] | bit)[:, None] * len(down_t)
+                         + np.searchsorted(down_t, md[idn] ^ bit)).ravel())
+            cols.append((iu[:, None] * basis.down.dim + idn).ravel())
+            # c_{j,down} passes every up operator and the downs below j, then
+            # c+_{j,up} passes the ups below j
+            ups_below = np.bitwise_count(mu[iu] & (bit - 1)).astype(np.int64)
+            downs_below = np.bitwise_count(md[idn] & (bit - 1)).astype(np.int64)
+            signs.append((1 - 2 * ((n_up + ups_below[:, None] + downs_below) & 1)).ravel())
+    rows, cols, signs = (np.concatenate(a) for a in (rows, cols, signs))
+
+    # every pair of S^+ entries in one row r adds S+_{r,a} S+_{r,b} to entry (a, b):
+    # entry i, in a row group of size z starting at s, pairs with s .. s+z-1
+    order = np.argsort(rows, kind="stable")
+    cols, signs = cols[order], signs[order]
+    starts = np.flatnonzero(np.diff(rows[order], prepend=-1))
+    sizes = np.diff(starts, append=len(rows))
+    size_of = np.repeat(sizes, sizes)
+    first_pair = np.cumsum(size_of) - size_of
+    left = np.repeat(np.arange(len(rows)), size_of)
+    right = np.arange(len(left)) + np.repeat(np.repeat(starts, sizes) - first_pair, size_of)
+
+    a = np.concatenate([cols[left], np.arange(dim)])
+    b = np.concatenate([cols[right], np.arange(dim)])
+    v = np.concatenate([signs[left] * signs[right], np.full(dim, sz * (sz + 1.0))])
+    keys, inverse = np.unique(a * dim + b, return_inverse=True)
+    vals = np.bincount(inverse, weights=v, minlength=len(keys))
+    keep = vals != 0
+    return _csr(dim, keys[keep] // dim, keys[keep] % dim, vals[keep], basis)

@@ -93,6 +93,34 @@ class InitialState:
         return f"{self.kind}({', '.join(f'{k}={v}' for k, v in fields.items())})"
 
 
+def _is_finite_number(value) -> bool:
+    try:
+        return not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):
+        return False
+
+
+def _custom_entry(k: int, e) -> dict:
+    """One validated amplitude entry of a custom initial-state file."""
+    label = f"initial_state.path: entries[{k}]"
+    if not isinstance(e, dict):
+        raise ConfigError(f"{label} must be a mapping with 'up', 'down', 're', 'im'")
+    out = {}
+    for key in ("up", "down"):
+        sites = e.get(key)
+        if not isinstance(sites, list) or not all(
+                isinstance(v, int) and not isinstance(v, bool) for v in sites):
+            raise ConfigError(f"{label}.{key} must be a list of integer sites, got {sites!r}")
+        if len(set(sites)) != len(sites):
+            raise ConfigError(f"{label}.{key} repeats a site: {sites}")
+        out[key] = tuple(sites)
+    parts = [e.get(key, 0.0) for key in ("re", "im")]
+    if not all(_is_finite_number(v) for v in parts):
+        raise ConfigError(f"{label}: re and im must be finite numbers, got {parts}")
+    out["amp"] = complex(*parts)
+    return out
+
+
 @lru_cache(maxsize=32)
 def _load_custom(path: str):
     try:
@@ -101,23 +129,22 @@ def _load_custom(path: str):
         raise ConfigError(f"initial_state.path: cannot read {path!r}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"initial_state.path: {path!r} is not valid JSON: {exc}") from None
-    entries = payload.get("entries")
+    entries = payload.get("entries") if isinstance(payload, dict) else None
     if not isinstance(entries, list) or not entries:
         raise ConfigError(f"initial_state.path: {path!r} must hold a non-empty 'entries' list")
-    sector = (len(entries[0].get("up", [])), len(entries[0].get("down", [])))
-    for e in entries:
-        if (len(e.get("up", [])), len(e.get("down", []))) != sector:
-            raise ConfigError("initial_state.path: entries mix particle-number sectors")
-    return tuple(
-        {"up": tuple(e["up"]), "down": tuple(e["down"]),
-         "amp": complex(e.get("re", 0.0), e.get("im", 0.0))}
-        for e in entries
-    )
+    entries = tuple(_custom_entry(k, e) for k, e in enumerate(entries))
+    sector = (len(entries[0]["up"]), len(entries[0]["down"]))
+    if any((len(e["up"]), len(e["down"])) != sector for e in entries):
+        raise ConfigError("initial_state.path: entries mix particle-number sectors")
+    return entries
 
 
 def _build_custom(basis: ProductBasis, path: str) -> StateVector:
     amps = np.zeros(basis.dim, dtype=np.complex128)
     for e in _load_custom(path):
+        sites = e["up"] + e["down"]
+        if not all(1 <= s <= basis.L for s in sites):
+            raise ConfigError(f"initial_state.path: sites {list(sites)} outside chain [1, {basis.L}]")
         mu = sum(site_bit(s) for s in e["up"])
         md = sum(site_bit(s) for s in e["down"])
         g = basis.index(mu, md)

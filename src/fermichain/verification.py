@@ -24,7 +24,7 @@ from .hamiltonian import (
     build_single_particle,
     barrier_potential,
 )
-from .observables import density_profile
+from .observables import StateBlock, density_profile
 from .states import StateVector, doublon_at, mirror_state, singlet_pair, triplet_pair, _finish
 
 # Largest tunneling-symmetry gap of the interacting singlet run (L=6, U=0.5J,
@@ -72,11 +72,6 @@ def propagator_mirror_residual(
     return float(abs(amp - amp_mirror))
 
 
-def _region_sums(psi: StateVector, l_a: int, l_b: int) -> tuple[float, float]:
-    prof = density_profile(psi)
-    return float(prof[:l_a].sum()), float(prof[l_a + l_b:].sum())
-
-
 def tunneling_symmetry_gap(
     params: HubbardParams, psi0: StateVector, times,
     l_a: int | None = None, l_b: int | None = None,
@@ -93,16 +88,15 @@ def tunneling_symmetry_gap(
     if weight_outside > 1e-12:
         raise ParameterError(f"initial state leaks {weight_outside} outside region A")
 
-    H = build_hamiltonian(params, basis)
-    prop = DensePropagator(H)
-    psi_m = mirror_state(basis, psi0)
+    prop = DensePropagator(build_hamiltonian(params, basis))
+    times = np.asarray(times, dtype=np.float64)
+    fwd = prop.blocks(psi0.amplitudes, times)
+    bwd = prop.blocks(mirror_state(basis, psi0).amplitudes, times)
     gap = 0.0
-    for t in np.asarray(times, dtype=np.float64):
-        fwd = StateVector(basis, prop.advance(psi0.amplitudes, t))
-        bwd = StateVector(basis, prop.advance(psi_m.amplitudes, t))
-        _, n_c = _region_sums(fwd, l_a, l_b)
-        n_a, _ = _region_sums(bwd, l_a, l_b)
-        gap = max(gap, abs(n_c - n_a))
+    for a, b in zip(fwd, bwd):
+        n_c = StateBlock(basis, a).density()[:, l_a + l_b:].sum(axis=1)
+        n_a = StateBlock(basis, b).density()[:, :l_a].sum(axis=1)
+        gap = max(gap, float(np.max(np.abs(n_c - n_a))))
     return gap
 
 

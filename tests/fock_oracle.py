@@ -10,6 +10,8 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
+from fermichain.hamiltonian import SparseHamiltonian
+
 _ADAG = np.array([[0.0, 0.0], [1.0, 0.0]])  # creation on one mode, |1><0|
 _Z = np.diag([1.0, -1.0])
 _I2 = np.eye(2)
@@ -40,6 +42,15 @@ def full_hamiltonian(L: int, j_up: float, j_down: float, U: float, V) -> np.ndar
         num_down = cd[L + j] @ c[L + j]
         H += U * (num_up @ num_down) + V[j] * (num_up + num_down)
     return H
+
+
+def full_spin_squared(L: int) -> np.ndarray:
+    """Total spin S^2 = (S^+ S^- + S^- S^+) / 2 + S_z^2 on the full 4^L Fock space,
+    with S^+ = sum_j c+_{j,up} c_{j,down}."""
+    cd = creation_operators(2 * L)
+    splus = sum(cd[j] @ cd[L + j].T for j in range(L))
+    sz = 0.5 * sum(cd[j] @ cd[j].T - cd[L + j] @ cd[L + j].T for j in range(L))
+    return 0.5 * (splus @ splus.T + splus.T @ splus) + sz @ sz
 
 
 def embed_configuration(L: int, up_sites, down_sites) -> np.ndarray:
@@ -73,3 +84,12 @@ def restricted_hamiltonian(L: int, j_up: float, j_down: float, U: float, V, basi
     """Full-Fock Hamiltonian projected onto one (N_up, N_down) sector."""
     E = sector_embedding(L, basis)
     return E.T @ full_hamiltonian(L, j_up, j_down, U, V) @ E
+
+
+def csr_from_dense(matrix: np.ndarray) -> SparseHamiltonian:
+    """The package's CSR form of a dense matrix, zero entries dropped."""
+    rows, cols = np.nonzero(matrix)
+    indptr = np.zeros(matrix.shape[0] + 1, dtype=np.int64)
+    indptr[1:] = np.cumsum(np.bincount(rows, minlength=matrix.shape[0]))
+    return SparseHamiltonian(indptr=indptr, indices=cols.astype(np.int64),
+                             data=matrix[rows, cols].astype(np.float64))

@@ -103,6 +103,28 @@ def test_malformed_config_value_is_config_error(tmp_path, capsys, override, fiel
     assert "config error" in err and field in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("payload, field", [
+    ('[{"up": [1], "down": [2], "re": 1.0}]', "'entries' list"),
+    ('{"entries": [1]}', "entries[0] must be a mapping"),
+    ('{"entries": [{"down": [2], "re": 1.0}]}', "entries[0].up"),
+    ('{"entries": [{"up": ["x"], "down": [2], "re": 1.0}]}', "entries[0].up"),
+    ('{"entries": [{"up": [1, 1], "down": [], "re": 1.0}]}', "repeats a site"),
+    ('{"entries": [{"up": [1], "down": [5], "re": 1.0}]}', "outside chain"),
+    ('{"entries": [{"up": [0], "down": [2], "re": 1.0}]}', "outside chain"),
+    ('{"entries": [{"up": [1], "down": [2], "re": NaN}]}', "finite numbers"),
+    ('{"entries": [{"up": [1], "down": [2], "re": "1"}]}', "finite numbers"),
+])
+def test_malformed_custom_state_is_config_error(tmp_path, capsys, payload, field):
+    state = tmp_path / "state.json"
+    state.write_text(payload)
+    fields = dict(_VALID_SCENARIO, initial_state=f"{{kind: custom, path: '{state}'}}")
+    config = tmp_path / "bad.yaml"
+    config.write_text("name: bad\nscenario:\n" + "".join(f"  {k}: {v}\n" for k, v in fields.items()))
+    assert main(["simulate", str(config), "--output", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and field in err and "Traceback" not in err
+
+
 def test_linalg_failure_is_numerical_exit_code(monkeypatch, capsys):
     from fermichain import cli
 

@@ -18,7 +18,6 @@ from fermichain.hamiltonian import (
     barrier_potential,
     build_hamiltonian,
     total_spin_squared,
-    _csr_from_dense,
 )
 from fermichain.observables import site_density
 from fermichain.states import (
@@ -29,13 +28,15 @@ from fermichain.states import (
     triplet_pair,
 )
 
+from fock_oracle import csr_from_dense
+
 
 def _random_sparse(dim, seed, density=0.08, scale=2.0):
     rng = np.random.default_rng(seed)
     dense = rng.normal(scale=scale, size=(dim, dim))
     dense[rng.random((dim, dim)) > density] = 0.0
     dense = (dense + dense.T) / 2
-    return _csr_from_dense(dense), rng
+    return csr_from_dense(dense), rng
 
 
 def _random_vec(dim, rng):
@@ -111,7 +112,7 @@ def test_step_composition(method):
 
 @pytest.mark.parametrize("method", ["krylov", "taylor"])
 def test_zero_hamiltonian_is_identity(method):
-    H = _csr_from_dense(np.zeros((12, 12)))
+    H = csr_from_dense(np.zeros((12, 12)))
     rng = np.random.default_rng(2)
     v = _random_vec(12, rng)
     prop = (KrylovPropagator if method == "krylov" else TaylorPropagator)(
@@ -189,7 +190,7 @@ def test_trajectory_stores_states():
 
 
 def test_dense_capacity_error():
-    H = _csr_from_dense(np.zeros((8, 8)))
+    H = csr_from_dense(np.zeros((8, 8)))
     with pytest.raises(CapacityError):
         DensePropagator(H, cap=4)
 

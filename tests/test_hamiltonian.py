@@ -13,9 +13,10 @@ from fermichain.hamiltonian import (
     jstar_site,
     total_spin_squared,
 )
-from fermichain.states import doublon_at, singlet_pair, triplet_pair
+from fermichain.states import doublon_at, doublon_plus_up, singlet_pair, triplet_pair
 
 import fock_oracle
+from fock_oracle import csr_from_dense
 
 
 def test_barrier_shapes():
@@ -163,6 +164,42 @@ def test_spin_squared_commutes_with_hamiltonian(n_up, n_down):
     psi /= np.linalg.norm(psi)
     comm = H.matvec(s2.matvec(psi)) - s2.matvec(H.matvec(psi))
     assert np.linalg.norm(comm) <= 1e-12
+
+
+@pytest.mark.parametrize("n_up", range(5))
+def test_spin_squared_matches_full_fock_oracle(n_up):
+    full = fock_oracle.full_spin_squared(4)
+    for n_down in range(5):
+        basis = product_basis(4, n_up, n_down)
+        E = fock_oracle.sector_embedding(4, basis)
+        ours = total_spin_squared(basis).to_dense()
+        assert np.max(np.abs(ours - E.T @ full @ E)) <= 1e-12
+
+
+def test_spin_squared_above_the_dense_cap():
+    basis = product_basis(30, 2, 1)  # dim 13050
+    psi = doublon_plus_up(basis, 1, 30).amplitudes
+    s2 = total_spin_squared(basis)
+    assert s2.dim == basis.dim
+    assert np.linalg.norm(s2.matvec(psi) - 0.75 * psi) <= 1e-12
+
+
+def test_matvec_matches_dense_product():
+    rng = np.random.default_rng(5)
+    basis = product_basis(5, 2, 1)
+    H = build_hamiltonian(HubbardParams(L=5, J=1.0, U=2.0, V=rng.uniform(-3, 3, size=5)), basis)
+    x = rng.normal(size=H.dim) + 1j * rng.normal(size=H.dim)
+    assert np.allclose(H.matvec(x), H.to_dense() @ x, atol=1e-13, rtol=0)
+
+
+def test_matvec_handles_empty_rows():
+    matrix = np.zeros((4, 4))
+    matrix[1, 2] = 2.5
+    matrix[3, 0] = -1.0
+    x = np.array([1 + 1j, 0, 2.0, -1j])
+    assert np.allclose(csr_from_dense(matrix).matvec(x), matrix @ x)
+    zero = csr_from_dense(np.zeros((3, 3)))
+    assert np.array_equal(zero.matvec(np.ones(3)), np.zeros(3, dtype=complex))
 
 
 def test_params_validation():
