@@ -13,11 +13,12 @@ from .errors import NumericalError, ParameterError
 from .scenarios import (
     ScenarioConfig,
     SweepConfig,
-    _values_from,
     preset_names,
+    replace_fields,
     resolve_config,
     run_scenario,
     run_sweep,
+    sweep_from_dict,
 )
 from .verification import run_suites
 
@@ -31,7 +32,7 @@ _METHODS = {"dense": "dense_eig", "krylov": "krylov", "taylor": "taylor"}
 
 def _apply_overrides(config: ScenarioConfig, args) -> ScenarioConfig:
     if args.t_max is not None:
-        config = dataclasses.replace(config, t_max=args.t_max)
+        config = replace_fields(config, t_max=args.t_max)
     if args.method is not None:
         propagator = dataclasses.replace(config.propagator, method=_METHODS[args.method])
         config = dataclasses.replace(config, propagator=propagator)
@@ -64,16 +65,8 @@ def cmd_sweep(args) -> int:
             red.T is None or red.T > args.t_max):
         config = dataclasses.replace(config, reduction=dataclasses.replace(red, T=args.t_max))
     if args.values is not None:
-        errors: list[str] = []
-        try:
-            spec = _parse_values(args.values)
-        except ValueError:
-            spec = None
-        values = _values_from(spec, config.parameter, errors)
-        if errors:
-            print("invalid --values: " + "; ".join(errors), file=sys.stderr)
-            return EXIT_CONFIG
-        config = dataclasses.replace(config, values=values)
+        spec = {"parameter": config.parameter, "values": _parse_values(args.values)}
+        config = dataclasses.replace(config, values=sweep_from_dict(spec, base).values)
     started = time.perf_counter()
     header, rows, path = run_sweep(config, output_dir=args.output, threads=args.threads)
     elapsed = time.perf_counter() - started
@@ -82,12 +75,11 @@ def cmd_sweep(args) -> int:
 
 
 def _parse_values(text: str):
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            return None
-        return {"start": float(parts[0]), "stop": float(parts[1]), "step": float(parts[2])}
-    return [float(part) for part in text.split(",") if part.strip()]
+    """--values as a sweep's values entry; its numbers are checked as swept values."""
+    if ":" not in text:
+        return [part for part in text.split(",") if part.strip()]
+    parts = text.split(":")
+    return dict(zip(("start", "stop", "step"), parts)) if len(parts) == 3 else text
 
 
 def cmd_verify(args) -> int:
@@ -114,8 +106,21 @@ def cmd_list_presets(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # a usage error is a config error; argparse's own code 2 means a numerical failure here
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
+def _thread_count(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fermichain",
         description="Few-fermion tunneling dynamics on open Hubbard chains "
                     "with asymmetric barrier potentials.",
@@ -128,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--t-max", type=float, default=None, help="override run horizon (1/J)")
     common.add_argument("--method", choices=sorted(_METHODS), default=None,
                         help="override the propagator")
-    common.add_argument("--threads", type=int, default=1, help="worker threads")
+    common.add_argument("--threads", type=_thread_count, default=1, help="worker threads")
 
     p = sub.add_parser("simulate", parents=[common], help="run one scenario, write a trajectory CSV")
     p.set_defaults(func=cmd_simulate)

@@ -47,7 +47,6 @@ class PropagatorConfig:
     tolerance: float = 1e-10
     krylov_dim: int = 30
     max_taylor_terms: int = 200
-    dense_cap: int = DENSE_CAP
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -56,10 +55,6 @@ class PropagatorConfig:
             value = getattr(self, name)
             if not 0 < value < math.inf:
                 raise ParameterError(f"{name}={value} must be positive and finite")
-        for name in ("krylov_dim", "max_taylor_terms"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ParameterError(f"{name}={value!r} must be an integer")
         if self.krylov_dim < 2:
             raise ParameterError(f"krylov_dim={self.krylov_dim} must be at least 2")
         if self.max_taylor_terms < 1:
@@ -326,7 +321,7 @@ class TaylorPropagator:
 
 def make_propagator(H, config: PropagatorConfig):
     if config.method == "dense_eig":
-        return DensePropagator(H, cap=config.dense_cap)
+        return DensePropagator(H)
     if config.method == "krylov":
         return KrylovPropagator(H, config)
     return TaylorPropagator(H, config)

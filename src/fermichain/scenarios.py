@@ -14,16 +14,15 @@ import math
 import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 import yaml
 
-from .basis import ProductBasis, product_basis, site_bit
+from .basis import MAX_SITES, ProductBasis, product_basis, site_bit
 from .errors import ConfigError, ParameterError
-from .evolution import PropagatorConfig, Trajectory, evolve_trajectory
+from .evolution import METHODS, PropagatorConfig, Trajectory, evolve_trajectory
 from .hamiltonian import HubbardParams, barrier_potential, build_hamiltonian, jstar_site
 from .observables import (
     ObservableSpec,
@@ -44,6 +43,7 @@ from .states import (
 ORIENTATIONS = ("a", "b", "both")
 SWEEP_PARAMETERS = ("U", "h", "L")
 REDUCTIONS = ("time_average", "trap_time", "trajectory")
+MAX_POINTS = 1_000_000  # samples of one time grid, values of one range sweep
 
 _SITE_TOKEN = re.compile(r"^n(_up|_down)?_(\d+|L)$")
 _SIMPLE_TOKENS = ("norm", "energy", "s_squared", "doublon_count", "n_after", "n_h2", "n_total")
@@ -55,121 +55,40 @@ _SIMPLE_TOKENS = ("norm", "energy", "s_squared", "doublon_count", "n_after", "n_
 
 @dataclass(frozen=True)
 class InitialState:
-    """Tagged choice of initial state; site labels are 1-based."""
+    """A kind of INITIAL_STATES with its checked fields; site labels are 1-based."""
 
     kind: str
-    site: int | None = None
-    i: int | None = None
-    j: int | None = None
-    doublon_site: int | None = None
-    up_site: int | None = None
-    path: str | None = None
+    fields: dict
 
     def sector(self) -> tuple[int, int]:
-        if self.kind in ("doublon", "singlet", "triplet"):
-            return 1, 1
-        if self.kind == "doublon_plus_up":
-            return 2, 1
-        if self.kind == "single_particle":
-            return 1, 0
-        entries = _load_custom(self.path)
-        return len(entries[0]["up"]), len(entries[0]["down"])
+        if self.kind == "custom":  # the sector of the file's entries
+            return len(self.fields["path"][0]["up"]), len(self.fields["path"][0]["down"])
+        return INITIAL_STATES[self.kind][1]
 
     def build(self, basis: ProductBasis) -> StateVector:
-        if self.kind == "doublon":
-            return doublon_at(basis, self.site)
-        if self.kind == "singlet":
-            return singlet_pair(basis, self.i, self.j)
-        if self.kind == "triplet":
-            return triplet_pair(basis, self.i, self.j)
-        if self.kind == "doublon_plus_up":
-            return doublon_plus_up(basis, self.doublon_site, self.up_site)
-        if self.kind == "single_particle":
-            return single_particle_at(basis, self.site)
-        return _build_custom(basis, self.path)
+        return INITIAL_STATES[self.kind][2](basis, *self.fields.values())
 
-    def describe(self) -> str:
-        fields = {k: v for k, v in dataclasses.asdict(self).items() if v is not None and k != "kind"}
-        return f"{self.kind}({', '.join(f'{k}={v}' for k, v in fields.items())})"
-
-
-def _is_finite_number(value) -> bool:
-    try:
-        return not isinstance(value, bool) and math.isfinite(value)
-    except (TypeError, OverflowError):
-        return False
-
-
-def _custom_entry(k: int, e) -> dict:
-    """One validated amplitude entry of a custom initial-state file."""
-    label = f"initial_state.path: entries[{k}]"
-    if not isinstance(e, dict):
-        raise ConfigError(f"{label} must be a mapping with 'up', 'down', 're', 'im'")
-    out = {}
-    for key in ("up", "down"):
-        sites = e.get(key)
-        if not isinstance(sites, list) or not all(
-                isinstance(v, int) and not isinstance(v, bool) for v in sites):
-            raise ConfigError(f"{label}.{key} must be a list of integer sites, got {sites!r}")
-        if len(set(sites)) != len(sites):
-            raise ConfigError(f"{label}.{key} repeats a site: {sites}")
-        out[key] = tuple(sites)
-    parts = [e.get(key, 0.0) for key in ("re", "im")]
-    if not all(_is_finite_number(v) for v in parts):
-        raise ConfigError(f"{label}: re and im must be finite numbers, got {parts}")
-    out["amp"] = complex(*parts)
-    return out
-
-
-@lru_cache(maxsize=32)
-def _load_custom(path: str):
-    try:
-        payload = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise ConfigError(f"initial_state.path: cannot read {path!r}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"initial_state.path: {path!r} is not valid JSON: {exc}") from None
-    entries = payload.get("entries") if isinstance(payload, dict) else None
-    if not isinstance(entries, list) or not entries:
-        raise ConfigError(f"initial_state.path: {path!r} must hold a non-empty 'entries' list")
-    entries = tuple(_custom_entry(k, e) for k, e in enumerate(entries))
-    sector = (len(entries[0]["up"]), len(entries[0]["down"]))
-    if any((len(e["up"]), len(e["down"])) != sector for e in entries):
-        raise ConfigError("initial_state.path: entries mix particle-number sectors")
-    return entries
-
-
-def _build_custom(basis: ProductBasis, path: str) -> StateVector:
-    amps = np.zeros(basis.dim, dtype=np.complex128)
-    for e in _load_custom(path):
-        sites = e["up"] + e["down"]
-        if not all(1 <= s <= basis.L for s in sites):
-            raise ConfigError(f"initial_state.path: sites {list(sites)} outside chain [1, {basis.L}]")
-        mu = sum(site_bit(s) for s in e["up"])
-        md = sum(site_bit(s) for s in e["down"])
-        g = basis.index(mu, md)
-        if amps[g] != 0:
-            raise ConfigError(f"initial_state.path: duplicate configuration {e['up']}/{e['down']}")
-        amps[g] = e["amp"]
-    return from_amplitudes(basis, amps)
+    def sites(self) -> list[int]:
+        if self.kind == "custom":
+            return [s for e in self.fields["path"] for s in e["up"] + e["down"]]
+        return list(self.fields.values())
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
     """One evolution run (or an a/b orientation pair) with sampled observables."""
 
-    name: str
     L: int
     U: float
     h: float
-    orientation: str
     initial_state: InitialState
     t_max: float
-    sample_dt: float
-    propagator: PropagatorConfig
     observables: tuple[str, ...]
+    name: str = "scenario"
+    orientation: str = "both"
     J: float = 1.0
-    output_path: str | None = None
+    sample_dt: float = 0.05
+    propagator: PropagatorConfig = PropagatorConfig()
     description: str = ""
 
 
@@ -188,222 +107,295 @@ class SweepConfig:
     name: str
     parameter: str
     values: tuple
-    reduction: Reduction
     base: ScenarioConfig
+    reduction: Reduction = Reduction("time_average")
     description: str = ""
 
 
 # ---------------------------------------------------------------------------
-# config parsing with field-level error collection
+# config parsing: one field table per section
+#
+# A table maps key -> (check, required).  A check turns a raw YAML value into
+# the field's value or raises ValueError; a check that reads a nested section
+# raises ConfigError with lines that already name their fields.  An absent
+# optional key keeps the dataclass default.
 # ---------------------------------------------------------------------------
 
-def _cast(value, cast, label: str, errors: list, default=None):
+def _real(value) -> float:
+    """A finite number; numeric strings count, because YAML reads 1e-10 as one."""
+    if isinstance(value, bool):
+        raise ValueError(f"must be a number, got {value!r}")
     try:
-        return cast(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        errors.append(f"{label}: {exc}")
-        return default
-
-
-def _take(d: dict, key: str, errors: list, cast, required: bool = True, default=None):
-    if key not in d:
-        if required:
-            errors.append(f"{key}: missing")
-        return default
-    return _cast(d[key], cast, key, errors, default)
-
-
-def _finite(value) -> float:
-    out = float(value)
+        out = float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"must be a number, got {value!r}") from None
     if not math.isfinite(out):
-        raise ValueError(f"must be finite, got {out}")
+        raise ValueError(f"must be finite, got {value!r}")
     return out
 
 
-def _initial_state_from(d, errors) -> InitialState | None:
-    if not isinstance(d, dict):
-        errors.append("initial_state: must be a mapping with a 'kind' key")
-        return None
-    kind = d.get("kind")
-    required = {
-        "doublon": ("site",),
-        "singlet": ("i", "j"),
-        "triplet": ("i", "j"),
-        "doublon_plus_up": ("doublon_site", "up_site"),
-        "single_particle": ("site",),
-        "custom": ("path",),
-    }
-    if kind not in required:
-        errors.append(f"initial_state.kind: must be one of {sorted(required)}, got {kind!r}")
-        return None
-    fields = {}
-    for key in required[kind]:
-        if key not in d:
-            errors.append(f"initial_state.{key}: missing for kind {kind!r}")
-            return None
-        fields[key] = _cast(d[key], str if key == "path" else int, f"initial_state.{key}", errors)
-        if fields[key] is None:
-            return None
-    extras = set(d) - {"kind", *required[kind]}
-    if extras:
-        errors.append(f"initial_state: unexpected keys {sorted(extras)}")
-    return InitialState(kind=kind, **fields)
+def _integer(value) -> int:
+    out = _real(value)
+    if not out.is_integer():
+        raise ValueError(f"must be an integer, got {value!r}")
+    return int(out)
 
 
-def _propagator_from(d, errors) -> PropagatorConfig:
-    if d is None:
-        return PropagatorConfig()
-    if not isinstance(d, dict):
-        errors.append("propagator: must be a mapping")
-        return PropagatorConfig()
-    known = {"method", "dt", "tolerance", "krylov_dim", "max_taylor_terms", "dense_cap"}
-    extras = set(d) - known
-    if extras:
-        errors.append(f"propagator: unexpected keys {sorted(extras)}")
+def _positive(value) -> float:
+    out = _real(value)
+    if out <= 0:
+        raise ValueError(f"must be positive, got {value!r}")
+    return out
+
+
+def _one_of(*choices):
+    def check(value):
+        if value not in choices:
+            raise ValueError(f"must be one of {list(choices)}, got {value!r}")
+        return value
+    return check
+
+
+def _tokens(value) -> tuple[str, ...]:
+    if not isinstance(value, (list, tuple)) or not value:
+        raise ValueError(f"must be a non-empty list, got {value!r}")
+    return tuple(str(token) for token in value)
+
+
+def _fields(doc, table: dict, label: str, errors: list) -> dict:
+    """The checked values of the keys of doc; problems are appended to errors."""
+    at = f"{label}: " if label else ""
+    if not isinstance(doc, dict):
+        errors.append(f"{at}must be a mapping, got {doc!r}")
+        return {}
+    unknown = sorted(str(key) for key in doc if key not in table)
+    if unknown:
+        errors.append(f"{at}unexpected keys {unknown}")
+    dot = f"{label}." if label else ""
+    out = {}
+    for key, (check, required) in table.items():
+        if key not in doc:
+            if required:
+                errors.append(f"{dot}{key}: missing")
+            continue
+        try:
+            out[key] = check(doc[key])
+        except ConfigError as exc:
+            errors.append(str(exc))
+        except ValueError as exc:
+            errors.append(f"{dot}{key}: {exc}")
+    return out
+
+
+def _section(table: dict, label: str, build):
+    """A check that reads a nested mapping with its own table into build(**fields).
+
+    Its errors name their fields as label.key; without a label the enclosing
+    table names them after the section's key ("propagator: dt: ...").
+    """
+    def check(doc):
+        errors: list[str] = []
+        fields = _fields(doc, table, label, errors)
+        if errors:
+            raise (ConfigError if label else ValueError)("; ".join(errors))
+        return build(**fields)
+    return check
+
+
+def _custom_entry(k: int, e) -> dict:
+    """One checked amplitude entry of a custom initial-state file."""
+    label = f"entries[{k}]"
+    if not isinstance(e, dict):
+        raise ValueError(f"{label} must be a mapping with 'up', 'down', 're', 'im'")
+    out = {}
+    for key in ("up", "down"):
+        sites = e.get(key)
+        if not isinstance(sites, list) or not all(
+                isinstance(v, int) and not isinstance(v, bool) for v in sites):
+            raise ValueError(f"{label}.{key} must be a list of integer sites, got {sites!r}")
+        if len(set(sites)) != len(sites):
+            raise ValueError(f"{label}.{key} repeats a site: {sites}")
+        out[key] = tuple(sites)
+    parts = [e.get(key, 0.0) for key in ("re", "im")]
     try:
-        return PropagatorConfig(**{k: d[k] for k in known & set(d)})
-    except (ParameterError, TypeError) as exc:
-        errors.append(f"propagator: {exc}")
-        return PropagatorConfig()
+        if any(isinstance(v, str) for v in parts):  # JSON, unlike YAML, has no numbers as text
+            raise ValueError
+        out["amp"] = complex(*map(_real, parts))
+    except ValueError:
+        raise ValueError(f"{label}: re and im must be finite numbers, got {parts}") from None
+    return out
 
 
-def scenario_from_dict(doc: dict, name: str = "", description: str = "") -> ScenarioConfig:
-    errors: list[str] = []
-    L = _take(doc, "L", errors, int)
-    U = _take(doc, "U", errors, _finite)
-    h = _take(doc, "h", errors, _finite)
-    J = _take(doc, "J", errors, _finite, required=False, default=1.0)
-    orientation = str(doc.get("orientation", "both")).strip().lower()
-    if orientation not in ORIENTATIONS:
-        errors.append(f"orientation: must be one of {ORIENTATIONS}, got {orientation!r}")
-    initial = _initial_state_from(doc.get("initial_state"), errors)
-    t_max = _take(doc, "t_max", errors, _finite)
-    sample_dt = _take(doc, "sample_dt", errors, _finite, required=False, default=0.05)
-    propagator = _propagator_from(doc.get("propagator"), errors)
-    tokens = doc.get("observables")
-    if not isinstance(tokens, (list, tuple)) or not tokens:
-        errors.append("observables: must be a non-empty list")
-        tokens = ()
-    known = {
-        "name", "L", "U", "h", "J", "orientation", "initial_state",
-        "t_max", "sample_dt", "propagator", "observables", "output_path",
-    }
-    extras = set(doc) - known
-    if extras:
-        errors.append(f"unexpected keys {sorted(extras)}")
+def _custom_entries(path) -> tuple[dict, ...]:
+    """The checked entries of a custom initial-state JSON file."""
+    try:
+        payload = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path!r} is not valid JSON: {exc}") from None
+    except (OSError, TypeError, ValueError) as exc:  # also a NUL byte, undecodable text
+        raise ValueError(f"cannot read {path!r}: {exc}") from None
+    entries = payload.get("entries") if isinstance(payload, dict) else None
+    if not isinstance(entries, list) or not entries:
+        raise ValueError(f"{path!r} must hold a non-empty 'entries' list")
+    entries = tuple(_custom_entry(k, e) for k, e in enumerate(entries))
+    if len({(len(e["up"]), len(e["down"])) for e in entries}) > 1:
+        raise ValueError("entries mix particle-number sectors")
+    if len({(frozenset(e["up"]), frozenset(e["down"])) for e in entries}) < len(entries):
+        raise ValueError("entries repeat a configuration")
+    return entries
 
-    if not errors:
-        if t_max <= 0:
-            errors.append(f"t_max: must be positive, got {t_max}")
-        if sample_dt <= 0:
-            errors.append(f"sample_dt: must be positive, got {sample_dt}")
+
+def _custom_state(basis: ProductBasis, entries) -> StateVector:
+    amps = np.zeros(basis.dim, dtype=np.complex128)
+    for e in entries:
+        mu = sum(site_bit(s) for s in e["up"])
+        md = sum(site_bit(s) for s in e["down"])
+        amps[basis.index(mu, md)] = e["amp"]
+    return from_amplitudes(basis, amps)
+
+
+_SITE = (_integer, True)
+
+# kind -> (fields, sector, constructor(basis, *field values)); custom's path holds its entries
+INITIAL_STATES = {
+    "doublon": ({"site": _SITE}, (1, 1), doublon_at),
+    "singlet": ({"i": _SITE, "j": _SITE}, (1, 1), singlet_pair),
+    "triplet": ({"i": _SITE, "j": _SITE}, (1, 1), triplet_pair),
+    "doublon_plus_up": ({"doublon_site": _SITE, "up_site": _SITE}, (2, 1), doublon_plus_up),
+    "single_particle": ({"site": _SITE}, (1, 0), single_particle_at),
+    "custom": ({"path": (_custom_entries, True)}, None, _custom_state),
+}
+
+
+def _initial_state(doc) -> InitialState:
+    if not isinstance(doc, dict):
+        raise ValueError(f"must be a mapping with a 'kind' key, got {doc!r}")
+    kind = _one_of(*INITIAL_STATES)(doc.get("kind"))
+    rest = {key: value for key, value in doc.items() if key != "kind"}
+    return _section(INITIAL_STATES[kind][0], "initial_state",
+                    lambda **fields: InitialState(kind, fields))(rest)
+
+
+_PROPAGATOR = {
+    "method": (_one_of(*METHODS), False),
+    "dt": (_positive, False),
+    "tolerance": (_positive, False),
+    "krylov_dim": (_integer, False),
+    "max_taylor_terms": (_integer, False),
+}
+
+
+_SCENARIO = {
+    "L": (_integer, True),
+    "U": (_real, True),
+    "h": (_real, True),
+    "J": (_real, False),
+    "orientation": (_one_of(*ORIENTATIONS), False),
+    "initial_state": (_initial_state, True),
+    "t_max": (_positive, True),
+    "sample_dt": (_positive, False),
+    "propagator": (_section(_PROPAGATOR, "", PropagatorConfig), False),
+    "observables": (_tokens, True),
+}
+
+
+def _arange(start: float, stop: float, step: float) -> list:
+    if not 0 <= (stop - start) / step < MAX_POINTS:
+        raise ValueError(f"a range must hold 1 to {MAX_POINTS} values")
+    return np.arange(start, stop + step * 1e-9, step).tolist()
+
+
+_RANGE = {"start": (_real, True), "stop": (_real, True), "step": (_positive, True)}
+
+
+def _values(spec) -> list:
+    """Swept values before each is checked as its scenario field."""
+    if isinstance(spec, dict):
+        return _section(_RANGE, "sweep.values", _arange)(spec)
+    if not isinstance(spec, (list, tuple)) or not spec:
+        raise ValueError(f"must be a non-empty list or {{start, stop, step}}, got {spec!r}")
+    return spec
+
+
+_REDUCTION = {
+    "kind": (_one_of(*REDUCTIONS), True),
+    "T": (_positive, False),
+    "threshold": (_positive, False),
+    "column": (str, False),
+}
+
+_SWEEP = {
+    "parameter": (_one_of(*SWEEP_PARAMETERS), True),
+    "values": (_values, True),
+    "reduction": (_section(_REDUCTION, "sweep.reduction", Reduction), False),
+}
+
+
+def check_config(config: ScenarioConfig) -> None:
+    """The cross-field checks of a scenario, run on every parsed, swept or
+    overridden config; raises ConfigError naming each offending field."""
+    errors = []
+    L, h = config.L, config.h
+    if h < 0:
+        errors.append(f"h: must be non-negative, got {h}")
+    elif h == 0 and "n_h2" in config.observables:
+        errors.append("observables: n_h2 needs a barrier (h > 0)")
+    if not 1 <= L <= MAX_SITES:
+        errors.append(f"L: must lie in [1, {MAX_SITES}], got {L}")
+    else:
         if h > 0 and (L % 2 or L < 4):
             errors.append(f"L: barrier runs need even L >= 4, got {L}")
-        if h < 0:
-            errors.append(f"h: must be non-negative, got {h}")
-        if L < 1:
-            errors.append(f"L: must be positive, got {L}")
-        for token in tokens:
-            try:
-                _parse_token(str(token), L if isinstance(L, int) else 4)
-            except ParameterError as exc:
-                errors.append(f"observables: {exc}")
-        if h == 0 and "n_h2" in [str(t) for t in tokens]:
-            errors.append("observables: n_h2 needs a barrier (h > 0)")
-        if initial is not None:
-            try:
-                _check_initial_sites(initial, L)
-            except ParameterError as exc:
-                errors.append(f"initial_state: {exc}")
+        try:
+            resolve_observables(config.observables, L)
+        except ValueError as exc:
+            errors.append(f"observables: {exc}")
+        errors += [f"initial_state: site {s} outside chain [1, {L}]"
+                   for s in config.initial_state.sites() if not 1 <= s <= L]
+    if (points := config.t_max / config.sample_dt) > MAX_POINTS:
+        errors.append(f"t_max / sample_dt: must be at most {MAX_POINTS}, got {points:g}")
+    if errors:
+        raise ConfigError("; ".join(errors))
+
+
+def replace_fields(config: ScenarioConfig, **values) -> ScenarioConfig:
+    """config with some fields replaced (a swept value, a command-line override),
+    each checked as in a config file, then check_config."""
+    errors: list[str] = []
+    fields = _fields(values, {key: _SCENARIO[key] for key in values}, "", errors)
+    if errors:
+        raise ConfigError("; ".join(errors))
+    config = dataclasses.replace(config, **fields)
+    check_config(config)
+    return config
+
+
+def scenario_from_dict(doc: dict, name: str = "scenario", description: str = "") -> ScenarioConfig:
+    errors: list[str] = []
+    fields = _fields(doc, _SCENARIO, "", errors)
     if errors:
         raise ConfigError("invalid scenario config:\n  " + "\n  ".join(errors))
-    return ScenarioConfig(
-        name=name or str(doc.get("name", "scenario")),
-        L=L, U=U, h=h, J=J,
-        orientation=orientation,
-        initial_state=initial,
-        t_max=t_max,
-        sample_dt=sample_dt,
-        propagator=propagator,
-        observables=tuple(str(t) for t in tokens),
-        output_path=doc.get("output_path"),
-        description=description,
-    )
+    config = ScenarioConfig(name=name, description=description, **fields)
+    check_config(config)
+    return config
 
 
-def _check_initial_sites(initial: InitialState, L: int) -> None:
-    sites = [v for v in (initial.site, initial.i, initial.j,
-                         initial.doublon_site, initial.up_site) if v is not None]
-    for s in sites:
-        if not 1 <= s <= L:
-            raise ParameterError(f"site {s} outside chain [1, {L}]")
-
-
-def _values_from(spec, parameter, errors) -> tuple:
-    if isinstance(spec, dict):
-        missing = {"start", "stop", "step"} - set(spec)
-        if missing:
-            errors.append(f"sweep.values: range form needs start/stop/step, missing {sorted(missing)}")
-            return ()
-        start, stop, step = (_cast(spec[k], _finite, f"sweep.values.{k}", errors)
-                             for k in ("start", "stop", "step"))
-        if None in (start, stop, step):
-            return ()
-        if step <= 0:
-            errors.append("sweep.values: step must be positive")
-            return ()
-        vals = np.arange(start, stop + step * 1e-9, step)
-    elif isinstance(spec, (list, tuple)) and spec:
-        vals = _cast(spec, lambda v: np.asarray(v, dtype=np.float64), "sweep.values", errors)
-        if vals is None:
-            return ()
-        if vals.ndim != 1 or not np.all(np.isfinite(vals)):
-            errors.append("sweep.values: must be a flat list of finite numbers")
-            return ()
-    else:
-        errors.append("sweep.values: must be a non-empty list or {start, stop, step}")
-        return ()
-    if len(set(vals.tolist())) != len(vals):
-        errors.append("sweep.values: values must be distinct")
-    if parameter == "L":
-        ivals = vals.astype(int)
-        if np.any(ivals != vals):
-            errors.append("sweep.values: L values must be integers")
-        return tuple(int(v) for v in ivals)
-    return tuple(float(v) for v in vals)
-
-
-def sweep_from_dict(doc: dict, base: ScenarioConfig, name: str = "", description: str = "") -> SweepConfig:
+def sweep_from_dict(doc: dict, base: ScenarioConfig, name: str = "sweep",
+                    description: str = "") -> SweepConfig:
     errors: list[str] = []
-    parameter = doc.get("parameter")
-    if parameter not in SWEEP_PARAMETERS:
-        errors.append(f"sweep.parameter: must be one of {SWEEP_PARAMETERS}, got {parameter!r}")
-        parameter = "U"
-    values = _values_from(doc.get("values"), parameter, errors)
-    rdoc = doc.get("reduction", {"kind": "time_average"})
-    kind = rdoc.get("kind") if isinstance(rdoc, dict) else None
-    if kind not in REDUCTIONS:
-        errors.append(f"sweep.reduction.kind: must be one of {REDUCTIONS}, got {kind!r}")
-        kind = "time_average"
-    if not isinstance(rdoc, dict):
-        rdoc = {}
-    reduction = Reduction(
-        kind=kind,
-        T=_cast(rdoc["T"], _finite, "sweep.reduction.T", errors) if "T" in rdoc else None,
-        threshold=_cast(rdoc.get("threshold", 0.01), _finite, "sweep.reduction.threshold",
-                        errors, 0.01),
-        column=str(rdoc.get("column", "n_h2")),
-    )
+    fields = _fields(doc, _SWEEP, "sweep", errors)
+    if not errors:
+        parameter, values = fields["parameter"], []
+        for value in fields["values"]:
+            try:
+                values.append(getattr(replace_fields(base, **{parameter: value}), parameter))
+            except ConfigError as exc:
+                errors.append(f"sweep.values: {exc}")
+        if len(set(values)) < len(values):
+            errors.append("sweep.values: values must be distinct")
+        fields["values"] = tuple(values)
     if errors:
         raise ConfigError("invalid sweep config:\n  " + "\n  ".join(errors))
-    return SweepConfig(
-        name=name or str(doc.get("name", "sweep")),
-        parameter=parameter,
-        values=values,
-        reduction=reduction,
-        base=base,
-        description=description,
-    )
+    return SweepConfig(name=name, base=base, description=description, **fields)
 
 
 def load_config(source) -> ScenarioConfig | SweepConfig:
@@ -422,6 +414,9 @@ def load_config(source) -> ScenarioConfig | SweepConfig:
     for section in ("scenario", "sweep"):
         if section in doc and not isinstance(doc[section], dict):
             raise ConfigError(f"config section {section!r} must be a mapping")
+    unknown = sorted(str(k) for k in doc if k not in ("name", "description", "scenario", "sweep"))
+    if unknown:
+        raise ConfigError(f"config: unexpected keys {unknown}")
     name = str(doc.get("name", "run"))
     description = str(doc.get("description", ""))
     base = scenario_from_dict(doc["scenario"], name=name, description=description)
@@ -511,8 +506,8 @@ def run_scenario(config: ScenarioConfig, output_dir=None, threads: int = 1):
     """Run one scenario; returns (Trajectory, csv_path or None).
 
     With orientation 'both' the a and b runs are merged into one trajectory
-    whose columns carry _a/_b suffixes.  A CSV is written when the config or
-    the caller provides an output location.
+    whose columns carry _a/_b suffixes.  A CSV named after the config is
+    written when the caller gives an output directory.
     """
     orientations = ["a", "b"] if config.orientation == "both" else [config.orientation]
     runs = _map_ordered(lambda o: _single_run(config, o), orientations, threads)
@@ -525,8 +520,9 @@ def run_scenario(config: ScenarioConfig, output_dir=None, threads: int = 1):
                 columns[f"{name}_{orientation}"] = col
         traj = Trajectory(times=runs[0].times, columns=columns)
 
-    path = _output_path(config, output_dir)
-    if path is not None:
+    path = None
+    if output_dir is not None:
+        path = Path(output_dir) / f"{config.name}.csv"
         write_trajectory_csv(traj, path)
     return traj, path
 
@@ -551,19 +547,10 @@ def _reduce(sweep: SweepConfig, traj: Trajectory) -> dict[str, float]:
     return out
 
 
-def _with_value(base: ScenarioConfig, parameter: str, value) -> ScenarioConfig:
-    if parameter == "L":
-        return dataclasses.replace(base, L=int(value))
-    return dataclasses.replace(base, **{parameter: float(value)})
-
-
 def run_sweep(sweep: SweepConfig, output_dir=None, threads: int = 1):
     """Run a sweep; returns (header, rows, csv_path or None), rows in values order."""
     def one(value):
-        # the base scenario's output_path names the sweep table, not each value's run
-        config = dataclasses.replace(_with_value(sweep.base, sweep.parameter, value),
-                                     output_path=None)
-        traj, _ = run_scenario(config)
+        traj, _ = run_scenario(replace_fields(sweep.base, **{sweep.parameter: value}))
         if sweep.reduction.kind == "trajectory":
             path = None
             if output_dir is not None:
@@ -578,8 +565,8 @@ def run_sweep(sweep: SweepConfig, output_dir=None, threads: int = 1):
     rows = [[value, *res.values()] for value, res in zip(sweep.values, results)]
 
     path = None
-    if output_dir is not None or sweep.base.output_path:
-        path = _output_path(sweep.base, output_dir, name=sweep.name)
+    if output_dir is not None:
+        path = Path(output_dir) / f"{sweep.name}.csv"
         write_rows_csv(path, header, rows)
     return header, rows, path
 
@@ -594,16 +581,6 @@ def _fmt(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return f"{float(value):.17g}"
-
-
-def _output_path(config: ScenarioConfig, output_dir, name: str | None = None) -> Path | None:
-    if output_dir is not None:
-        directory = Path(output_dir)
-        directory.mkdir(parents=True, exist_ok=True)
-        return directory / f"{name or config.name}.csv"
-    if config.output_path:
-        return Path(config.output_path)
-    return None
 
 
 def write_rows_csv(path, header, rows) -> None:

@@ -88,6 +88,17 @@ _VALID_SCENARIO = {
     ({"sweep": "{parameter: U, values: [0, 1], reduction: {kind: trap_time, threshold: x}}"},
      "sweep.reduction.threshold:"),
     ({"sweep": "[U]"}, "'sweep'"),
+    ({"L": "4.7"}, "L:"),
+    ({"initial_state": "{kind: doublon, site: 1.9}"}, "initial_state.site:"),
+    ({"U": "true"}, "U:"),
+    ({"sweep": "{parameter: U, values: [true, false]}"}, "sweep.values: U:"),
+    ({"propagator": "{dense_cap: x}"}, "dense_cap"),
+    ({"t_max": "1e300"}, "t_max / sample_dt:"),
+    ({"sample_dt": "1e-300"}, "t_max / sample_dt:"),
+    ({"sweep": "{parameter: U, values: {start: 0, stop: 1e12, step: 1e-3}}"}, "sweep.values:"),
+    ({"initial_state": '{kind: custom, path: "a\\0b"}'}, "initial_state.path:"),
+    ({"h": "20.0", "observables": "[n_h2]", "sweep": "{parameter: h, values: [20, -1]}"},
+     "sweep.values: h: must be non-negative"),
 ])
 def test_malformed_config_value_is_config_error(tmp_path, capsys, override, field):
     fields = dict(_VALID_SCENARIO, **{k: v for k, v in override.items() if k != "sweep"})
@@ -123,6 +134,48 @@ def test_malformed_custom_state_is_config_error(tmp_path, capsys, payload, field
     assert main(["simulate", str(config), "--output", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert "config error" in err and field in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["simulate", "fig2", "--t-max", "nan"], "t_max:"),
+    (["simulate", "fig2", "--t-max", "inf"], "t_max:"),
+    (["simulate", "fig2", "--t-max", "-5"], "t_max: must be positive"),
+    (["sweep", "fig4", "--values", "0:1e12:1e-3"], "sweep.values:"),
+    (["sweep", "supp3", "--values", "5,7"], "sweep.values: L:"),
+])
+def test_malformed_override_is_config_error(tmp_path, capsys, argv, field):
+    assert main([*argv, "--output", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and field in err and "Traceback" not in err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("option", [
+    ["--t-max", "abc"], ["--method", "bogus"], ["--threads", "x"], ["--threads", "-3"],
+    ["--threads", "0"],
+])
+def test_usage_error_exits_1(tmp_path, capsys, option):
+    with pytest.raises(SystemExit) as exit_:
+        main(["simulate", "fig2", "--output", str(tmp_path), *option])
+    assert exit_.value.code == 1
+    assert option[0] in capsys.readouterr().err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["simulate", "--help"])
+    assert exit_.value.code == 0
+
+
+def test_tolerance_written_without_a_dot_is_a_number(tmp_path):
+    # PyYAML reads 1e-10 as a string and 1.0e-10 as a float; both mean the same
+    for tag, tolerance in (("plain", "1e-10"), ("dotted", "1.0e-10")):
+        fields = dict(_VALID_SCENARIO, propagator=f"{{method: krylov, tolerance: {tolerance}}}")
+        config = tmp_path / f"{tag}.yaml"
+        config.write_text(f"name: {tag}\nscenario:\n"
+                          + "".join(f"  {k}: {v}\n" for k, v in fields.items()))
+        assert main(["simulate", str(config), "--output", str(tmp_path)]) == 0
+    assert (tmp_path / "plain.csv").read_bytes() == (tmp_path / "dotted.csv").read_bytes()
 
 
 def test_linalg_failure_is_numerical_exit_code(monkeypatch, capsys):

@@ -1,0 +1,90 @@
+"""Property: any config mapping parses to a config or raises ConfigError, never
+any other exception."""
+
+import math
+
+import pytest
+
+from fermichain.errors import ConfigError
+from fermichain.scenarios import ScenarioConfig, SweepConfig, load_config
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+VALID_SCENARIO = {
+    "L": 4, "U": 0.0, "h": 10.0, "orientation": "a",
+    "initial_state": {"kind": "doublon", "site": 1},
+    "t_max": 0.2, "observables": ["n_L"],
+}
+SCENARIO_KEYS = [*VALID_SCENARIO, "J", "sample_dt", "propagator"]
+KNOWN_KEYS = [
+    *SCENARIO_KEYS, "kind", "site", "i", "j", "doublon_site", "up_site", "path",
+    "method", "dt", "tolerance", "krylov_dim", "max_taylor_terms",
+    "parameter", "values", "reduction", "start", "stop", "step", "T", "threshold", "column",
+]
+UNKNOWN_KEYS = ["dense_cap", "output_path", "tmax", "", 0, None, True]
+
+# strings stay short and free of '/', so a custom path names no existing file
+words = st.sampled_from([
+    "1e-10", "1e300", "nan", "-inf", "4", "4.7", "x", "a", "b", "both", "doublon", "singlet",
+    "custom", "krylov", "dense_eig", "taylor", "n_L", "n_h2", "n_all", "n_9", "U", "h", "L",
+    "time_average", "trap_time", "trajectory",
+])
+leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 30), st.integers(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([math.nan, math.inf, -math.inf, 1e300, 1e-300, 0.5, 2.0, 20.0]),
+    words, st.text(alphabet="01n_Lae.-+ ", max_size=6),
+)
+keys = st.one_of(st.sampled_from(KNOWN_KEYS), st.sampled_from(UNKNOWN_KEYS))
+values = st.recursive(
+    leaves,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(keys, inner, max_size=4),
+    max_leaves=10,
+)
+numbers = st.sampled_from([0, 1, 2, 4, 6, 0.5, 10.0, 20.0, -1.0, "1e-3", 1e12, 1e-3])
+
+
+def rarely(draw, strategy, default):
+    """strategy's value one time in five, else default: most documents get deep."""
+    return draw(strategy) if draw(st.integers(0, 4)) == 3 else default
+
+
+def mutated(draw, section: dict, section_keys) -> dict:
+    """section with a few keys dropped or set to generated values."""
+    section = dict(section)
+    for key in rarely(draw, st.lists(st.sampled_from(section_keys), max_size=2), []):
+        section.pop(key, None)
+    if draw(st.booleans()):
+        section.update(draw(st.dictionaries(st.sampled_from(section_keys),
+                                            st.one_of(numbers, leaves, values), max_size=2)))
+    section.update(rarely(draw, st.dictionaries(keys, values, max_size=1), {}))
+    return section
+
+
+@st.composite
+def documents(draw):
+    scenario = mutated(draw, VALID_SCENARIO, SCENARIO_KEYS)
+    doc = {"name": "prop", "scenario": rarely(draw, values, scenario)}
+    if draw(st.booleans()):
+        swept = draw(st.one_of(
+            st.fixed_dictionaries({key: numbers for key in ("start", "stop", "step")}),
+            st.lists(numbers, min_size=1, max_size=4)))
+        if isinstance(swept, dict):
+            swept = mutated(draw, swept, ["start", "stop", "step"])
+        sweep = {"parameter": draw(st.sampled_from(["U", "h", "L"])), "values": swept,
+                 "reduction": {"kind": draw(st.sampled_from(["time_average", "trap_time"]))}}
+        doc["sweep"] = rarely(draw, values, mutated(
+            draw, sweep, ["parameter", "values", "reduction", "T", "threshold"]))
+    doc.update(rarely(draw, st.dictionaries(keys, values, max_size=1), {}))
+    return doc
+
+
+@hypothesis.settings(derandomize=True, max_examples=400, deadline=None)
+@hypothesis.given(documents())
+def test_load_config_gives_config_or_config_error(doc):
+    try:
+        config = load_config(doc)
+    except ConfigError:
+        return
+    assert isinstance(config, (ScenarioConfig, SweepConfig))

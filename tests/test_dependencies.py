@@ -1,8 +1,12 @@
-"""The package imports nothing beyond the standard library, numpy and PyYAML."""
+"""The package imports nothing beyond the standard library, numpy and PyYAML,
+and declares the numpy it needs."""
 
 import ast
+import re
 import sys
 from pathlib import Path
+
+import numpy as np
 
 import fermichain
 
@@ -23,3 +27,12 @@ def test_package_imports_only_declared_dependencies():
                 continue
             outside += [f"{path.name}: {n}" for n in names if n.split(".")[0] not in ALLOWED]
     assert not outside, outside
+
+
+def test_numpy_floor_covers_the_numpy_2_functions_in_use():
+    # src/ calls np.bitwise_count and np.trapezoid, which arrived in NumPy 2.0
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    floor = re.search(r'"numpy>=([0-9.]+)"', pyproject.read_text())
+    assert floor, "pyproject.toml declares no numpy floor"
+    assert tuple(int(part) for part in floor.group(1).split(".")[:2]) >= (2, 0)
+    assert hasattr(np, "bitwise_count") and hasattr(np, "trapezoid")

