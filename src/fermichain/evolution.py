@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CapacityError, NumericalError, ParameterError
-from .hamiltonian import DENSE_CAP, SparseHamiltonian
+from .hamiltonian import DENSE_CAP
 from .observables import StateBlock
 from .states import StateVector, _finish
 
@@ -63,7 +63,9 @@ class PropagatorConfig:
 
 @dataclass(eq=False)
 class Trajectory:
-    """Sampled observables (and optionally states) along one evolution run."""
+    """Sampled observables (and optionally states) along one evolution run, or
+    along the k runs of a stack: then each column is (k, len(times)) and the
+    states (k, len(times), dim)."""
 
     times: np.ndarray
     columns: dict[str, np.ndarray]
@@ -77,134 +79,187 @@ class Trajectory:
                 f"no observable column {name!r}; have {sorted(self.columns)}"
             ) from None
 
+    def row(self, r: int) -> "Trajectory":
+        """Run r of a stack as a trajectory of its own."""
+        return Trajectory(times=self.times,
+                          columns={name: col[r] for name, col in self.columns.items()},
+                          states=None if self.states is None else self.states[r])
 
-def _operator(H):
-    """Uniform (matvec, dim, dense, inf_norm) view of sparse or dense input."""
-    if isinstance(H, SparseHamiltonian):
-        return H.matvec, H.dim, H.to_dense, lambda: H.inf_norm
+
+class _Operator(NamedTuple):
+    """Uniform view of sparse, dense or duck-typed input: matvec maps (..., dim)
+    vectors, batch is () for one matrix and (k,) for a stack of k (a
+    SparseHamiltonian with (k, nnz) values)."""
+
+    matvec: object
+    dim: int
+    batch: tuple
+    dense: object
+    inf_norm: object
+
+
+def _operator(H) -> _Operator:
+    if hasattr(H, "matvec"):  # a SparseHamiltonian, or any operator with matvec, dim, inf_norm
+        batch = getattr(H, "shape", (H.dim, H.dim))[:-2]
+        return _Operator(H.matvec, H.dim, batch, lambda: H.to_dense(), lambda: H.inf_norm)
     H = np.asarray(H, dtype=np.float64)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise ParameterError(f"expected a square matrix, got shape {H.shape}")
-    return (
-        lambda x: H @ x,
+    return _Operator(
+        lambda x: (H @ np.asarray(x)[..., None])[..., 0],
         H.shape[0],
+        (),
         lambda: H,
         lambda: float(np.abs(H).sum(axis=1).max()) if H.size else 0.0,
     )
 
 
-def _block_rows(dim: int) -> int:
-    return max(1, _BLOCK_ELEMENTS // max(dim, 1))
+def _block_rows(amplitudes: int) -> int:
+    """Samples per block when one sample holds this many amplitudes."""
+    return max(1, _BLOCK_ELEMENTS // max(amplitudes, 1))
+
+
+def _norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the complex vectors along the last axis of x."""
+    return np.sqrt(np.vecdot(x, x).real)
+
+
+def _rows_of(amps, dim: int) -> np.ndarray:
+    """A (k, dim) complex copy of one state (k = 1) or of a stack of states."""
+    return np.array(amps, dtype=np.complex128).reshape(-1, dim)
 
 
 class DensePropagator:
-    """Exact evolution through a cached full eigendecomposition."""
+    """Exact evolution through a cached full eigendecomposition: one batched
+    eigh for a stack.  States are (dim,) for one matrix, (k, dim) for a stack."""
 
     def __init__(self, H, cap: int = DENSE_CAP):
-        _, dim, dense, _ = _operator(H)
-        if dim > cap:
-            raise CapacityError(f"dense propagator capped at dim {cap}, got {dim}")
-        self.dim = dim
-        self.evals, self.evecs = np.linalg.eigh(dense())
+        op = _operator(H)
+        if op.dim > cap:
+            raise CapacityError(f"dense propagator capped at dim {cap}, got {op.dim}")
+        self.dim = op.dim
+        self.evals, self.evecs = np.linalg.eigh(op.dense())
+
+    def _coef(self, amps: np.ndarray) -> np.ndarray:
+        return (amps[..., None, :] @ self.evecs)[..., 0, :]
 
     def advance(self, amps: np.ndarray, dt: float) -> np.ndarray:
-        coef = self.evecs.T @ amps
-        return self.evecs @ (np.exp(-1j * dt * self.evals) * coef)
+        phased = np.exp(-1j * dt * self.evals) * self._coef(amps)
+        return (phased[..., None, :] @ np.swapaxes(self.evecs, -1, -2))[..., 0, :]
 
     def blocks(self, amps: np.ndarray, times: np.ndarray):
-        """States at every grid time, in blocks: (exp(-i t (x) E) * c) @ W^T."""
-        coef = self.evecs.T @ amps
-        rows = _block_rows(self.dim)
+        """States at every grid time, in blocks of shape (..., n, dim):
+        (exp(-i t (x) E) * c) @ W^T."""
+        coef = self._coef(amps)[..., None, :]
+        rows = _block_rows(coef.size)
         for lo in range(0, len(times), rows):
-            phases = np.exp(-1j * np.outer(times[lo:lo + rows], self.evals))
-            yield (phases * coef) @ self.evecs.T
+            phases = np.exp(-1j * times[lo:lo + rows, None] * self.evals[..., None, :])
+            yield (phases * coef) @ np.swapaxes(self.evecs, -1, -2)
 
 
 class _KrylovBasis(NamedTuple):
-    """Lanczos basis of one vector v: orthonormal rows V, the eigenpairs of the
-    tridiagonal T, the residual norm beta and ||v||.  beta is 0 when the Krylov
-    space is invariant; every exponential read from it is then exact."""
+    """Lanczos bases of a stack of k vectors v: orthonormal rows V (k, m, dim),
+    the eigenpairs of each row's tridiagonal T (k, m) and (k, m, m), the
+    residual norms beta (k,) and ||v|| (k,).  A row whose space was invariant
+    has beta 0, its T padded with decoupled zeros; every exponential read from
+    it is then exact."""
 
     V: np.ndarray
     evals: np.ndarray
     evecs: np.ndarray
-    beta: float
-    norm: float
+    beta: np.ndarray
+    norm: np.ndarray
 
 
 class KrylovPropagator:
-    """Lanczos approximation of exp(-iHt) acting on a vector.
+    """Lanczos approximation of exp(-iHt) acting on a vector, or on the rows of
+    a stack in lockstep.
 
     One reorthogonalization pass keeps the Krylov basis orthonormal at machine
     precision, so norms are preserved over long runs.  A state read from a
     basis a time s after its start has the a-posteriori error estimate
     |beta_m y_m(s)| ||v|| (Hochbruck & Lubich, SIAM J. Numer. Anal. 34:1911,
     1997).  A step is accepted only when that estimate is at most
-    tolerance * s; a step that fails is bisected, and a non-finite estimate
-    raises NumericalError.
+    tolerance * s for every row; a step that fails is bisected, and a
+    non-finite estimate raises NumericalError.
     """
 
     def __init__(self, H, config: PropagatorConfig):
-        self.matvec, self.dim, _, _ = _operator(H)
+        self.matvec, self.dim = _operator(H)[:2]
         self.m = min(config.krylov_dim, self.dim)
         self.tolerance = config.tolerance
         self.dt = config.dt
 
     def _lanczos(self, amps: np.ndarray) -> _KrylovBasis:
-        nv = np.linalg.norm(amps)
-        if nv == 0.0:
-            return _KrylovBasis(np.zeros((1, self.dim)), np.zeros(1), np.ones((1, 1)), 0.0, 0.0)
-        m = self.m
-        V = np.empty((m, self.dim), dtype=np.complex128)
-        alpha = np.empty(m)
-        beta = np.empty(m)
-        V[0] = amps / nv
-        k_eff = m
-        for k in range(m):
-            w = self.matvec(V[k])
-            alpha[k] = np.vdot(V[k], w).real
-            w -= alpha[k] * V[k]
-            if k > 0:
-                w -= beta[k - 1] * V[k - 1]
-            w -= (V[: k + 1].conj() @ w) @ V[: k + 1]  # one reorthogonalization pass
-            beta[k] = np.linalg.norm(w)
-            if not math.isfinite(beta[k]):  # the error estimate scales with beta
-                raise NumericalError("krylov error estimate is not finite",
-                                     dimension=self.dim, krylov_dim=m)
-            if k + 1 == m:
+        """Bases of the rows of a (k, dim) stack, built in lockstep: one matvec
+        of the stack per basis vector; a row that reaches an invariant space
+        (or starts from zero) stops growing and reads zeros from then on."""
+        k, m = len(amps), self.m
+        nv = _norms(amps)
+        V = np.zeros((k, m, self.dim), dtype=np.complex128)
+        alpha = np.zeros((k, m))
+        beta = np.zeros((k, m))
+        live = np.zeros((k, m), dtype=bool)  # live[r, j]: row r has basis vector j
+        live[:, 0] = nv > 0
+        V[:, 0] = amps / np.where(live[:, 0], nv, np.inf)[:, None]
+        for j in range(m):
+            v = V[:, j]
+            w = self.matvec(v)
+            alpha[:, j] = a = np.vecdot(v, w).real
+            w -= a[:, None] * v
+            if j > 0:
+                w -= beta[:, j - 1, None] * V[:, j - 1]
+            basis = V[:, :j + 1]  # one reorthogonalization pass, a BLAS product per row
+            w -= (np.vecdot(basis, w[:, None])[:, None] @ basis)[:, 0]
+            beta[:, j] = b = _norms(w)
+            if j + 1 == m:
                 break
-            if beta[k] < 1e-14 * max(1.0, abs(alpha[k])):
-                k_eff = k + 1  # invariant subspace reached; result is exact
+            # a row whose space is invariant (beta ~ 0) is exact and stops growing,
+            # and so does a row with a non-finite beta, which raises below
+            live[:, j + 1] = grow = b >= 1e-14 * np.maximum(1.0, np.abs(a))
+            if not grow.any():
                 break
-            V[k + 1] = w / beta[k]
-        k = k_eff
-        T = np.diag(alpha[:k])
-        if k > 1:
-            T += np.diag(beta[: k - 1], 1) + np.diag(beta[: k - 1], -1)
+            V[:, j + 1] = w / np.where(grow, b, np.inf)[:, None]
+        if not np.isfinite(beta).all():  # the error estimate scales with beta
+            raise NumericalError("krylov error estimate is not finite",
+                                 dimension=self.dim, krylov_dim=m)
+        size = np.maximum(live.sum(axis=1), 1)
+        n = int(size.max())
+        last = np.arange(n) >= size[:, None] - 1  # no coupling past a row's last vector
+        T = np.zeros((k, n, n))
+        i = np.arange(n)
+        T[:, i, i] = alpha[:, :n]
+        T[:, i[:-1], i[1:]] = T[:, i[1:], i[:-1]] = np.where(last, 0.0, beta[:, :n])[:, :-1]
         evals, evecs = np.linalg.eigh(T)
-        residual = beta[k - 1] if k == m < self.dim else 0.0
-        return _KrylovBasis(V[:k], evals, evecs, residual, nv)
+        residual = np.where(size == m, beta[:, m - 1], 0.0) if m < self.dim else np.zeros(k)
+        return _KrylovBasis(V[:, :n], evals, evecs, residual, nv)
 
     def _read(self, basis: _KrylovBasis, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Coefficients exp(-iTs) e1 (one column per time in s) and their error estimates."""
-        Y = basis.evecs @ (np.exp(-1j * np.outer(basis.evals, s)) * basis.evecs[0][:, None])
-        return Y, np.abs(basis.beta * Y[-1]) * basis.norm
+        """Coefficients exp(-iTs) e1, (k, m, len(s)), and their error estimates (k, len(s))."""
+        Y = basis.evecs @ (np.exp(-1j * basis.evals[:, :, None] * s) * basis.evecs[:, 0, :, None])
+        return Y, np.abs(basis.beta[:, None] * Y[:, -1]) * basis.norm[:, None]
 
-    def _step(self, amps: np.ndarray, tau: float) -> tuple[np.ndarray, float]:
+    @staticmethod
+    def _states(basis: _KrylovBasis, Y: np.ndarray) -> np.ndarray:
+        """The states of coefficients Y, (k, n, dim)."""
+        return basis.norm[:, None, None] * (np.swapaxes(Y, 1, 2) @ basis.V)
+
+    def _step(self, amps: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
         basis = self._lanczos(amps)
         Y, err = self._read(basis, np.array([tau]))
-        return basis.norm * (Y[:, 0] @ basis.V), float(err[0])
+        return self._states(basis, Y)[:, 0], err[:, 0]
 
     def _split(self, amps: np.ndarray, dt: float, nsub: int) -> np.ndarray:
-        """Cover dt with nsub equal steps, doubling nsub until every step is accepted."""
+        """Cover dt with nsub equal steps, doubling nsub until every step of every
+        row is accepted."""
         worst = math.inf
         while nsub <= _MAX_KRYLOV_SPLITS:
             tau = dt / nsub
             cur = amps
             for _ in range(nsub):
                 cur, err = self._step(cur, tau)
-                if not err <= self.tolerance * abs(tau):
-                    worst = err
+                if not np.all(err <= self.tolerance * abs(tau)):
+                    worst = float(np.max(err))
                     break
             else:
                 return cur
@@ -217,21 +272,24 @@ class KrylovPropagator:
     def advance(self, amps: np.ndarray, dt: float) -> np.ndarray:
         if dt == 0.0:
             return amps.copy()
-        return self._split(amps, dt, 1)
+        return self._split(_rows_of(amps, self.dim), dt, 1).reshape(np.shape(amps))
 
     def blocks(self, amps: np.ndarray, times: np.ndarray):
-        """States at every grid time, in blocks, one Lanczos basis per accepted step.
+        """States at every grid time, in blocks of shape (..., n, dim), one
+        Lanczos basis of the stack per accepted step.
 
         A step starts at the last sample reached and covers the longest run of
         following samples whose estimates stay within tolerance times their
-        distance from the start.  It tries samples up to a window that starts
-        at dt and is twice the last accepted step; the first following sample
-        is always tried, and when even it fails the interval up to it is
-        bisected.  An exact basis serves every remaining sample.
+        distance from the start, in every row.  It tries samples up to a
+        window that starts at dt and is twice the last accepted step; the
+        first following sample is always tried, and when even it fails the
+        interval up to it is bisected.  A basis exact in every row serves
+        every remaining sample.
         """
-        rows = _block_rows(self.dim)
-        cur = np.array(amps, dtype=np.complex128)
-        head = cur[None]  # the t = 0 state rides with the first block
+        shape = np.shape(amps)[:-1]
+        cur = _rows_of(amps, self.dim)
+        rows = _block_rows(cur.size)
+        head = cur[:, None]  # the t = 0 state rides with the first block
         window = self.dt
         basis = None
         i, last = 0, len(times) - 1
@@ -239,35 +297,40 @@ class KrylovPropagator:
             if basis is None:
                 basis, t0 = self._lanczos(cur), times[i]
             hi = min(last + 1, i + 1 + rows)
-            if basis.beta:
+            if basis.beta.any():
                 hi = min(hi, max(i + 2, int(np.searchsorted(times, t0 + window, "right"))))
             s = times[i + 1:hi] - t0
             Y, err = self._read(basis, s)
-            ok = err <= self.tolerance * s
+            ok = np.all(err <= self.tolerance * s, axis=0)
             n = len(s) if ok.all() else int(ok.argmin())
             if n:
-                block = basis.norm * (Y[:, :n].T @ basis.V)
+                block = self._states(basis, Y[:, :, :n])
                 window = 2.0 * s[n - 1]
             else:
-                block = self._split(cur, s[0], 2)[None]
+                block = self._split(cur, s[0], 2)[:, None]
                 n = 1
-            cur = block[-1].copy()
+            cur = block[:, -1].copy()
             i += n
-            if basis.beta:
+            if basis.beta.any():
                 basis = None  # only an exact basis serves later samples
             if head is not None:
-                block, head = np.concatenate([head, block]), None
-            yield block
+                block, head = np.concatenate([head, block], axis=1), None
+            yield block.reshape(shape + block.shape[1:])
         if head is not None:
-            yield head
+            yield head.reshape(shape + head.shape[1:])
 
 
 class TaylorPropagator:
-    """Truncated Taylor series for exp(-iHt), with norm-based substepping."""
+    """Truncated Taylor series for exp(-iHt), with norm-based substepping.
+
+    States are (dim,) or, against a stack, (k, dim); the series of every row
+    runs until the last row has converged.
+    """
 
     def __init__(self, H, config: PropagatorConfig):
-        self.matvec, self.dim, _, inf_norm = _operator(H)
-        self.hnorm = inf_norm()
+        op = _operator(H)
+        self.matvec, self.dim = op.matvec, op.dim
+        self.hnorm = op.inf_norm()
         self.tolerance = config.tolerance
         self.max_terms = config.max_taylor_terms
         self.dt = config.dt
@@ -287,24 +350,24 @@ class TaylorPropagator:
         term = psi
         # next-term norm bounds the truncation error; budget scales with the
         # substep so a full run accumulates at most tolerance * t
-        budget = 0.25 * self.tolerance * abs(tau) * max(np.linalg.norm(psi), 1e-300)
+        budget = 0.25 * self.tolerance * abs(tau) * np.maximum(_norms(psi), 1e-300)
         tn = math.inf
         for k in range(1, self.max_terms + 1):
             term = (-1j * tau / k) * self.matvec(term)
             acc += term
-            tn = np.linalg.norm(term)
-            if tn <= budget:
+            tn = _norms(term)
+            if (tn <= budget).all():
                 return acc
         raise NumericalError(
             "taylor series did not converge",
-            residual=tn, step=tau, dimension=self.dim, terms=self.max_terms,
+            residual=float(np.max(tn)), step=tau, dimension=self.dim, terms=self.max_terms,
         )
 
     def blocks(self, amps: np.ndarray, times: np.ndarray):
-        """States at every grid time, in blocks; each sample interval is covered by
-        equal steps no longer than dt."""
-        rows = _block_rows(self.dim)
+        """States at every grid time, in blocks of shape (..., n, dim); each sample
+        interval is covered by equal steps no longer than dt."""
         cur = np.array(amps, dtype=np.complex128)
+        rows = _block_rows(cur.size)
         block = [cur]
         for k in range(1, len(times)):
             delta = times[k] - times[k - 1]
@@ -313,10 +376,29 @@ class TaylorPropagator:
                 cur = self.advance(cur, delta / nsteps)
             block.append(cur)
             if len(block) == rows:
-                yield np.array(block)
+                yield np.stack(block, axis=-2)
                 block = []
         if block:
-            yield np.array(block)
+            yield np.stack(block, axis=-2)
+
+
+def stack_capacity(dim: int, sampled: int, config: PropagatorConfig) -> int:
+    """The most runs of one sector that propagate as one stack, when each run
+    samples `sampled` values (samples times columns).
+
+    Besides its samples, a run of a stack holds the propagator's arrays: the
+    dense matrix and its eigenvectors for dense_eig (2 dim^2), the Lanczos
+    basis for krylov (krylov_dim * dim), a few vectors for taylor.  A stack
+    holds at most _BLOCK_ELEMENTS of these values, as many as one block of
+    states, however many runs share its sector.  A sector above DENSE_CAP
+    runs alone: on the L = 30 (2, 1) sector (dim 13 050) a stack of the two
+    orientations took as long as two stacks of one, and two stacks of one
+    on two threads took a fifth less.
+    """
+    if dim > DENSE_CAP:
+        return 1
+    vectors = {"dense_eig": 2 * dim, "krylov": min(config.krylov_dim, dim), "taylor": 4}
+    return max(1, _BLOCK_ELEMENTS // (sampled + vectors[config.method] * dim))
 
 
 def make_propagator(H, config: PropagatorConfig):
@@ -354,6 +436,10 @@ def evolve_trajectory(
     maps a StateBlock of n states to n values (see
     observables.observable_functions).  At most one block of states is held
     at a time unless store_states keeps the whole (len(times), dim) array.
+
+    For a stack of k Hamiltonians (a SparseHamiltonian with (k, nnz) values)
+    psi0 starts every run; the runs propagate together, and the result holds
+    a (k, len(times)) array per column.
     """
     times = np.asarray(times, dtype=np.float64)
     if times.ndim != 1 or len(times) == 0:
@@ -363,18 +449,21 @@ def evolve_trajectory(
     if len(times) > 1 and not np.all(np.diff(times) > 0):
         raise ParameterError("time grid must be strictly increasing")
 
+    op = _operator(H)
     prop = make_propagator(H, config)
-    columns = {name: np.empty(len(times)) for name in observables}
-    states = np.empty((len(times), prop.dim), dtype=np.complex128) if store_states else None
+    amps = np.broadcast_to(psi0.amplitudes, op.batch + (op.dim,))
+    columns = {name: np.empty(op.batch + (len(times),)) for name in observables}
+    states = (np.empty(op.batch + (len(times), op.dim), dtype=np.complex128)
+              if store_states else None)
 
     start = 0
-    for amps in prop.blocks(psi0.amplitudes, times):
-        stop = start + len(amps)
-        block = StateBlock(psi0.basis, amps)
+    for block in prop.blocks(amps, times):
+        stop = start + block.shape[-2]
+        states_block = StateBlock(psi0.basis, block)
         for name, fn in observables.items():
-            columns[name][start:stop] = fn(block)
+            columns[name][..., start:stop] = fn(states_block)
         if store_states:
-            states[start:stop] = amps
+            states[..., start:stop, :] = block
         start = stop
 
     return Trajectory(times=times, columns=columns, states=states)

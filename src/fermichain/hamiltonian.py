@@ -6,7 +6,8 @@ All energies are in units of the hopping amplitude J and times in 1/J
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
@@ -78,12 +79,13 @@ class HubbardParams:
 
 @dataclass(frozen=True, eq=False)
 class SparseHamiltonian:
-    """Real-symmetric sparse matrix in canonical CSR form.
+    """Real-symmetric sparse matrix in canonical CSR form, or a stack of them.
 
     Both triangles are stored explicitly with column indices sorted within
     each row; assembly is deterministic, so identical inputs yield
-    bit-identical arrays.  Instances are immutable and safe to share across
-    threads.
+    bit-identical arrays.  A stack of k matrices shares one pattern (indptr,
+    indices) and stores its values as a (k, nnz) array; a single matrix
+    stores (nnz,).  Instances are immutable and safe to share across threads.
     """
 
     indptr: np.ndarray
@@ -103,13 +105,25 @@ class SparseHamiltonian:
     def nnz(self) -> int:
         return len(self.indices)
 
+    @property
+    def shape(self) -> tuple:
+        """(dim, dim), or (k, dim, dim) for a stack."""
+        return self.data.shape[:-1] + (self.dim, self.dim)
+
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        """A @ x for a complex vector x; rows without entries give 0."""
-        out = np.zeros(self.dim, dtype=np.complex128)
-        if self.nnz == 0:
-            return out
-        prod = self.data * np.asarray(x, dtype=np.complex128)[self.indices]
-        out[self._nonempty] = np.add.reduceat(prod, self.indptr[self._nonempty])
+        """A @ x along the last axis of a complex array x; rows without entries give 0.
+
+        One matrix acts on every vector of x.  Matrix r of a stack acts on
+        x[r], of shape (dim,) or (n, dim); a single vector (dim,) meets every
+        matrix of the stack.
+        """
+        x = np.asarray(x, dtype=np.complex128)
+        data = self.data.reshape(self.data.shape[:-1] + (1,) * (x.ndim - self.data.ndim) + (-1,))
+        sums = np.add.reduceat(data * x.take(self.indices, axis=-1), self._starts, axis=-1)
+        if sums.shape[-1] == self.dim:
+            return sums
+        out = np.zeros(sums.shape[:-1] + (self.dim,), dtype=np.complex128)
+        out[..., self._nonempty] = sums
         return out
 
     def expectation(self, amplitudes: np.ndarray) -> float:
@@ -124,39 +138,46 @@ class SparseHamiltonian:
     def _nonempty(self) -> np.ndarray:
         return np.flatnonzero(np.diff(self.indptr))
 
+    @cached_property
+    def _starts(self) -> np.ndarray:
+        """First stored entry of every row that has one."""
+        return self.indptr[self._nonempty]
+
     def expectations(self, block: np.ndarray) -> np.ndarray:
-        """<psi|A|psi> for each row psi of an (n, dim) block: the sum over stored
-        entries of A_rc conj(psi_r) psi_c, a few states at a time."""
-        out = np.empty(len(block))
-        step = max(1, _TERMS_PER_PRODUCT // max(self.nnz, 1))
-        for lo in range(0, len(block), step):
-            rows = block[lo:lo + step]
-            terms = (rows[:, self._rows].conj() * rows[:, self.indices]).real
-            out[lo:lo + step] = (terms * self.data).sum(axis=1)
+        """<psi|A|psi> for each state psi of an (n, dim) block, or of a (k, n, dim)
+        block against a stack (run r under matrix r), a few states at a time."""
+        out = np.empty(block.shape[:-1])
+        step = max(1, _TERMS_PER_PRODUCT // (max(self.nnz, 1) * math.prod(block.shape[:-2])))
+        for lo in range(0, block.shape[-2], step):
+            part = block[..., lo:lo + step, :]
+            out[..., lo:lo + step] = np.vecdot(part, self.matvec(part)).real
         return out
 
     def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.dim, self.dim))
-        out[self._rows, self.indices] = self.data
+        out = np.zeros(self.shape)
+        out[..., self._rows, self.indices] = self.data
         return out
 
     @cached_property
     def inf_norm(self) -> float:
-        """Maximum absolute row sum; an upper bound on the spectral radius."""
+        """Maximum absolute row sum (over every matrix of a stack); an upper
+        bound on the spectral radius."""
         if self.nnz == 0:
             return 0.0
-        sums = np.zeros(self.dim)
-        np.add.at(sums, self._rows, np.abs(self.data))
+        sums = np.zeros(self.data.shape[:-1] + (self.dim,))
+        np.add.at(sums, (..., self._rows), np.abs(self.data))
         return float(sums.max())
 
 
 def _csr(dim: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
          basis: ProductBasis | None) -> SparseHamiltonian:
-    """Canonical CSR from (row, col, value) triplets with unique (row, col) pairs."""
+    """Canonical CSR from (row, col, value) triplets with unique (row, col) pairs;
+    vals of shape (k, nnz) give a stack over the one pattern."""
     order = np.argsort(rows * dim + cols)
     indptr = np.zeros(dim + 1, dtype=np.int64)
     indptr[1:] = np.cumsum(np.bincount(rows, minlength=dim))
-    return SparseHamiltonian(indptr=indptr, indices=cols[order], data=vals[order], basis=basis)
+    return SparseHamiltonian(indptr=indptr, indices=cols[order], data=vals[..., order],
+                             basis=basis)
 
 
 def barrier_potential(L: int, h: float, orientation) -> np.ndarray:
@@ -200,36 +221,46 @@ def _species_hops(L: int, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(src), np.concatenate(dst)
 
 
-def build_hamiltonian(params: HubbardParams, basis: ProductBasis) -> SparseHamiltonian:
+def build_hamiltonian(params, basis: ProductBasis) -> SparseHamiltonian:
     """Assemble the chain Hamiltonian on a fixed (N_up, N_down) sector.
 
     Terms: -hop_up (-hop_down) nearest-neighbor hops within the up (down)
     species, open boundaries; on the diagonal U per doubly occupied site plus
     the potential V dotted with the total site occupations, accumulated
-    site-ascending so identical inputs give bit-identical arrays.
+    site-ascending so identical inputs give bit-identical arrays.  params is
+    one HubbardParams, or a sequence of them for a stack: the pattern is
+    assembled once, the values once per entry.
     """
-    if basis.L != params.L:
-        raise ParameterError(f"basis has L={basis.L}, params have L={params.L}")
+    single = isinstance(params, HubbardParams)
+    stack = [params] if single else list(params)
+    if not stack:
+        raise ParameterError("a stack needs at least one set of parameters")
+    for p in stack:
+        if p.L != basis.L:
+            raise ParameterError(f"basis has L={basis.L}, params have L={p.L}")
+    L = basis.L
     up, down = basis.up.masks, basis.down.masks
     du, dd = len(up), len(down)
-    diag = float(params.U) * np.bitwise_count(up[:, None] & down[None, :]).astype(np.float64)
-    for j in range(params.L):
+    U = np.array([float(p.U) for p in stack])[:, None, None]
+    V = np.array([p.V for p in stack])
+    diag = U * np.bitwise_count(up[:, None] & down[None, :]).astype(np.float64)
+    for j in range(L):
         bu = ((up >> j) & 1).astype(np.float64)
         bd = ((down >> j) & 1).astype(np.float64)
-        diag += params.V[j] * (bu[:, None] + bd[None, :])
+        diag += V[:, j, None, None] * (bu[:, None] + bd[None, :])
 
-    su, tu = _species_hops(params.L, up)
-    sd, td = _species_hops(params.L, down)
+    su, tu = _species_hops(L, up)
+    sd, td = _species_hops(L, down)
     ru, rd = np.arange(du, dtype=np.int64), np.arange(dd, dtype=np.int64)
     g = np.arange(basis.dim, dtype=np.int64)
     rows = np.concatenate([g, (su[:, None] * dd + rd).ravel(), (ru[:, None] * dd + sd).ravel()])
     cols = np.concatenate([g, (tu[:, None] * dd + rd).ravel(), (ru[:, None] * dd + td).ravel()])
     vals = np.concatenate([
-        diag.ravel(),
-        np.full(len(su) * dd, -float(params.hop_up)),
-        np.full(len(sd) * du, -float(params.hop_down)),
-    ])
-    return _csr(basis.dim, rows, cols, vals, basis)
+        diag.reshape(len(stack), -1),
+        np.repeat([[-float(p.hop_up)] for p in stack], len(su) * dd, axis=1),
+        np.repeat([[-float(p.hop_down)] for p in stack], len(sd) * du, axis=1),
+    ], axis=1)
+    return _csr(basis.dim, rows, cols, vals[0] if single else vals, basis)
 
 
 def build_single_particle(L: int, J: float, V) -> np.ndarray:

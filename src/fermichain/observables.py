@@ -39,10 +39,11 @@ class ObservableSpec:
 
 
 class StateBlock:
-    """Consecutive states of one run over one basis, one per row of an (n, dim) array.
+    """Consecutive states over one basis, one per row of an (n, dim) array, or
+    the n states of each of the k runs of a stack, (k, n, dim).
 
-    Observable callables map a block to n values.  What several columns
-    read, the occupation probabilities and the per-site densities, is
+    Observable callables map a block to n values, or to (k, n).  What several
+    columns read, the occupation probabilities and the per-site densities, is
     computed once per block and shared.
     """
 
@@ -56,19 +57,20 @@ class StateBlock:
 
     @cached_property
     def probabilities(self) -> np.ndarray:
-        """|psi|^2 of each row, shaped (n, dim_up, dim_down)."""
+        """|psi|^2 of each state, shaped (..., n, dim_up, dim_down)."""
         a = self.amplitudes
-        return (a.real ** 2 + a.imag ** 2).reshape(len(a), self.basis.up.dim, self.basis.down.dim)
+        return (a.real ** 2 + a.imag ** 2).reshape(
+            a.shape[:-1] + (self.basis.up.dim, self.basis.down.dim))
 
     @cached_property
     def _densities(self) -> dict:
         p = self.probabilities
-        up = p.sum(axis=2) @ self.basis.up.occupations
-        down = p.sum(axis=1) @ self.basis.down.occupations
+        up = p.sum(axis=-1) @ self.basis.up.occupations
+        down = p.sum(axis=-2) @ self.basis.down.occupations
         return {None: up + down, "up": up, "down": down}
 
     def density(self, spin: str | None = None) -> np.ndarray:
-        """Per-site expected occupations, (n, L): both species, or one spin."""
+        """Per-site expected occupations, (..., n, L): both species, or one spin."""
         if spin is not None and spin not in SPINS:
             raise ParameterError(f"spin must be in {SPINS} or None, got {spin!r}")
         return self._densities[spin]
@@ -76,27 +78,37 @@ class StateBlock:
 
 def _site_column(site: int, spin: str | None):
     def column(block: StateBlock) -> np.ndarray:
-        return block.density(spin)[:, site - 1]
+        return block.density(spin)[..., site - 1]
+    return column
+
+
+def _row_site_column(sites: np.ndarray):
+    """Total density at sites[r] in run r of a stack."""
+    runs = np.arange(len(sites))
+
+    def column(block: StateBlock) -> np.ndarray:
+        return block.density()[runs, :, sites - 1]
     return column
 
 
 def _total_number(block: StateBlock) -> np.ndarray:
-    return block.density().sum(axis=1)
+    return block.density().sum(axis=-1)
 
 
 def _n_after(block: StateBlock) -> np.ndarray:
     L = block.basis.L
     if L % 2:
         raise ParameterError(f"n_after needs an even chain, got L={L}")
-    return block.density()[:, L // 2 + 1:].sum(axis=1)
+    return block.density()[..., L // 2 + 1:].sum(axis=-1)
 
 
 def _doublon_count(block: StateBlock) -> np.ndarray:
-    return block.probabilities.reshape(len(block.amplitudes), -1) @ block.basis.doublon_counts
+    p = block.probabilities
+    return p.reshape(p.shape[:-2] + (-1,)) @ block.basis.doublon_counts
 
 
 def _norm(block: StateBlock) -> np.ndarray:
-    return np.linalg.norm(block.amplitudes, axis=1)
+    return np.linalg.norm(block.amplitudes, axis=-1)
 
 
 def _expectation_column(op: SparseHamiltonian):
@@ -151,14 +163,16 @@ def observable_functions(
     specs: list[tuple[str, ObservableSpec]],
     basis: ProductBasis,
     H: SparseHamiltonian | None = None,
-    jstar: int | None = None,
+    jstar=None,
 ) -> dict:
     """Bind (column name, spec) pairs to callables over a StateBlock.
 
     Each callable maps a block of n consecutive states to an array of n
-    values; the density columns of one block share one density computation.
-    H is required when an energy column is requested, jstar when an n_h2
-    column is; the S^2 matrix is built once on demand.
+    values (of (k, n) for a stack); the density columns of one block share
+    one density computation.  H is required when an energy column is
+    requested, jstar when an n_h2 column is: one site, or one per run of a
+    stack, whose H then holds each run's values.  The S^2 matrix depends
+    only on the basis and is built once on demand.
     """
     s2 = None
     unbound = {"n_after": _n_after, "n_total": _total_number,
@@ -171,7 +185,10 @@ def observable_functions(
         elif spec.kind == "n_h2":
             if jstar is None:
                 raise ParameterError("n_h2 requires a barrier (jstar site unknown)")
-            fns[name] = _site_column(jstar, None)
+            if np.ndim(jstar):
+                fns[name] = _row_site_column(np.asarray(jstar, dtype=np.int64))
+            else:
+                fns[name] = _site_column(jstar, None)
         elif spec.kind == "energy":
             if H is None:
                 raise ParameterError("energy observable requires the Hamiltonian")

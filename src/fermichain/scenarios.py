@@ -12,9 +12,11 @@ import dataclasses
 import json
 import math
 import re
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -22,8 +24,19 @@ import yaml
 
 from .basis import MAX_SITES, ProductBasis, product_basis, site_bit
 from .errors import ConfigError, ParameterError
-from .evolution import METHODS, PropagatorConfig, Trajectory, evolve_trajectory
-from .hamiltonian import HubbardParams, barrier_potential, build_hamiltonian, jstar_site
+from .evolution import (
+    METHODS,
+    PropagatorConfig,
+    Trajectory,
+    evolve_trajectory,
+    stack_capacity,
+)
+from .hamiltonian import (
+    HubbardParams,
+    barrier_potential,
+    build_hamiltonian,
+    jstar_site,
+)
 from .observables import (
     ObservableSpec,
     observable_functions,
@@ -31,6 +44,7 @@ from .observables import (
     trap_time,
 )
 from .states import (
+    NORM_TOLERANCE,
     StateVector,
     doublon_at,
     doublon_plus_up,
@@ -331,6 +345,26 @@ _SWEEP = {
 }
 
 
+# kind -> the site fields that must name different sites
+_DISTINCT_SITES = {"singlet": ("i", "j"), "triplet": ("i", "j"),
+                   "doublon_plus_up": ("doublon_site", "up_site")}
+
+
+def _initial_state_errors(state: InitialState) -> list[str]:
+    """What makes an initial state unbuildable on any chain: two particles of
+    one pair on one site, or custom amplitudes that are not normalized."""
+    if state.kind in _DISTINCT_SITES:
+        a, b = _DISTINCT_SITES[state.kind]
+        if state.fields[a] == state.fields[b]:
+            return [f"initial_state: {a} and {b} must differ, got {state.fields[a]} for both"]
+    if state.kind == "custom":
+        norm = float(np.linalg.norm([e["amp"] for e in state.fields["path"]]))
+        if abs(norm - 1.0) > NORM_TOLERANCE:
+            return [f"initial_state: the custom amplitudes have norm {norm:.17g}, "
+                    f"expected 1 within {NORM_TOLERANCE:g}"]
+    return []
+
+
 def check_config(config: ScenarioConfig) -> None:
     """The cross-field checks of a scenario, run on every parsed, swept or
     overridden config; raises ConfigError naming each offending field."""
@@ -351,6 +385,7 @@ def check_config(config: ScenarioConfig) -> None:
             errors.append(f"observables: {exc}")
         errors += [f"initial_state: site {s} outside chain [1, {L}]"
                    for s in config.initial_state.sites() if not 1 <= s <= L]
+    errors += _initial_state_errors(config.initial_state)
     if (points := config.t_max / config.sample_dt) > MAX_POINTS:
         errors.append(f"t_max / sample_dt: must be at most {MAX_POINTS}, got {points:g}")
     if errors:
@@ -418,6 +453,9 @@ def load_config(source) -> ScenarioConfig | SweepConfig:
     if unknown:
         raise ConfigError(f"config: unexpected keys {unknown}")
     name = str(doc.get("name", "run"))
+    if name in ("", ".", "..") or any(c in name for c in "/\\\0"):
+        raise ConfigError(f"name: must be a plain file name (no path separator, "
+                          f"not '.' or '..'), got {name!r}")
     description = str(doc.get("description", ""))
     base = scenario_from_dict(doc["scenario"], name=name, description=description)
     if "sweep" in doc:
@@ -468,13 +506,6 @@ def resolve_observables(tokens, L: int):
 # running
 # ---------------------------------------------------------------------------
 
-def _map_ordered(fn, items, threads: int):
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def _time_grid(t_max: float, sample_dt: float) -> np.ndarray:
     n = max(1, int(np.ceil(t_max / sample_dt - 1e-9)))
     times = sample_dt * np.arange(n + 1)
@@ -483,23 +514,86 @@ def _time_grid(t_max: float, sample_dt: float) -> np.ndarray:
     return times
 
 
-def _single_run(config: ScenarioConfig, orientation: str) -> Trajectory:
-    if config.h > 0:
-        V = barrier_potential(config.L, config.h, orientation)
-        jstar = jstar_site(config.L, config.h, orientation)
-    else:
-        V = np.zeros(config.L)
-        jstar = None
-    n_up, n_down = config.initial_state.sector()
-    basis = product_basis(config.L, n_up, n_down)
-    params = HubbardParams(L=config.L, J=config.J, U=config.U, V=V)
+def _orientations(config: ScenarioConfig) -> list[str]:
+    return ["a", "b"] if config.orientation == "both" else [config.orientation]
+
+
+def _stacks(runs: list[tuple[ScenarioConfig, str]]):
+    """Split (config, orientation) runs, in order, into stacks that propagate
+    together; yields (basis, stack) pairs.
+
+    A stack holds consecutive runs that differ at most in U, h and
+    orientation, so they share one sector and one Hamiltonian pattern, and
+    at most evolution.stack_capacity of them, so a stack's samples and
+    propagator arrays stay bounded however many values a sweep has.
+    """
+    for _, group in groupby(runs, key=lambda run: dataclasses.replace(
+            run[0], U=0.0, h=0.0, orientation="both")):
+        group = list(group)
+        config = group[0][0]
+        basis = product_basis(config.L, *config.initial_state.sector())
+        sampled = (len(_time_grid(config.t_max, config.sample_dt))
+                   * len(resolve_observables(config.observables, config.L)))
+        size = stack_capacity(basis.dim, sampled, config.propagator)
+        for lo in range(0, len(group), size):
+            yield basis, group[lo:lo + size]
+
+
+def _run_stack(basis: ProductBasis, stack: list[tuple[ScenarioConfig, str]]) -> list[Trajectory]:
+    """Propagate the runs of one stack together; one trajectory per run."""
+    config = stack[0][0]
+    params, jstars = [], []
+    for run, orientation in stack:
+        barrier = run.h > 0
+        V = barrier_potential(run.L, run.h, orientation) if barrier else np.zeros(run.L)
+        params.append(HubbardParams(L=run.L, J=run.J, U=run.U, V=V))
+        jstars.append(jstar_site(run.L, run.h, orientation) if barrier else None)
     H = build_hamiltonian(params, basis)
     psi0 = config.initial_state.build(basis)
 
     specs = resolve_observables(config.observables, config.L)
-    fns = observable_functions(specs, basis, H=H, jstar=jstar)
+    fns = observable_functions(specs, basis, H=H, jstar=None if None in jstars else jstars)
     times = _time_grid(config.t_max, config.sample_dt)
-    return evolve_trajectory(H, psi0, times, config.propagator, fns)
+    traj = evolve_trajectory(H, psi0, times, config.propagator, fns)
+    return [traj.row(r) for r in range(len(stack))]
+
+
+def _trajectories(stacks: list, threads: int):
+    """Yield the trajectories of the stacks' runs, in order.
+
+    With threads > 1 and several stacks, a thread pool runs up to `threads`
+    stacks at once, and a stack is submitted only when the one `threads`
+    places before it has been handed out, so a caller that drops each
+    trajectory holds at most threads + 1 stacks.
+    """
+    if threads <= 1 or len(stacks) <= 1:
+        for basis, stack in stacks:
+            yield from _run_stack(basis, stack)
+        return
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        pending = deque()
+        for basis, stack in stacks:
+            pending.append(pool.submit(_run_stack, basis, stack))
+            if len(pending) == threads:
+                yield from pending.popleft().result()
+        while pending:
+            yield from pending.popleft().result()
+
+
+def _run_configs(configs: list[ScenarioConfig], threads: int):
+    """Yield one trajectory per config, in order, its orientations merged as
+    in run_scenario.  The runs (one per orientation) propagate in stacks."""
+    runs = [(config, o) for config in configs for o in _orientations(config)]
+    done = _trajectories(list(_stacks(runs)), threads)
+    for config in configs:
+        orientations = _orientations(config)
+        trajs = [next(done) for _ in orientations]
+        if len(trajs) == 1:
+            yield trajs[0]
+            continue
+        columns = {f"{name}_{o}": col for o, traj in zip(orientations, trajs)
+                   for name, col in traj.columns.items()}
+        yield Trajectory(times=trajs[0].times, columns=columns)
 
 
 def run_scenario(config: ScenarioConfig, output_dir=None, threads: int = 1):
@@ -509,17 +603,7 @@ def run_scenario(config: ScenarioConfig, output_dir=None, threads: int = 1):
     whose columns carry _a/_b suffixes.  A CSV named after the config is
     written when the caller gives an output directory.
     """
-    orientations = ["a", "b"] if config.orientation == "both" else [config.orientation]
-    runs = _map_ordered(lambda o: _single_run(config, o), orientations, threads)
-    if len(runs) == 1:
-        traj = runs[0]
-    else:
-        columns = {}
-        for orientation, run in zip(orientations, runs):
-            for name, col in run.columns.items():
-                columns[f"{name}_{orientation}"] = col
-        traj = Trajectory(times=runs[0].times, columns=columns)
-
+    (traj,) = _run_configs([config], threads)
     path = None
     if output_dir is not None:
         path = Path(output_dir) / f"{config.name}.csv"
@@ -548,19 +632,23 @@ def _reduce(sweep: SweepConfig, traj: Trajectory) -> dict[str, float]:
 
 
 def run_sweep(sweep: SweepConfig, output_dir=None, threads: int = 1):
-    """Run a sweep; returns (header, rows, csv_path or None), rows in values order."""
-    def one(value):
-        traj, _ = run_scenario(replace_fields(sweep.base, **{sweep.parameter: value}))
-        if sweep.reduction.kind == "trajectory":
-            path = None
-            if output_dir is not None:
-                tag = f"{sweep.parameter}={value:g}" if sweep.parameter != "L" else f"L={value}"
-                path = Path(output_dir) / f"{sweep.name}_{tag}.csv"
-                write_trajectory_csv(traj, path)
-            return {"trajectory": str(path) if path else ""}
-        return _reduce(sweep, traj)
+    """Run a sweep; returns (header, rows, csv_path or None), rows in values order.
 
-    results = _map_ordered(one, list(sweep.values), threads)
+    Each value's trajectory is reduced, or written, as soon as its stack has
+    run, so only a few stacks are alive at a time.
+    """
+    configs = [replace_fields(sweep.base, **{sweep.parameter: value}) for value in sweep.values]
+    results = []
+    for value, traj in zip(sweep.values, _run_configs(configs, threads)):
+        if sweep.reduction.kind != "trajectory":
+            results.append(_reduce(sweep, traj))
+            continue
+        path = None
+        if output_dir is not None:
+            tag = f"{sweep.parameter}={value:g}" if sweep.parameter != "L" else f"L={value}"
+            path = Path(output_dir) / f"{sweep.name}_{tag}.csv"
+            write_trajectory_csv(traj, path)
+        results.append({"trajectory": str(path) if path else ""})
     header = [sweep.parameter] + list(results[0])
     rows = [[value, *res.values()] for value, res in zip(sweep.values, results)]
 
@@ -575,26 +663,28 @@ def run_sweep(sweep: SweepConfig, output_dir=None, threads: int = 1):
 # CSV output (17 significant digits, byte-stable for identical configs)
 # ---------------------------------------------------------------------------
 
-def _fmt(value) -> str:
+def _format(value) -> str:
+    """The %-format of a column, picked from its first value."""
     if isinstance(value, str):
-        return value
+        return "%s"
     if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return f"{float(value):.17g}"
+        return "%d"
+    return "%.17g"
 
 
 def write_rows_csv(path, header, rows) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     lines = [",".join(header)]
-    lines.extend(",".join(_fmt(x) for x in row) for row in rows)
+    if rows:
+        line = ",".join(_format(x) for x in rows[0])
+        lines.extend(line % tuple(row) for row in rows)
     path.write_text("\n".join(lines) + "\n")
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     header = ["t", *traj.columns]
-    rows = [[t, *(col[k] for col in traj.columns.values())]
-            for k, t in enumerate(traj.times)]
+    rows = np.column_stack([traj.times, *traj.columns.values()]).tolist()
     write_rows_csv(path, header, rows)
 
 

@@ -43,7 +43,10 @@ def _finish(basis: ProductBasis | None, amps: np.ndarray) -> StateVector:
     return StateVector(basis=basis, amplitudes=amps)
 
 
-def from_amplitudes(basis: ProductBasis, amplitudes, tol: float = 1e-6) -> StateVector:
+NORM_TOLERANCE = 1e-6  # allowed distance of a user-supplied state's norm from 1
+
+
+def from_amplitudes(basis: ProductBasis, amplitudes, tol: float = NORM_TOLERANCE) -> StateVector:
     """Wrap a user-supplied amplitude vector; must be normalized within tol."""
     amps = np.asarray(amplitudes, dtype=np.complex128)
     if amps.shape != (basis.dim,):

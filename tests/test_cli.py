@@ -136,6 +136,47 @@ def test_malformed_custom_state_is_config_error(tmp_path, capsys, payload, field
     assert "config error" in err and field in err and "Traceback" not in err
 
 
+def _write_config(path, text_fields, name="bad", sweep=None):
+    text = f"name: {name}\nscenario:\n" + "".join(f"  {k}: {v}\n" for k, v in text_fields.items())
+    if sweep is not None:
+        text += f"sweep: {sweep}\n"
+    path.write_text(text)
+    return str(path)
+
+
+@pytest.mark.parametrize("name", ["../escaped", "{tmp}/absolute", "sub/dir", "..", "''"])
+def test_output_name_must_be_a_plain_file_name(tmp_path, capsys, name):
+    name = name.format(tmp=tmp_path)
+    out = tmp_path / "out"
+    config = _write_config(tmp_path / "bad.yaml", _VALID_SCENARIO, name=name)
+    assert main(["simulate", config, "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "config error: name:" in err and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.rglob("*.csv")) == []
+
+
+@pytest.mark.parametrize("state, message", [
+    ("{kind: singlet, i: 2, j: 2}", "i and j must differ"),
+    ("{kind: triplet, i: 3, j: 3}", "i and j must differ"),
+    ("{kind: doublon_plus_up, doublon_site: 2, up_site: 2}", "doublon_site and up_site must differ"),
+    ("custom", "the custom amplitudes have norm 0.70710678118654757"),
+])
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_unbuildable_initial_state_is_config_error(tmp_path, capsys, state, message, command):
+    if state == "custom":
+        path = tmp_path / "state.json"
+        path.write_text('{"entries": [{"up": [1], "down": [2], "re": 0.5},'
+                        ' {"up": [2], "down": [1], "re": 0.5}]}')
+        state = f"{{kind: custom, path: '{path}'}}"
+    fields = dict(_VALID_SCENARIO, initial_state=state)
+    sweep = "{parameter: U, values: [0, 1]}" if command == "sweep" else None
+    config = _write_config(tmp_path / "bad.yaml", fields, sweep=sweep)
+    assert main([command, config, "--output", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert f"config error: initial_state: {message}" in err and "Traceback" not in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 @pytest.mark.parametrize("argv, field", [
     (["simulate", "fig2", "--t-max", "nan"], "t_max:"),
     (["simulate", "fig2", "--t-max", "inf"], "t_max:"),

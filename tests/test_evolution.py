@@ -17,9 +17,10 @@ from fermichain.hamiltonian import (
     SparseHamiltonian,
     barrier_potential,
     build_hamiltonian,
+    jstar_site,
     total_spin_squared,
 )
-from fermichain.observables import site_density
+from fermichain.observables import ObservableSpec, observable_functions, site_density
 from fermichain.states import (
     StateVector,
     doublon_at,
@@ -307,3 +308,66 @@ def test_krylov_rejects_non_finite_operator():
         KrylovPropagator(H, PropagatorConfig()).advance(v, 0.05)
     with pytest.raises(NumericalError):
         evolve_trajectory(H, StateVector(None, v), [0.0, 0.05, 0.1], PropagatorConfig(), {})
+
+
+# ---------------------------------------------------------------------------
+# stacks: runs over one sector propagated together
+# ---------------------------------------------------------------------------
+
+_STACK_ROWS = [(U, o) for U in (0.0, 3.5, 10.0) for o in "ab"]
+
+
+@pytest.mark.parametrize("L", [4, 8])
+@pytest.mark.parametrize("method", ["dense_eig", "krylov", "taylor"])
+def test_stack_rows_match_single_runs_and_the_oracle(method, L):
+    basis = product_basis(L, 1, 1)
+    params = [HubbardParams(L=L, J=1.0, U=U, V=barrier_potential(L, 20.0, o))
+              for U, o in _STACK_ROWS]
+    stack = build_hamiltonian(params, basis)
+    assert stack.shape == (len(params), basis.dim, basis.dim)
+    psi0 = doublon_at(basis, 1)
+    times = np.concatenate([[0.0], np.cumsum(np.linspace(0.05, 0.3, 12))])
+    config = PropagatorConfig(method=method)
+    specs = [("n_h2", ObservableSpec("n_h2")), ("energy", ObservableSpec("energy"))]
+    jstars = [jstar_site(L, 20.0, o) for _, o in _STACK_ROWS]
+    fns = observable_functions(specs, basis, H=stack, jstar=jstars)
+    traj = evolve_trajectory(stack, psi0, times, config, fns, store_states=True)
+    assert traj.states.shape == (len(params), len(times), basis.dim)
+    bound = config.tolerance * times + 1e-13
+    for r, p in enumerate(params):
+        H = build_hamiltonian(p, basis)
+        assert np.array_equal(stack.data[r], H.data)
+        fns = observable_functions(specs, basis, H=H, jstar=jstars[r])
+        single = evolve_trajectory(H, psi0, times, config, fns, store_states=True)
+        oracle = DensePropagator(H)
+        exact = np.array([oracle.advance(psi0.amplitudes, t) for t in times])
+        assert np.all(np.linalg.norm(traj.states[r] - exact, axis=1) <= bound)
+        assert np.all(np.linalg.norm(traj.states[r] - single.states, axis=1) <= bound)
+        row = traj.row(r)
+        for name in ("n_h2", "energy"):
+            assert np.allclose(row.column(name), single.column(name), rtol=0, atol=1e-9)
+
+
+def test_stack_row_in_an_invariant_space_stays_exact(count_matvecs):
+    # without hopping the doublon is an eigenstate: its row stops after one
+    # basis vector while the other row needs steps bounded by its estimate
+    L = 8
+    basis = product_basis(L, 1, 1)
+    V = barrier_potential(L, 20.0, "a")
+    params = [HubbardParams(L=L, J=1.0, U=10.0, V=V, j_up=0.0, j_down=0.0),
+              HubbardParams(L=L, J=1.0, U=10.0, V=V)]
+    stack = build_hamiltonian(params, basis)
+    psi0 = doublon_at(basis, 3)
+    times = 0.05 * np.arange(101)
+    config = PropagatorConfig(krylov_dim=12)  # below dim 64: the moving row has beta > 0
+    count_matvecs[0] = 0
+    traj = evolve_trajectory(stack, psi0, times, config, {}, store_states=True)
+    assert count_matvecs[0] > 12  # the moving row needed several bases
+    energy = build_hamiltonian(params[0], basis).expectation(psi0.amplitudes)
+    exact = np.exp(-1j * energy * times)[:, None] * psi0.amplitudes
+    assert np.max(np.abs(traj.states[0] - exact)) <= 1e-13
+    H = build_hamiltonian(params[1], basis)
+    oracle = DensePropagator(H)
+    moving = np.array([oracle.advance(psi0.amplitudes, t) for t in times])
+    assert np.all(np.linalg.norm(traj.states[1] - moving, axis=1)
+                  <= config.tolerance * times + 1e-13)

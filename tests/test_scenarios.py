@@ -4,7 +4,10 @@ import json
 import numpy as np
 import pytest
 
+from fermichain import evolution, scenarios
 from fermichain.errors import ConfigError, ParameterError
+from fermichain.evolution import Trajectory
+from fermichain.hamiltonian import DENSE_CAP
 from fermichain.observables import time_average
 from fermichain.scenarios import (
     Reduction,
@@ -18,6 +21,7 @@ from fermichain.scenarios import (
     run_scenario,
     run_sweep,
     scenario_from_dict,
+    write_rows_csv,
 )
 
 # time-averaged half-height-site density of the fig5a run over [0, 40/J],
@@ -155,6 +159,17 @@ def test_csv_floats_have_17_significant_digits(tmp_path):
     assert row[0] == "0.050000000000000003"  # 0.05 at 17 significant digits
 
 
+def test_csv_columns_format_like_their_first_row(tmp_path):
+    floats = [0.1, -0.0, float("nan"), float("inf"), -float("inf"), np.float64(1 / 3),
+              5e-324, 1.7976931348623157e308, 123456789012345678.0, 2.0]
+    rows = [[np.int64(k), k, "x", v] for k, v in enumerate(floats)]
+    path = tmp_path / "rows.csv"
+    write_rows_csv(path, ["i", "k", "s", "v"], rows)
+    lines = path.read_text().splitlines()
+    assert lines[0] == "i,k,s,v"
+    assert lines[1:] == [f"{k},{k},x,{float(v):.17g}" for k, v in enumerate(floats)]
+
+
 def test_single_orientation_has_no_suffix(tmp_path):
     config = scenario_from_dict(_scenario_doc(orientation="a"), name="demo")
     traj, _ = run_scenario(config, output_dir=tmp_path)
@@ -287,3 +302,108 @@ def test_fig4_orientations_agree_at_zero_interaction():
     assert abs(row["avg_n_L_a"] - row["avg_n_L_b"]) <= 1e-9
     # the half-height site differs per orientation, so its density need not agree
     assert abs(row["avg_n_h2_a"] - row["avg_n_h2_b"]) > 1e-3
+
+
+# ---------------------------------------------------------------------------
+# stacks: which runs propagate together
+# ---------------------------------------------------------------------------
+
+def _runs(sweep):
+    configs = [dataclasses.replace(sweep.base, **{sweep.parameter: v}) for v in sweep.values]
+    return [(c, o) for c in configs for o in ("a", "b")]
+
+
+def _sizes(stacks):
+    return [len(stack) for _, stack in stacks]
+
+
+def test_small_sector_sweep_is_one_stack():
+    sweep = _mini_sweep(values=(0.0, 1.0, 2.0, 3.0))
+    stacks = list(scenarios._stacks(_runs(sweep)))
+    assert _sizes(stacks) == [8]
+    assert [(c.U, o) for c, o in stacks[0][1]] == [(u, o) for u in sweep.values for o in "ab"]
+
+
+def test_l_sweep_stacks_each_chain_length():
+    base = scenario_from_dict(_scenario_doc(h=20.0, U=10.0), name="traps")
+    sweep = SweepConfig(name="traps", parameter="L", values=(4, 6, 8), base=base)
+    stacks = list(scenarios._stacks(_runs(sweep)))
+    assert [basis.L for basis, _ in stacks] == [4, 6, 8]
+    assert [[(c.L, o) for c, o in stack] for _, stack in stacks] == [
+        [(L, "a"), (L, "b")] for L in (4, 6, 8)]
+
+
+def test_sector_above_the_dense_cap_runs_alone():
+    state = {"kind": "doublon_plus_up", "doublon_site": 13, "up_site": 18}
+    base = scenario_from_dict(_scenario_doc(L=30, h=20.0, initial_state=state), name="big")
+    sweep = SweepConfig(name="big", parameter="U", values=(0.0, 10.0), base=base)
+    assert 30 * 29 // 2 * 30 > DENSE_CAP  # sector (2, 1): dim 13 050
+    assert _sizes(scenarios._stacks(_runs(sweep))) == [1, 1, 1, 1]
+
+
+def test_long_many_value_sweep_splits_into_bounded_stacks():
+    observables = ["n_h2", "n_L", "norm", "energy", "n_total"]
+    base = scenario_from_dict(_scenario_doc(h=20.0, t_max=100.0, observables=observables),
+                              name="long")
+    sweep = SweepConfig(name="long", parameter="U", values=tuple(range(2000)), base=base)
+    runs = _runs(sweep)
+    stacks = list(scenarios._stacks(runs))
+    per_run = 2001 * 5 + 16 * 16  # samples x columns, and the dim-16 Lanczos basis
+    assert _sizes(stacks) == [102] * 39 + [22]
+    assert 102 * per_run <= evolution._BLOCK_ELEMENTS < 103 * per_run
+    assert [run for _, stack in stacks for run in stack] == runs
+
+
+@pytest.mark.parametrize("method, sizes", [("dense_eig", [3, 3, 2]), ("krylov", [8])])
+def test_dense_stacks_count_their_matrices(method, sizes):
+    # dim 400: a dense_eig run holds two 400 x 400 arrays, a krylov run 30 vectors
+    base = scenario_from_dict(_scenario_doc(L=20, h=20.0, propagator={"method": method}),
+                              name="trap")
+    sweep = SweepConfig(name="trap", parameter="U", values=(0.0, 1.0, 2.0, 3.0), base=base)
+    assert _sizes(scenarios._stacks(_runs(sweep))) == sizes
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_split_sweep_reduces_each_stack_before_later_stacks_run(monkeypatch, threads):
+    # stacks of 3 runs split some values' two orientations across stacks
+    sweep = _mini_sweep(values=(0.0, 1.0, 2.0, 3.5, 5.0, 7.5, 10.0))
+    _, whole, _ = run_sweep(sweep)
+    started, at_reduce = [], []
+    run_stack, reduce = scenarios._run_stack, scenarios._reduce
+
+    def logged_stack(basis, stack):
+        started.append(stack)
+        return run_stack(basis, stack)
+
+    def logged_reduce(sweep, traj):
+        at_reduce.append(len(started))
+        return reduce(sweep, traj)
+
+    monkeypatch.setattr(scenarios, "_run_stack", logged_stack)
+    monkeypatch.setattr(scenarios, "_reduce", logged_reduce)
+    monkeypatch.setattr(scenarios, "stack_capacity", lambda *args: 3)
+    _, split, _ = run_sweep(sweep, threads=threads)
+    assert len(started) == 5
+    needed = [(2 * i + 1) // 3 + 1 for i in range(len(sweep.values))]  # the stack of value i's run b
+    if threads == 1:
+        assert at_reduce == needed
+    assert all(n <= k + threads - 1 for n, k in zip(at_reduce, needed))
+    assert np.allclose(np.array(split), np.array(whole), rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("values", [(0.0, 1.0, 2.0), (4, 6)])
+def test_threads_never_change_the_stacks(monkeypatch, values):
+    parameter = "U" if isinstance(values[0], float) else "L"
+    sweep = dataclasses.replace(_mini_sweep(values=values, reduction=Reduction("trajectory")),
+                                parameter=parameter)
+    seen = {}
+
+    def recording(basis, stack):
+        seen.setdefault(threads, []).append([(c.U, c.L, o) for c, o in stack])
+        return [Trajectory(times=np.zeros(1), columns={}) for _ in stack]
+
+    monkeypatch.setattr(scenarios, "_run_stack", recording)
+    for threads in (1, 3):
+        run_sweep(sweep, threads=threads)
+    assert seen[1] == seen[3]
+    assert len(seen[1]) == (1 if parameter == "U" else len(values))
