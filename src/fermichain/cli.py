@@ -162,6 +162,9 @@ def main(argv=None) -> int:
     except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except MemoryError as exc:  # a backstop: numpy's allocation errors included
+        print(f"numerical failure: out of memory: {exc or 'allocation failed'}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 def entrypoint() -> None:

@@ -8,10 +8,11 @@ run to time t accumulates at most tolerance * t.
 
 A trajectory is propagated over its whole time grid and handed out in blocks
 of consecutive samples, each an (n, dim) array.  The dense propagator reads
-every sample from one eigendecomposition; the Krylov propagator reads all
-samples inside an accepted step from one Lanczos basis ("dense output", as
-in Expokit: Sidje, ACM TOMS 24:130, 1998); the Taylor propagator, kept as
-the independent reference, steps from sample to sample.
+every sample from one eigendecomposition; the Krylov propagator reads
+samples from one Lanczos basis ("dense output", as in Expokit: Sidje, ACM
+TOMS 24:130, 1998) until one fails its error estimate, and only then builds
+the next; the Taylor propagator, kept as the independent reference, steps
+from sample to sample.
 """
 
 from __future__ import annotations
@@ -179,9 +180,9 @@ class KrylovPropagator:
     precision, so norms are preserved over long runs.  A state read from a
     basis a time s after its start has the a-posteriori error estimate
     |beta_m y_m(s)| ||v|| (Hochbruck & Lubich, SIAM J. Numer. Anal. 34:1911,
-    1997).  A step is accepted only when that estimate is at most
-    tolerance * s for every row; a step that fails is bisected, and a
-    non-finite estimate raises NumericalError.
+    1997).  A state is read only when that estimate is at most
+    tolerance * s for every row; a step that fails from a new basis is
+    bisected, and a non-finite estimate raises NumericalError.
     """
 
     def __init__(self, H, config: PropagatorConfig):
@@ -275,16 +276,18 @@ class KrylovPropagator:
         return self._split(_rows_of(amps, self.dim), dt, 1).reshape(np.shape(amps))
 
     def blocks(self, amps: np.ndarray, times: np.ndarray):
-        """States at every grid time, in blocks of shape (..., n, dim), one
-        Lanczos basis of the stack per accepted step.
+        """States at every grid time, in blocks of shape (..., n, dim).
 
-        A step starts at the last sample reached and covers the longest run of
-        following samples whose estimates stay within tolerance times their
-        distance from the start, in every row.  It tries samples up to a
-        window that starts at dt and is twice the last accepted step; the
-        first following sample is always tried, and when even it fails the
-        interval up to it is bisected.  A basis exact in every row serves
-        every remaining sample.
+        A Lanczos basis of the stack, built at time t0, serves the following
+        samples for as long as each one's estimate, in every row, stays within
+        tolerance times its distance s from t0; the first sample that fails
+        ends the basis, and the next one is built at the last sample served.
+        The bases' spans tile the grid, so the error at t is at most
+        tolerance * t.  Samples are tried a window at a time: the window
+        starts at dt and becomes twice the last served sample's distance from
+        its basis's start; the next sample is always tried.  When a new basis
+        fails even that sample, the interval up to it is bisected.  A basis
+        exact in every row serves every remaining sample, without windows.
         """
         shape = np.shape(amps)[:-1]
         cur = _rows_of(amps, self.dim)
@@ -294,7 +297,8 @@ class KrylovPropagator:
         basis = None
         i, last = 0, len(times) - 1
         while i < last:
-            if basis is None:
+            fresh = basis is None
+            if fresh:
                 basis, t0 = self._lanczos(cur), times[i]
             hi = min(last + 1, i + 1 + rows)
             if basis.beta.any():
@@ -303,16 +307,18 @@ class KrylovPropagator:
             Y, err = self._read(basis, s)
             ok = np.all(err <= self.tolerance * s, axis=0)
             n = len(s) if ok.all() else int(ok.argmin())
+            if not (n or fresh):  # a reused basis failed its next sample: start one at cur
+                basis = None
+                continue
             if n:
                 block = self._states(basis, Y[:, :, :n])
                 window = 2.0 * s[n - 1]
-            else:
+            else:  # a new basis failed its first sample: bisect that interval
                 block = self._split(cur, s[0], 2)[:, None]
-                n = 1
+            if n < len(s):
+                basis = None  # a failed sample ends the basis
             cur = block[:, -1].copy()
-            i += n
-            if basis.beta.any():
-                basis = None  # only an exact basis serves later samples
+            i += max(n, 1)
             if head is not None:
                 block, head = np.concatenate([head, block], axis=1), None
             yield block.reshape(shape + block.shape[1:])

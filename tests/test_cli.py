@@ -230,6 +230,24 @@ def test_linalg_failure_is_numerical_exit_code(monkeypatch, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, config", [("simulate", "fig2"), ("sweep", "fig4")])
+@pytest.mark.parametrize("error", [MemoryError(), MemoryError("Unable to allocate 62.0 GiB")])
+def test_out_of_memory_is_numerical_exit_code(monkeypatch, capsys, tmp_path, command, config,
+                                              error):
+    # a stage that runs out of memory; nothing is allocated for real
+    from fermichain import scenarios
+
+    def exhausted(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(scenarios, "build_hamiltonian", exhausted)
+    assert main([command, config, "--output", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: out of memory")
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_numerical_failure_exit_code(tmp_path, capsys):
     config = tmp_path / "impossible.yaml"
     config.write_text(

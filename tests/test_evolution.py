@@ -301,6 +301,92 @@ def test_krylov_coarse_grid_bisects(monkeypatch):
     assert np.all(err <= tol * times + 1e-13)
 
 
+def _trap_stack():
+    """The trapping sector L=20 (1,1), U = h/2 = 10, both orientations as one stack."""
+    basis = product_basis(20, 1, 1)
+    params = [HubbardParams(L=20, J=1.0, U=10.0, V=barrier_potential(20, 20.0, o)) for o in "ab"]
+    return basis, params, build_hamiltonian(params, basis)
+
+
+@pytest.fixture
+def krylov_bases(monkeypatch):
+    """Per Lanczos build made while the test runs, whether each read of that
+    basis kept its first sample within the estimate's budget."""
+    bases = []
+    lanczos, read = KrylovPropagator._lanczos, KrylovPropagator._read
+
+    def building(self, amps):
+        bases.append([])
+        return lanczos(self, amps)
+
+    def reading(self, basis, s):
+        Y, err = read(self, basis, s)
+        bases[-1].append(bool(np.all(err[:, 0] <= self.tolerance * s[0])))
+        return Y, err
+
+    monkeypatch.setattr(KrylovPropagator, "_lanczos", building)
+    monkeypatch.setattr(KrylovPropagator, "_read", reading)
+    return bases
+
+
+@pytest.mark.parametrize("site, builds", [(1, 14), (4, 16), (9, 20)])
+def test_krylov_trap_stack_build_count_and_oracle(site, builds, krylov_bases):
+    # the trap_L20 benchmark shape (t_max 15, default settings); a basis serves
+    # samples until one fails its estimate: 18, 20 and 23 builds when each basis
+    # served a single window
+    basis, params, stack = _trap_stack()
+    psi0 = doublon_at(basis, site)
+    times = 0.05 * np.arange(301)
+    config = PropagatorConfig()
+    traj = evolve_trajectory(stack, psi0, times, config, {}, store_states=True)
+    assert len(krylov_bases) == builds
+    for r, p in enumerate(params):
+        oracle = DensePropagator(build_hamiltonian(p, basis))
+        exact = np.array([oracle.advance(psi0.amplitudes, t) for t in times])
+        assert np.all(np.linalg.norm(traj.states[r] - exact, axis=1)
+                      <= config.tolerance * times + 1e-13)
+
+
+def test_krylov_reused_basis_that_fails_is_rebuilt_not_bisected(monkeypatch, krylov_bases):
+    # on a 0.6 grid a fresh basis reaches its first sample but not always the
+    # next one: the reused basis then fails its first new sample, and the step
+    # restarts from the last state with a new basis instead of bisecting
+    basis, H = _barrier_sector(20, "a")
+    splits = []
+    split = KrylovPropagator._split
+
+    def recording(self, amps, dt, nsub):
+        splits.append(dt)
+        return split(self, amps, dt, nsub)
+
+    monkeypatch.setattr(KrylovPropagator, "_split", recording)
+    times = 0.6 * np.arange(11)
+    err, tol = _trajectory_error(H, doublon_at(basis, 3), times)
+    assert all(reads[0] for reads in krylov_bases)  # every fresh basis reached its first sample
+    assert sum(not ok for reads in krylov_bases for ok in reads[1:]) >= 1
+    assert splits == []
+    assert np.all(err <= tol * times + 1e-13)
+
+
+def test_energy_and_s_squared_columns_make_no_matvec(count_matvecs):
+    basis, params, stack = _trap_stack()
+    psi0 = doublon_at(basis, 4)
+    times = 0.05 * np.arange(61)
+    specs = [("energy", ObservableSpec("energy")), ("s2", ObservableSpec("s_squared"))]
+    fns = observable_functions(specs, basis, H=stack)
+    count_matvecs[0] = 0
+    evolve_trajectory(stack, psi0, times, PropagatorConfig(), {})
+    propagation = count_matvecs[0]
+    count_matvecs[0] = 0
+    traj = evolve_trajectory(stack, psi0, times, PropagatorConfig(), fns)
+    assert count_matvecs[0] == propagation
+    assert np.allclose(traj.column("s2"), 0.0, rtol=0, atol=1e-12)  # a doublon is a singlet
+    count_matvecs[0] = 0
+    traj = evolve_trajectory(stack, psi0, times, PropagatorConfig(method="dense_eig"), fns)
+    assert count_matvecs[0] == 0
+    assert np.allclose(traj.column("energy"), 10.0, rtol=0, atol=1e-9)
+
+
 def test_krylov_rejects_non_finite_operator():
     H = np.diag([1.0, 2.0, np.nan, 3.0])
     v = np.full(4, 0.5, dtype=complex)

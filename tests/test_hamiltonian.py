@@ -78,6 +78,52 @@ def test_block_expectations_match_dense_products(monkeypatch):
     assert np.allclose(H.expectations(block), want, rtol=0, atol=1e-12)
 
 
+def _random_sector_operators(rng):
+    """A random sector, its H, a stack of H over a few parameter sets, and its S^2."""
+    L = int(rng.integers(2, 7))
+    basis = product_basis(L, int(rng.integers(0, L + 1)), int(rng.integers(0, L + 1)))
+    params = [HubbardParams(L=L, J=1.0, U=rng.uniform(-5, 10), V=rng.uniform(-4, 4, size=L),
+                            j_down=rng.uniform(0, 2))
+              for _ in range(int(rng.integers(2, 5)))]
+    return (basis, build_hamiltonian(params[0], basis), build_hamiltonian(params, basis),
+            total_spin_squared(basis))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_expectations_match_dense_quadratic_forms(seed, monkeypatch):
+    # <psi|A|psi> from the stored upper triangle against einsum over the dense
+    # matrix: single H and S^2 on (n, dim) and (k, n, dim) blocks, a stack on
+    # (k, n, dim), in chunks from one state up to the whole block
+    from fermichain import hamiltonian
+
+    rng = np.random.default_rng(seed)
+    basis, H, stack, s2 = _random_sector_operators(rng)
+    k, n = stack.shape[0], int(rng.integers(1, 9))
+    block = rng.normal(size=(k, n, basis.dim)) + 1j * rng.normal(size=(k, n, basis.dim))
+    block /= np.linalg.norm(block, axis=-1, keepdims=True)
+    cases = [(H, block[0], "ti,ij,tj->t"), (s2, block[0], "ti,ij,tj->t"),
+             (H, block, "rti,ij,rtj->rt"), (s2, block, "rti,ij,rtj->rt"),
+             (stack, block, "rti,rij,rtj->rt")]
+    for op, states, form in cases:
+        want = np.einsum(form, states.conj(), op.to_dense(), states).real
+        runs = states.shape[0] if states.ndim == 3 else 1
+        for per_chunk in sorted({1, int(rng.integers(1, n + 1)), n}):
+            terms = per_chunk * max(op.nnz, 1) * runs
+            monkeypatch.setattr(hamiltonian, "_TERMS_PER_PRODUCT", terms)
+            got = op.expectations(states)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_assembled_operators_equal_their_transpose(seed):
+    # expectations read only the upper triangle, which needs exact symmetry
+    basis, H, stack, s2 = _random_sector_operators(np.random.default_rng(seed))
+    for op in (H, stack, s2):
+        dense = op.to_dense()
+        assert np.array_equal(dense, np.swapaxes(dense, -1, -2))
+
+
 def test_dimension_mismatch_rejected():
     basis = product_basis(4, 1, 1)
     params = HubbardParams(L=6, J=1.0, U=0.0, V=np.zeros(6))
