@@ -37,7 +37,6 @@ from .hamiltonian import (
     total_spin_squared,
 )
 from .observables import (
-    ObservableSpec,
     density_profile,
     doublon_count,
     n_after,

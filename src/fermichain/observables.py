@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 from functools import cached_property
 
 import numpy as np
@@ -12,30 +12,11 @@ from .errors import ParameterError
 from .hamiltonian import SparseHamiltonian, total_spin_squared
 from .states import StateVector
 
-KINDS = (
-    "n_site", "n_site_spin", "n_after", "n_h2", "n_total",
-    "norm", "energy", "s_squared", "doublon_count",
-)
 SPINS = ("up", "down")
+TRAP_COLUMN = "n_h2"  # the column a trap-time reduction reads unless told otherwise
 
-
-@dataclass(frozen=True)
-class ObservableSpec:
-    """One measurable column: its kind plus site/spin parameters where used."""
-
-    kind: str
-    site: int | None = None
-    spin: str | None = None
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ParameterError(f"unknown observable kind {self.kind!r}")
-        if self.kind in ("n_site", "n_site_spin") and self.site is None:
-            raise ParameterError(f"{self.kind} needs a site")
-        if self.kind == "n_site_spin" and self.spin not in SPINS:
-            raise ParameterError(f"n_site_spin needs spin in {SPINS}, got {self.spin!r}")
-        if self.kind not in ("n_site", "n_site_spin") and (self.site or self.spin):
-            raise ParameterError(f"{self.kind} takes no site/spin parameters")
+# a site density: n_<j>, n_L, n_all, with _up or _down after the n for one spin
+_SITE_TOKEN = re.compile(r"n(?:_(up|down))?_(\d+|L|all)")
 
 
 class StateBlock:
@@ -96,10 +77,7 @@ def _total_number(block: StateBlock) -> np.ndarray:
 
 
 def _n_after(block: StateBlock) -> np.ndarray:
-    L = block.basis.L
-    if L % 2:
-        raise ParameterError(f"n_after needs an even chain, got L={L}")
-    return block.density()[..., L // 2 + 1:].sum(axis=-1)
+    return block.density()[..., block.basis.L // 2 + 1:].sum(axis=-1)
 
 
 def _doublon_count(block: StateBlock) -> np.ndarray:
@@ -117,9 +95,39 @@ def _expectation_column(op: SparseHamiltonian):
     return column
 
 
-def _check_site(basis: ProductBasis, site: int) -> None:
-    if not 1 <= site <= basis.L:
-        raise ParameterError(f"site {site} outside chain [1, {basis.L}]")
+_UNBOUND = {"n_after": _n_after, "n_total": _total_number,
+            "norm": _norm, "doublon_count": _doublon_count}
+
+
+def columns(tokens, L: int, barrier: bool = True) -> dict[str, tuple]:
+    """The columns of observable tokens on an L-site chain, in token order:
+    name -> (kind, site, spin); kind is n_site for a site density, else the
+    token.  Raises ParameterError on an unknown token, a site outside the
+    chain, n_after on an odd chain, n_h2 without a barrier, or a column
+    named twice.
+    """
+    out = {}
+    for token in map(str, tokens):
+        m = _SITE_TOKEN.fullmatch(token)
+        if m and m[2] == "all":
+            found = {f"{token[:-3]}{j}": ("n_site", j, m[1]) for j in range(1, L + 1)}
+        elif m:
+            j = L if m[2] == "L" else int(m[2])
+            if not 1 <= j <= L:
+                raise ParameterError(f"token {token!r}: site {j} outside chain [1, {L}]")
+            found = {token: ("n_site", j, m[1])}
+        elif token in (*_UNBOUND, "n_h2", "energy", "s_squared"):
+            if token == "n_after" and L % 2:
+                raise ParameterError(f"n_after needs an even chain, got L={L}")
+            if token == "n_h2" and not barrier:
+                raise ParameterError("n_h2 needs a barrier (h > 0)")
+            found = {token: (token, None, None)}
+        else:
+            raise ParameterError(f"unknown observable token {token!r}")
+        if twice := out.keys() & found.keys():
+            raise ParameterError(f"duplicate observable column {min(twice)!r}")
+        out.update(found)
+    return out
 
 
 def density_profile(psi: StateVector, spin: str | None = None) -> np.ndarray:
@@ -129,7 +137,8 @@ def density_profile(psi: StateVector, spin: str | None = None) -> np.ndarray:
 
 def site_density(psi: StateVector, site: int, spin: str | None = None) -> float:
     """<n_{site}> (total) or <n_{site,spin}>."""
-    _check_site(psi.basis, site)
+    if not 1 <= site <= psi.basis.L:
+        raise ParameterError(f"site {site} outside chain [1, {psi.basis.L}]")
     return float(density_profile(psi, spin)[site - 1])
 
 
@@ -139,6 +148,8 @@ def total_number(psi: StateVector) -> float:
 
 def n_after(psi: StateVector) -> float:
     """Total density on the sites after the central barrier, L/2+2 .. L."""
+    if psi.basis.L % 2:
+        raise ParameterError(f"n_after needs an even chain, got L={psi.basis.L}")
     return float(_n_after(StateBlock.of(psi))[0])
 
 
@@ -160,12 +171,13 @@ def s_squared(psi: StateVector, s2: SparseHamiltonian) -> float:
 
 
 def observable_functions(
-    specs: list[tuple[str, ObservableSpec]],
+    tokens,
     basis: ProductBasis,
     H: SparseHamiltonian | None = None,
     jstar=None,
 ) -> dict:
-    """Bind (column name, spec) pairs to callables over a StateBlock.
+    """Bind the columns of observable tokens (see columns) to callables over a
+    StateBlock, keyed by column name.
 
     Each callable maps a block of n consecutive states to an array of n
     values (of (k, n) for a stack); the density columns of one block share
@@ -175,30 +187,25 @@ def observable_functions(
     only on the basis and is built once on demand.
     """
     s2 = None
-    unbound = {"n_after": _n_after, "n_total": _total_number,
-               "norm": _norm, "doublon_count": _doublon_count}
     fns = {}
-    for name, spec in specs:
-        if spec.kind in ("n_site", "n_site_spin"):
-            _check_site(basis, spec.site)
-            fns[name] = _site_column(spec.site, spec.spin)
-        elif spec.kind == "n_h2":
-            if jstar is None:
-                raise ParameterError("n_h2 requires a barrier (jstar site unknown)")
+    for name, (kind, site, spin) in columns(tokens, basis.L, barrier=jstar is not None).items():
+        if kind == "n_site":
+            fns[name] = _site_column(site, spin)
+        elif kind == "n_h2":
             if np.ndim(jstar):
                 fns[name] = _row_site_column(np.asarray(jstar, dtype=np.int64))
             else:
                 fns[name] = _site_column(jstar, None)
-        elif spec.kind == "energy":
+        elif kind == "energy":
             if H is None:
                 raise ParameterError("energy observable requires the Hamiltonian")
             fns[name] = _expectation_column(H)
-        elif spec.kind == "s_squared":
+        elif kind == "s_squared":
             if s2 is None:
                 s2 = total_spin_squared(basis)
             fns[name] = _expectation_column(s2)
         else:
-            fns[name] = unbound[spec.kind]
+            fns[name] = _UNBOUND[kind]
     return fns
 
 

@@ -11,8 +11,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import re
-from collections import deque
+from collections import Counter, deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
@@ -38,7 +37,8 @@ from .hamiltonian import (
     jstar_site,
 )
 from .observables import (
-    ObservableSpec,
+    TRAP_COLUMN,
+    columns,
     observable_functions,
     time_average,
     trap_time,
@@ -58,9 +58,6 @@ ORIENTATIONS = ("a", "b", "both")
 SWEEP_PARAMETERS = ("U", "h", "L")
 REDUCTIONS = ("time_average", "trap_time", "trajectory")
 MAX_POINTS = 1_000_000  # samples of one time grid, values of one range sweep
-
-_SITE_TOKEN = re.compile(r"^n(_up|_down)?_(\d+|L)$")
-_SIMPLE_TOKENS = ("norm", "energy", "s_squared", "doublon_count", "n_after", "n_h2", "n_total")
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +108,7 @@ class Reduction:
     kind: str
     T: float | None = None
     threshold: float = 0.01
-    column: str = "n_h2"
+    column: str = TRAP_COLUMN
 
 
 @dataclass(frozen=True)
@@ -303,7 +300,7 @@ _SCENARIO = {
     "L": (_integer, True),
     "U": (_real, True),
     "h": (_real, True),
-    "J": (_real, False),
+    "J": (_positive, False),
     "orientation": (_one_of(*ORIENTATIONS), False),
     "initial_state": (_initial_state, True),
     "t_max": (_positive, True),
@@ -314,9 +311,12 @@ _SCENARIO = {
 
 
 def _arange(start: float, stop: float, step: float) -> list:
-    if not 0 <= (stop - start) / step < MAX_POINTS:
+    values = []  # also when start + step rounds to start: np.arange is then empty
+    if 0 <= (stop - start) / step < MAX_POINTS:
+        values = np.arange(start, stop + step * 1e-9, step).tolist()
+    if not values:
         raise ValueError(f"a range must hold 1 to {MAX_POINTS} values")
-    return np.arange(start, stop + step * 1e-9, step).tolist()
+    return values
 
 
 _RANGE = {"start": (_real, True), "stop": (_real, True), "step": (_positive, True)}
@@ -372,16 +372,14 @@ def check_config(config: ScenarioConfig) -> None:
     L, h = config.L, config.h
     if h < 0:
         errors.append(f"h: must be non-negative, got {h}")
-    elif h == 0 and "n_h2" in config.observables:
-        errors.append("observables: n_h2 needs a barrier (h > 0)")
     if not 1 <= L <= MAX_SITES:
         errors.append(f"L: must lie in [1, {MAX_SITES}], got {L}")
     else:
         if h > 0 and (L % 2 or L < 4):
             errors.append(f"L: barrier runs need even L >= 4, got {L}")
         try:
-            resolve_observables(config.observables, L)
-        except ValueError as exc:
+            columns(config.observables, L, barrier=h > 0)
+        except ParameterError as exc:
             errors.append(f"observables: {exc}")
         errors += [f"initial_state: site {s} outside chain [1, {L}]"
                    for s in config.initial_state.sites() if not 1 <= s <= L]
@@ -414,23 +412,62 @@ def scenario_from_dict(doc: dict, name: str = "scenario", description: str = "")
     return config
 
 
+def _matches(name: str, column: str) -> bool:
+    """Whether a trap-time reduction of `column` reads trajectory column `name`."""
+    return name == column or name.startswith(column + "_")
+
+
+def _trajectory_file(sweep: str, parameter: str, value) -> str:
+    """The file a trajectory sweep writes for one value."""
+    tag = f"{parameter}={value:g}" if parameter != "L" else f"L={value}"
+    return f"{sweep}_{tag}.csv"
+
+
+def _swept_configs(sweep: SweepConfig) -> list[ScenarioConfig]:
+    """The scenario of each swept value, checked with the reduction that reads
+    it; raises ConfigError naming each offending field."""
+    errors, configs = [], []
+    red = sweep.reduction
+    if red.kind == "time_average" and red.T is not None and red.T > sweep.base.t_max:
+        errors.append(f"sweep.reduction.T: must be at most t_max = {sweep.base.t_max:g}, "
+                      f"got {red.T:g}")
+    for value in sweep.values:
+        try:
+            config = replace_fields(sweep.base, **{sweep.parameter: value})
+        except ConfigError as exc:
+            errors.append(f"sweep.values: {exc}")
+            continue
+        configs.append(config)
+        if red.kind == "trap_time":
+            names = list(columns(config.observables, config.L))
+            if config.orientation == "both":  # run_scenario's names for the a and b runs
+                names = [f"{name}_{o}" for o in _orientations(config) for name in names]
+            unread = (f"sweep.reduction.column: {red.column!r} matches no trajectory "
+                      f"column at L={config.L} (have {names})")
+            if unread not in errors and not any(_matches(n, red.column) for n in names):
+                errors.append(unread)
+    values = [getattr(config, sweep.parameter) for config in configs]
+    if len(set(values)) < len(values):
+        errors.append("sweep.values: values must be distinct")
+    elif red.kind == "trajectory":
+        files = Counter(_trajectory_file(sweep.name, sweep.parameter, v) for v in values)
+        if twice := sorted(path for path, n in files.items() if n > 1):
+            errors.append(f"sweep.values: several values write each of {twice}; "
+                          f"their file names must differ")
+    if errors:
+        raise ConfigError("invalid sweep config:\n  " + "\n  ".join(errors))
+    return configs
+
+
 def sweep_from_dict(doc: dict, base: ScenarioConfig, name: str = "sweep",
                     description: str = "") -> SweepConfig:
     errors: list[str] = []
     fields = _fields(doc, _SWEEP, "sweep", errors)
-    if not errors:
-        parameter, values = fields["parameter"], []
-        for value in fields["values"]:
-            try:
-                values.append(getattr(replace_fields(base, **{parameter: value}), parameter))
-            except ConfigError as exc:
-                errors.append(f"sweep.values: {exc}")
-        if len(set(values)) < len(values):
-            errors.append("sweep.values: values must be distinct")
-        fields["values"] = tuple(values)
     if errors:
         raise ConfigError("invalid sweep config:\n  " + "\n  ".join(errors))
-    return SweepConfig(name=name, base=base, description=description, **fields)
+    sweep = SweepConfig(name=name, base=base, description=description, **fields)
+    values = tuple(getattr(config, sweep.parameter) for config in _swept_configs(sweep))
+    return dataclasses.replace(sweep, values=values)
 
 
 def load_config(source) -> ScenarioConfig | SweepConfig:
@@ -464,45 +501,6 @@ def load_config(source) -> ScenarioConfig | SweepConfig:
 
 
 # ---------------------------------------------------------------------------
-# observable token mini-language
-# ---------------------------------------------------------------------------
-
-def _parse_token(token: str, L: int):
-    """One token -> list of (column name, ObservableSpec)."""
-    if token in _SIMPLE_TOKENS:
-        return [(token, ObservableSpec(kind=token))]
-    if token in ("n_all", "n_up_all", "n_down_all"):
-        spin = None if token == "n_all" else token[2:-4].strip("_")
-        prefix = "n" if spin is None else f"n_{spin}"
-        kind = "n_site" if spin is None else "n_site_spin"
-        return [
-            (f"{prefix}_{j}", ObservableSpec(kind=kind, site=j, spin=spin))
-            for j in range(1, L + 1)
-        ]
-    m = _SITE_TOKEN.match(token)
-    if m:
-        spin = m.group(1).lstrip("_") if m.group(1) else None
-        site = L if m.group(2) == "L" else int(m.group(2))
-        if not 1 <= site <= L:
-            raise ParameterError(f"token {token!r}: site {site} outside chain [1, {L}]")
-        kind = "n_site" if spin is None else "n_site_spin"
-        return [(token, ObservableSpec(kind=kind, site=site, spin=spin))]
-    raise ParameterError(f"unknown observable token {token!r}")
-
-
-def resolve_observables(tokens, L: int):
-    out = []
-    seen = set()
-    for token in tokens:
-        for name, spec in _parse_token(str(token), L):
-            if name in seen:
-                raise ParameterError(f"duplicate observable column {name!r}")
-            seen.add(name)
-            out.append((name, spec))
-    return out
-
-
-# ---------------------------------------------------------------------------
 # running
 # ---------------------------------------------------------------------------
 
@@ -533,7 +531,7 @@ def _stacks(runs: list[tuple[ScenarioConfig, str]]):
         config = group[0][0]
         basis = product_basis(config.L, *config.initial_state.sector())
         sampled = (len(_time_grid(config.t_max, config.sample_dt))
-                   * len(resolve_observables(config.observables, config.L)))
+                   * len(columns(config.observables, config.L)))
         size = stack_capacity(basis.dim, sampled, config.propagator)
         for lo in range(0, len(group), size):
             yield basis, group[lo:lo + size]
@@ -551,8 +549,8 @@ def _run_stack(basis: ProductBasis, stack: list[tuple[ScenarioConfig, str]]) -> 
     H = build_hamiltonian(params, basis)
     psi0 = config.initial_state.build(basis)
 
-    specs = resolve_observables(config.observables, config.L)
-    fns = observable_functions(specs, basis, H=H, jstar=None if None in jstars else jstars)
+    fns = observable_functions(config.observables, basis, H=H,
+                               jstar=None if None in jstars else jstars)
     times = _time_grid(config.t_max, config.sample_dt)
     traj = evolve_trajectory(H, psi0, times, config.propagator, fns)
     return [traj.row(r) for r in range(len(stack))]
@@ -617,27 +615,22 @@ def _reduce(sweep: SweepConfig, traj: Trajectory) -> dict[str, float]:
         T = red.T if red.T is not None else sweep.base.t_max
         return {f"avg_{name}": time_average(traj.times, col, T)
                 for name, col in traj.columns.items()}
-    matching = [name for name in traj.columns
-                if name == red.column or name.startswith(red.column + "_")]
-    if not matching:
-        raise ConfigError(
-            f"sweep.reduction.column: {red.column!r} matches no trajectory column "
-            f"(have {sorted(traj.columns)})"
-        )
     out = {}
-    for name in matching:
-        t_tr = trap_time(traj.times, traj.columns[name], red.threshold)
-        out[f"t_tr_{name}"] = float("nan") if t_tr is None else t_tr
+    for name, col in traj.columns.items():
+        if _matches(name, red.column):
+            t_tr = trap_time(traj.times, col, red.threshold)
+            out[f"t_tr_{name}"] = float("nan") if t_tr is None else t_tr
     return out
 
 
 def run_sweep(sweep: SweepConfig, output_dir=None, threads: int = 1):
     """Run a sweep; returns (header, rows, csv_path or None), rows in values order.
 
-    Each value's trajectory is reduced, or written, as soon as its stack has
-    run, so only a few stacks are alive at a time.
+    The sweep is checked as a config file's is before anything runs.  Each
+    value's trajectory is reduced, or written, as soon as its stack has run,
+    so only a few stacks are alive at a time.
     """
-    configs = [replace_fields(sweep.base, **{sweep.parameter: value}) for value in sweep.values]
+    configs = _swept_configs(sweep)
     results = []
     for value, traj in zip(sweep.values, _run_configs(configs, threads)):
         if sweep.reduction.kind != "trajectory":
@@ -645,8 +638,7 @@ def run_sweep(sweep: SweepConfig, output_dir=None, threads: int = 1):
             continue
         path = None
         if output_dir is not None:
-            tag = f"{sweep.parameter}={value:g}" if sweep.parameter != "L" else f"L={value}"
-            path = Path(output_dir) / f"{sweep.name}_{tag}.csv"
+            path = Path(output_dir) / _trajectory_file(sweep.name, sweep.parameter, value)
             write_trajectory_csv(traj, path)
         results.append({"trajectory": str(path) if path else ""})
     header = [sweep.parameter] + list(results[0])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fermichain import scenarios
 from fermichain.cli import main
 
 
@@ -99,8 +100,28 @@ _VALID_SCENARIO = {
     ({"initial_state": '{kind: custom, path: "a\\0b"}'}, "initial_state.path:"),
     ({"h": "20.0", "observables": "[n_h2]", "sweep": "{parameter: h, values: [20, -1]}"},
      "sweep.values: h: must be non-negative"),
+    ({"L": "5", "h": "0", "observables": "[n_after]"},
+     "observables: n_after needs an even chain, got L=5"),
+    ({"h": "0", "observables": "[n_after]",
+      "sweep": "{parameter: L, values: [4, 5, 6], reduction: {kind: trajectory}}"},
+     "sweep.values: observables: n_after needs an even chain, got L=5"),
+    ({"t_max": "10", "sweep": "{parameter: U, values: [0, 1], "
+                              "reduction: {kind: time_average, T: 20}}"},
+     "sweep.reduction.T: must be at most t_max = 10, got 20"),
+    ({"sweep": "{parameter: U, values: [0, 1], reduction: {kind: trap_time}}"},
+     "sweep.reduction.column: 'n_h2' matches no trajectory column"),
+    ({"sweep": "{parameter: U, values: [1.0000001, 1.0000002], reduction: {kind: trajectory}}"},
+     "sweep.values: several values write each of ['bad_U=1.csv']"),
+    ({"J": "0"}, "J: must be positive"),
+    ({"sweep": "{parameter: U, values: {start: 1e12, stop: 1e12, step: 1e-3}}"},
+     "sweep.values: a range must hold 1 to"),
 ])
-def test_malformed_config_value_is_config_error(tmp_path, capsys, override, field):
+def test_malformed_config_value_is_config_error(tmp_path, capsys, monkeypatch, override, field):
+    def unreachable(*args, **kwargs):
+        pytest.fail("a malformed config reached the sector build")
+
+    monkeypatch.setattr(scenarios, "product_basis", unreachable)
+    monkeypatch.setattr(scenarios, "build_hamiltonian", unreachable)
     fields = dict(_VALID_SCENARIO, **{k: v for k, v in override.items() if k != "sweep"})
     text = "name: bad\nscenario:\n" + "".join(f"  {k}: {v}\n" for k, v in fields.items())
     command = "simulate"
@@ -112,6 +133,7 @@ def test_malformed_config_value_is_config_error(tmp_path, capsys, override, fiel
     assert main([command, str(config), "--output", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert "config error" in err and field in err and "Traceback" not in err
+    assert not list(tmp_path.glob("*.csv"))
 
 
 @pytest.mark.parametrize("payload, field", [
@@ -189,6 +211,16 @@ def test_malformed_override_is_config_error(tmp_path, capsys, argv, field):
     err = capsys.readouterr().err
     assert "config error" in err and field in err and "Traceback" not in err
     assert not list(tmp_path.iterdir())
+
+
+def test_values_override_is_checked_with_the_reduction(tmp_path, capsys):
+    sweep = "{parameter: U, values: [1, 2], reduction: {kind: trajectory}}"
+    config = _write_config(tmp_path / "bad.yaml", _VALID_SCENARIO, sweep=sweep)
+    argv = ["sweep", config, "--output", str(tmp_path), "--values", "1.0000001,1.0000002"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "sweep.values: several values write each of" in err
+    assert not list(tmp_path.glob("*.csv"))
 
 
 @pytest.mark.parametrize("option", [

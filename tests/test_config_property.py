@@ -1,12 +1,12 @@
-"""Property: any config mapping parses to a config or raises ConfigError, never
-any other exception."""
+"""Properties: any config mapping parses to a config or raises ConfigError, never
+any other exception; and a config that parses runs without a ParameterError."""
 
 import math
 
 import pytest
 
-from fermichain.errors import ConfigError
-from fermichain.scenarios import ScenarioConfig, SweepConfig, load_config
+from fermichain.errors import ConfigError, NumericalError
+from fermichain.scenarios import ScenarioConfig, SweepConfig, load_config, run_scenario, run_sweep
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -88,3 +88,29 @@ def test_load_config_gives_config_or_config_error(doc):
     except ConfigError:
         return
     assert isinstance(config, (ScenarioConfig, SweepConfig))
+
+
+def _small(config) -> bool:
+    """At most 200 samples, 8 swept values and 8 sites: a run of a moment."""
+    if isinstance(config, ScenarioConfig):
+        return config.t_max / config.sample_dt <= 200 and config.L <= 8
+    lengths = config.values if config.parameter == "L" else [config.base.L]
+    return len(config.values) <= 8 and max(lengths) <= 8 and _small(config.base)
+
+
+@hypothesis.settings(derandomize=True, max_examples=400, deadline=None)
+@hypothesis.given(documents())
+def test_config_that_loads_also_runs(doc):
+    try:
+        config = load_config(doc)
+    except ConfigError:
+        return
+    if not _small(config):
+        return
+    try:
+        if isinstance(config, SweepConfig):
+            run_sweep(config)
+        else:
+            run_scenario(config)
+    except NumericalError:  # a run may fail numerically (exit 2); a ParameterError may not
+        pass

@@ -20,7 +20,7 @@ from fermichain.hamiltonian import (
     jstar_site,
     total_spin_squared,
 )
-from fermichain.observables import ObservableSpec, observable_functions, site_density
+from fermichain.observables import observable_functions, site_density
 from fermichain.states import (
     StateVector,
     doublon_at,
@@ -372,15 +372,14 @@ def test_energy_and_s_squared_columns_make_no_matvec(count_matvecs):
     basis, params, stack = _trap_stack()
     psi0 = doublon_at(basis, 4)
     times = 0.05 * np.arange(61)
-    specs = [("energy", ObservableSpec("energy")), ("s2", ObservableSpec("s_squared"))]
-    fns = observable_functions(specs, basis, H=stack)
+    fns = observable_functions(["energy", "s_squared"], basis, H=stack)
     count_matvecs[0] = 0
     evolve_trajectory(stack, psi0, times, PropagatorConfig(), {})
     propagation = count_matvecs[0]
     count_matvecs[0] = 0
     traj = evolve_trajectory(stack, psi0, times, PropagatorConfig(), fns)
     assert count_matvecs[0] == propagation
-    assert np.allclose(traj.column("s2"), 0.0, rtol=0, atol=1e-12)  # a doublon is a singlet
+    assert np.allclose(traj.column("s_squared"), 0.0, rtol=0, atol=1e-12)  # a doublon is a singlet
     count_matvecs[0] = 0
     traj = evolve_trajectory(stack, psi0, times, PropagatorConfig(method="dense_eig"), fns)
     assert count_matvecs[0] == 0
@@ -414,16 +413,15 @@ def test_stack_rows_match_single_runs_and_the_oracle(method, L):
     psi0 = doublon_at(basis, 1)
     times = np.concatenate([[0.0], np.cumsum(np.linspace(0.05, 0.3, 12))])
     config = PropagatorConfig(method=method)
-    specs = [("n_h2", ObservableSpec("n_h2")), ("energy", ObservableSpec("energy"))]
     jstars = [jstar_site(L, 20.0, o) for _, o in _STACK_ROWS]
-    fns = observable_functions(specs, basis, H=stack, jstar=jstars)
+    fns = observable_functions(["n_h2", "energy"], basis, H=stack, jstar=jstars)
     traj = evolve_trajectory(stack, psi0, times, config, fns, store_states=True)
     assert traj.states.shape == (len(params), len(times), basis.dim)
     bound = config.tolerance * times + 1e-13
     for r, p in enumerate(params):
         H = build_hamiltonian(p, basis)
         assert np.array_equal(stack.data[r], H.data)
-        fns = observable_functions(specs, basis, H=H, jstar=jstars[r])
+        fns = observable_functions(["n_h2", "energy"], basis, H=H, jstar=jstars[r])
         single = evolve_trajectory(H, psi0, times, config, fns, store_states=True)
         oracle = DensePropagator(H)
         exact = np.array([oracle.advance(psi0.amplitudes, t) for t in times])

@@ -12,7 +12,6 @@ from fermichain.hamiltonian import (
     total_spin_squared,
 )
 from fermichain.observables import (
-    ObservableSpec,
     StateBlock,
     density_profile,
     doublon_count,
@@ -123,15 +122,9 @@ def test_block_observables_match_state_functions():
     H = build_hamiltonian(HubbardParams(L=L, J=1.0, U=4.0, V=barrier_potential(L, 10.0, "a")),
                           basis)
     s2 = total_spin_squared(basis)
-    specs = [
-        ("n_3", ObservableSpec("n_site", site=3)),
-        ("n_up_1", ObservableSpec("n_site_spin", site=1, spin="up")),
-        ("n_down_L", ObservableSpec("n_site_spin", site=L, spin="down")),
-        ("n_h2", ObservableSpec("n_h2")),
-        *((kind, ObservableSpec(kind)) for kind in
-          ("n_after", "n_total", "norm", "doublon_count", "energy", "s_squared")),
-    ]
-    fns = observable_functions(specs, basis, H=H, jstar=jstar_site(L, 10.0, "a"))
+    tokens = ["n_3", "n_up_1", "n_down_L", "n_h2", "n_after", "n_total", "norm",
+              "doublon_count", "energy", "s_squared"]
+    fns = observable_functions(tokens, basis, H=H, jstar=jstar_site(L, 10.0, "a"))
     rng = np.random.default_rng(11)
     amps = rng.normal(size=(7, basis.dim)) + 1j * rng.normal(size=(7, basis.dim))
     amps /= np.linalg.norm(amps, axis=1, keepdims=True)
@@ -175,16 +168,3 @@ def test_trap_time_examples():
     assert trap_time([0.0, 1.0], [0.02, 0.0], threshold=0.01) == 0.0
     with pytest.raises(ParameterError):
         trap_time([0.0], [0.0], threshold=0.0)
-
-
-def test_observable_spec_validation():
-    ObservableSpec(kind="n_site", site=2)
-    ObservableSpec(kind="n_site_spin", site=2, spin="down")
-    with pytest.raises(ParameterError):
-        ObservableSpec(kind="n_site")
-    with pytest.raises(ParameterError):
-        ObservableSpec(kind="n_site_spin", site=1, spin="sideways")
-    with pytest.raises(ParameterError):
-        ObservableSpec(kind="norm", site=3)
-    with pytest.raises(ParameterError):
-        ObservableSpec(kind="banana")

@@ -8,7 +8,7 @@ from fermichain import evolution, scenarios
 from fermichain.errors import ConfigError, ParameterError
 from fermichain.evolution import Trajectory
 from fermichain.hamiltonian import DENSE_CAP
-from fermichain.observables import time_average
+from fermichain.observables import columns, time_average
 from fermichain.scenarios import (
     Reduction,
     ScenarioConfig,
@@ -17,7 +17,6 @@ from fermichain.scenarios import (
     load_preset,
     preset_names,
     resolve_config,
-    resolve_observables,
     run_scenario,
     run_sweep,
     scenario_from_dict,
@@ -49,19 +48,21 @@ def _scenario_doc(**overrides):
 # ---------------------------------------------------------------------------
 
 def test_token_expansion():
-    names = [name for name, _ in resolve_observables(["n_all"], 4)]
-    assert names == ["n_1", "n_2", "n_3", "n_4"]
-    names = [name for name, _ in resolve_observables(["n_down_L", "n_up_2", "norm"], 6)]
-    assert names == ["n_down_L", "n_up_2", "norm"]
+    assert list(columns(["n_all"], 4)) == ["n_1", "n_2", "n_3", "n_4"]
+    assert columns(["n_down_L", "n_up_2", "norm"], 6) == {
+        "n_down_L": ("n_site", 6, "down"), "n_up_2": ("n_site", 2, "up"),
+        "norm": ("norm", None, None)}
 
 
 def test_token_errors():
     with pytest.raises(ParameterError):
-        resolve_observables(["n_9"], 4)
+        columns(["n_9"], 4)
     with pytest.raises(ParameterError):
-        resolve_observables(["wibble"], 4)
+        columns(["wibble"], 4)
     with pytest.raises(ParameterError):
-        resolve_observables(["n_4", "n_4"], 4)  # same column twice
+        columns(["n_4", "n_4"], 4)  # same column twice
+    with pytest.raises(ParameterError):
+        columns(["n_after"], 5)  # no barrier midpoint on an odd chain
 
 
 # ---------------------------------------------------------------------------
