@@ -21,8 +21,6 @@ from .errors import CapacityError, ConfigError, NumericalError, ParameterError
 from .evolution import (
     PropagatorConfig,
     Trajectory,
-    evolve_dense,
-    evolve_step,
     evolve_trajectory,
 )
 from .hamiltonian import (
@@ -36,15 +34,7 @@ from .hamiltonian import (
     jstar_site,
     total_spin_squared,
 )
-from .observables import (
-    density_profile,
-    doublon_count,
-    n_after,
-    site_density,
-    time_average,
-    total_number,
-    trap_time,
-)
+from .observables import observable_functions, time_average, trap_time
 from .scenarios import (
     ScenarioConfig,
     SweepConfig,

@@ -34,8 +34,8 @@ def _apply_overrides(config: ScenarioConfig, args) -> ScenarioConfig:
     if args.t_max is not None:
         config = replace_fields(config, t_max=args.t_max)
     if args.method is not None:
-        propagator = dataclasses.replace(config.propagator, method=_METHODS[args.method])
-        config = dataclasses.replace(config, propagator=propagator)
+        propagator = dataclasses.asdict(config.propagator) | {"method": _METHODS[args.method]}
+        config = replace_fields(config, propagator=propagator)
     return config
 
 

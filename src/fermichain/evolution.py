@@ -24,14 +24,15 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CapacityError, NumericalError, ParameterError
-from .hamiltonian import DENSE_CAP
+from .hamiltonian import DENSE_CAP, SparseHamiltonian
 from .observables import StateBlock
-from .states import StateVector, _finish
+from .states import StateVector
 
 METHODS = ("dense_eig", "krylov", "taylor")
 
 _TAYLOR_THETA = 4.0  # max ||H|| * dt per Taylor substep; keeps term growth mild
 _MAX_KRYLOV_SPLITS = 4096
+_MAX_TAYLOR_SUBSTEPS = 4096  # per Taylor step; ||H|| * dt up to 4096 * _TAYLOR_THETA
 _BLOCK_ELEMENTS = 1 << 20  # amplitudes per block (16 MiB): bounds a trajectory's memory
 
 
@@ -64,55 +65,16 @@ class PropagatorConfig:
 
 @dataclass(eq=False)
 class Trajectory:
-    """Sampled observables (and optionally states) along one evolution run, or
-    along the k runs of a stack: then each column is (k, len(times)) and the
-    states (k, len(times), dim)."""
+    """Sampled observables along one evolution run, or along the k runs of a
+    stack: then each column is (k, len(times))."""
 
     times: np.ndarray
     columns: dict[str, np.ndarray]
-    states: np.ndarray | None = None
-
-    def column(self, name: str) -> np.ndarray:
-        try:
-            return self.columns[name]
-        except KeyError:
-            raise ParameterError(
-                f"no observable column {name!r}; have {sorted(self.columns)}"
-            ) from None
 
     def row(self, r: int) -> "Trajectory":
         """Run r of a stack as a trajectory of its own."""
         return Trajectory(times=self.times,
-                          columns={name: col[r] for name, col in self.columns.items()},
-                          states=None if self.states is None else self.states[r])
-
-
-class _Operator(NamedTuple):
-    """Uniform view of sparse, dense or duck-typed input: matvec maps (..., dim)
-    vectors, batch is () for one matrix and (k,) for a stack of k (a
-    SparseHamiltonian with (k, nnz) values)."""
-
-    matvec: object
-    dim: int
-    batch: tuple
-    dense: object
-    inf_norm: object
-
-
-def _operator(H) -> _Operator:
-    if hasattr(H, "matvec"):  # a SparseHamiltonian, or any operator with matvec, dim, inf_norm
-        batch = getattr(H, "shape", (H.dim, H.dim))[:-2]
-        return _Operator(H.matvec, H.dim, batch, lambda: H.to_dense(), lambda: H.inf_norm)
-    H = np.asarray(H, dtype=np.float64)
-    if H.ndim != 2 or H.shape[0] != H.shape[1]:
-        raise ParameterError(f"expected a square matrix, got shape {H.shape}")
-    return _Operator(
-        lambda x: (H @ np.asarray(x)[..., None])[..., 0],
-        H.shape[0],
-        (),
-        lambda: H,
-        lambda: float(np.abs(H).sum(axis=1).max()) if H.size else 0.0,
-    )
+                          columns={name: col[r] for name, col in self.columns.items()})
 
 
 def _block_rows(amplitudes: int) -> int:
@@ -132,26 +94,25 @@ def _rows_of(amps, dim: int) -> np.ndarray:
 
 class DensePropagator:
     """Exact evolution through a cached full eigendecomposition: one batched
-    eigh for a stack.  States are (dim,) for one matrix, (k, dim) for a stack."""
+    eigh for a stack.  H is a SparseHamiltonian or a square array; states are
+    (dim,) for one matrix, (k, dim) for a stack."""
 
-    def __init__(self, H, cap: int = DENSE_CAP):
-        op = _operator(H)
-        if op.dim > cap:
-            raise CapacityError(f"dense propagator capped at dim {cap}, got {op.dim}")
-        self.dim = op.dim
-        self.evals, self.evecs = np.linalg.eigh(op.dense())
-
-    def _coef(self, amps: np.ndarray) -> np.ndarray:
-        return (amps[..., None, :] @ self.evecs)[..., 0, :]
+    def __init__(self, H):
+        shape = np.shape(H)  # checked before anything is made dense
+        if len(shape) < 2 or shape[-1] != shape[-2]:
+            raise ParameterError(f"expected a square matrix, got shape {shape}")
+        if shape[-1] > DENSE_CAP:
+            raise CapacityError(f"dense propagator capped at dim {DENSE_CAP}, got {shape[-1]}")
+        dense = H.to_dense() if isinstance(H, SparseHamiltonian) else np.asarray(H, np.float64)
+        self.evals, self.evecs = np.linalg.eigh(dense)
 
     def advance(self, amps: np.ndarray, dt: float) -> np.ndarray:
-        phased = np.exp(-1j * dt * self.evals) * self._coef(amps)
-        return (phased[..., None, :] @ np.swapaxes(self.evecs, -1, -2))[..., 0, :]
+        return next(self.blocks(amps, np.array([dt])))[..., 0, :]
 
     def blocks(self, amps: np.ndarray, times: np.ndarray):
         """States at every grid time, in blocks of shape (..., n, dim):
         (exp(-i t (x) E) * c) @ W^T."""
-        coef = self._coef(amps)[..., None, :]
+        coef = amps[..., None, :] @ self.evecs
         rows = _block_rows(coef.size)
         for lo in range(0, len(times), rows):
             phases = np.exp(-1j * times[lo:lo + rows, None] * self.evals[..., None, :])
@@ -185,8 +146,8 @@ class KrylovPropagator:
     bisected, and a non-finite estimate raises NumericalError.
     """
 
-    def __init__(self, H, config: PropagatorConfig):
-        self.matvec, self.dim = _operator(H)[:2]
+    def __init__(self, H: SparseHamiltonian, config: PropagatorConfig):
+        self.matvec, self.dim = H.matvec, H.dim
         self.m = min(config.krylov_dim, self.dim)
         self.tolerance = config.tolerance
         self.dt = config.dt
@@ -333,10 +294,8 @@ class TaylorPropagator:
     runs until the last row has converged.
     """
 
-    def __init__(self, H, config: PropagatorConfig):
-        op = _operator(H)
-        self.matvec, self.dim = op.matvec, op.dim
-        self.hnorm = op.inf_norm()
+    def __init__(self, H: SparseHamiltonian, config: PropagatorConfig):
+        self.matvec, self.dim, self.hnorm = H.matvec, H.dim, H.inf_norm
         self.tolerance = config.tolerance
         self.max_terms = config.max_taylor_terms
         self.dt = config.dt
@@ -344,7 +303,12 @@ class TaylorPropagator:
     def advance(self, amps: np.ndarray, dt: float) -> np.ndarray:
         if dt == 0.0:
             return amps.copy()
-        nsub = max(1, math.ceil(self.hnorm * abs(dt) / _TAYLOR_THETA))
+        needed = self.hnorm * abs(dt) / _TAYLOR_THETA
+        if not needed <= _MAX_TAYLOR_SUBSTEPS:  # a non-finite norm fails here too
+            raise NumericalError(
+                f"taylor step needs more than {_MAX_TAYLOR_SUBSTEPS} substeps",
+                norm=self.hnorm, step=dt)
+        nsub = max(1, math.ceil(needed))
         tau = dt / nsub
         cur = np.array(amps, dtype=np.complex128)
         for _ in range(nsub):
@@ -415,24 +379,12 @@ def make_propagator(H, config: PropagatorConfig):
     return TaylorPropagator(H, config)
 
 
-def evolve_dense(H, psi: StateVector, t: float, cap: int = DENSE_CAP) -> StateVector:
-    """psi(t) through the full eigendecomposition of H (the oracle path)."""
-    return _finish(psi.basis, DensePropagator(H, cap=cap).advance(psi.amplitudes, t))
-
-
-def evolve_step(H, psi: StateVector, dt: float, config: PropagatorConfig) -> StateVector:
-    """One propagation step of length dt with the configured method."""
-    prop = make_propagator(H, config)
-    return _finish(psi.basis, prop.advance(psi.amplitudes, dt))
-
-
 def evolve_trajectory(
     H,
     psi0: StateVector,
     times,
     config: PropagatorConfig,
     observables: dict,
-    store_states: bool = False,
 ) -> Trajectory:
     """Sample named observables along the evolution of psi0.
 
@@ -441,7 +393,7 @@ def evolve_trajectory(
     out in blocks of consecutive samples; each observable is a callable that
     maps a StateBlock of n states to n values (see
     observables.observable_functions).  At most one block of states is held
-    at a time unless store_states keeps the whole (len(times), dim) array.
+    at a time.
 
     For a stack of k Hamiltonians (a SparseHamiltonian with (k, nnz) values)
     psi0 starts every run; the runs propagate together, and the result holds
@@ -455,12 +407,10 @@ def evolve_trajectory(
     if len(times) > 1 and not np.all(np.diff(times) > 0):
         raise ParameterError("time grid must be strictly increasing")
 
-    op = _operator(H)
+    batch = H.shape[:-2]
     prop = make_propagator(H, config)
-    amps = np.broadcast_to(psi0.amplitudes, op.batch + (op.dim,))
-    columns = {name: np.empty(op.batch + (len(times),)) for name in observables}
-    states = (np.empty(op.batch + (len(times), op.dim), dtype=np.complex128)
-              if store_states else None)
+    amps = np.broadcast_to(psi0.amplitudes, batch + H.shape[-1:])
+    columns = {name: np.empty(batch + (len(times),)) for name in observables}
 
     start = 0
     for block in prop.blocks(amps, times):
@@ -468,8 +418,6 @@ def evolve_trajectory(
         states_block = StateBlock(psi0.basis, block)
         for name, fn in observables.items():
             columns[name][..., start:stop] = fn(states_block)
-        if store_states:
-            states[..., start:stop, :] = block
         start = stop
 
-    return Trajectory(times=times, columns=columns, states=states)
+    return Trajectory(times=times, columns=columns)

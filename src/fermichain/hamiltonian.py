@@ -128,9 +128,6 @@ class SparseHamiltonian:
         out[..., self._nonempty] = sums
         return out
 
-    def expectation(self, amplitudes: np.ndarray) -> float:
-        return float(self.expectations(amplitudes[None])[0])
-
     @cached_property
     def _rows(self) -> np.ndarray:
         """Row index of every stored entry."""

@@ -10,7 +10,6 @@ import numpy as np
 from .basis import ProductBasis
 from .errors import ParameterError
 from .hamiltonian import SparseHamiltonian, total_spin_squared
-from .states import StateVector
 
 SPINS = ("up", "down")
 TRAP_COLUMN = "n_h2"  # the column a trap-time reduction reads unless told otherwise
@@ -21,7 +20,8 @@ _SITE_TOKEN = re.compile(r"n(?:_(up|down))?_(\d+|L|all)")
 
 class StateBlock:
     """Consecutive states over one basis, one per row of an (n, dim) array, or
-    the n states of each of the k runs of a stack, (k, n, dim).
+    the n states of each of the k runs of a stack, (k, n, dim); one state
+    (dim,) reads as a block without the n axis.
 
     Observable callables map a block to n values, or to (k, n).  What several
     columns read, the occupation probabilities and the per-site densities, is
@@ -31,10 +31,6 @@ class StateBlock:
     def __init__(self, basis: ProductBasis | None, amplitudes: np.ndarray):
         self.basis = basis
         self.amplitudes = amplitudes
-
-    @classmethod
-    def of(cls, psi: StateVector) -> "StateBlock":
-        return cls(psi.basis, psi.amplitudes[None])
 
     @cached_property
     def probabilities(self) -> np.ndarray:
@@ -72,15 +68,15 @@ def _row_site_column(sites: np.ndarray):
     return column
 
 
-def _total_number(block: StateBlock) -> np.ndarray:
+def _n_total(block: StateBlock) -> np.ndarray:
     return block.density().sum(axis=-1)
 
 
-def _n_after(block: StateBlock) -> np.ndarray:
+def _after_barrier(block: StateBlock) -> np.ndarray:
     return block.density()[..., block.basis.L // 2 + 1:].sum(axis=-1)
 
 
-def _doublon_count(block: StateBlock) -> np.ndarray:
+def _doublons(block: StateBlock) -> np.ndarray:
     p = block.probabilities
     return p.reshape(p.shape[:-2] + (-1,)) @ block.basis.doublon_counts
 
@@ -95,8 +91,8 @@ def _expectation_column(op: SparseHamiltonian):
     return column
 
 
-_UNBOUND = {"n_after": _n_after, "n_total": _total_number,
-            "norm": _norm, "doublon_count": _doublon_count}
+_UNBOUND = {"n_after": _after_barrier, "n_total": _n_total,
+            "norm": _norm, "doublon_count": _doublons}
 
 
 def columns(tokens, L: int, barrier: bool = True) -> dict[str, tuple]:
@@ -128,46 +124,6 @@ def columns(tokens, L: int, barrier: bool = True) -> dict[str, tuple]:
             raise ParameterError(f"duplicate observable column {min(twice)!r}")
         out.update(found)
     return out
-
-
-def density_profile(psi: StateVector, spin: str | None = None) -> np.ndarray:
-    """Per-site expected occupations, length L."""
-    return StateBlock.of(psi).density(spin)[0]
-
-
-def site_density(psi: StateVector, site: int, spin: str | None = None) -> float:
-    """<n_{site}> (total) or <n_{site,spin}>."""
-    if not 1 <= site <= psi.basis.L:
-        raise ParameterError(f"site {site} outside chain [1, {psi.basis.L}]")
-    return float(density_profile(psi, spin)[site - 1])
-
-
-def total_number(psi: StateVector) -> float:
-    return float(_total_number(StateBlock.of(psi))[0])
-
-
-def n_after(psi: StateVector) -> float:
-    """Total density on the sites after the central barrier, L/2+2 .. L."""
-    if psi.basis.L % 2:
-        raise ParameterError(f"n_after needs an even chain, got L={psi.basis.L}")
-    return float(_n_after(StateBlock.of(psi))[0])
-
-
-def doublon_count(psi: StateVector) -> float:
-    """Expected number of doubly occupied sites."""
-    return float(_doublon_count(StateBlock.of(psi))[0])
-
-
-def norm(psi: StateVector) -> float:
-    return psi.norm()
-
-
-def energy(psi: StateVector, H: SparseHamiltonian) -> float:
-    return H.expectation(psi.amplitudes)
-
-
-def s_squared(psi: StateVector, s2: SparseHamiltonian) -> float:
-    return s2.expectation(psi.amplitudes)
 
 
 def observable_functions(

@@ -31,6 +31,7 @@ from .evolution import (
     stack_capacity,
 )
 from .hamiltonian import (
+    DENSE_CAP,
     HubbardParams,
     barrier_potential,
     build_hamiltonian,
@@ -369,7 +370,7 @@ def check_config(config: ScenarioConfig) -> None:
     """The cross-field checks of a scenario, run on every parsed, swept or
     overridden config; raises ConfigError naming each offending field."""
     errors = []
-    L, h = config.L, config.h
+    L, h, prop = config.L, config.h, config.propagator
     if h < 0:
         errors.append(f"h: must be non-negative, got {h}")
     if not 1 <= L <= MAX_SITES:
@@ -383,9 +384,17 @@ def check_config(config: ScenarioConfig) -> None:
             errors.append(f"observables: {exc}")
         errors += [f"initial_state: site {s} outside chain [1, {L}]"
                    for s in config.initial_state.sites() if not 1 <= s <= L]
+        n_up, n_down = config.initial_state.sector()
+        dim = math.comb(L, n_up) * math.comb(L, n_down)
+        if prop.method == "dense_eig" and dim > DENSE_CAP:
+            errors.append(f"propagator.method: dense_eig is capped at dimension {DENSE_CAP}, "
+                          f"the ({n_up}, {n_down}) sector of L={L} has {dim}")
     errors += _initial_state_errors(config.initial_state)
     if (points := config.t_max / config.sample_dt) > MAX_POINTS:
         errors.append(f"t_max / sample_dt: must be at most {MAX_POINTS}, got {points:g}")
+    if prop.method == "taylor" and (steps := config.t_max / prop.dt) > MAX_POINTS:
+        errors.append(f"propagator.dt: a taylor run takes at most {MAX_POINTS} steps, "
+                      f"got t_max / dt = {steps:g}")
     if errors:
         raise ConfigError("; ".join(errors))
 
@@ -427,6 +436,8 @@ def _swept_configs(sweep: SweepConfig) -> list[ScenarioConfig]:
     """The scenario of each swept value, checked with the reduction that reads
     it; raises ConfigError naming each offending field."""
     errors, configs = [], []
+    if not sweep.values:
+        errors.append("sweep.values: must hold at least one value")
     red = sweep.reduction
     if red.kind == "time_average" and red.T is not None and red.T > sweep.base.t_max:
         errors.append(f"sweep.reduction.T: must be at most t_max = {sweep.base.t_max:g}, "

@@ -46,14 +46,14 @@ def _finish(basis: ProductBasis | None, amps: np.ndarray) -> StateVector:
 NORM_TOLERANCE = 1e-6  # allowed distance of a user-supplied state's norm from 1
 
 
-def from_amplitudes(basis: ProductBasis, amplitudes, tol: float = NORM_TOLERANCE) -> StateVector:
-    """Wrap a user-supplied amplitude vector; must be normalized within tol."""
+def from_amplitudes(basis: ProductBasis, amplitudes) -> StateVector:
+    """Wrap a user-supplied amplitude vector; must be normalized within NORM_TOLERANCE."""
     amps = np.asarray(amplitudes, dtype=np.complex128)
     if amps.shape != (basis.dim,):
         raise ParameterError(f"amplitudes have shape {amps.shape}, expected ({basis.dim},)")
     nrm = np.linalg.norm(amps)
-    if abs(nrm - 1.0) > tol:
-        raise ParameterError(f"amplitudes have norm {nrm}, expected 1 within {tol}")
+    if abs(nrm - 1.0) > NORM_TOLERANCE:
+        raise ParameterError(f"amplitudes have norm {nrm}, expected 1 within {NORM_TOLERANCE}")
     return _finish(basis, amps / nrm)
 
 

@@ -24,7 +24,7 @@ from .hamiltonian import (
     build_single_particle,
     barrier_potential,
 )
-from .observables import StateBlock, density_profile
+from .observables import StateBlock
 from .states import StateVector, doublon_at, mirror_state, singlet_pair, triplet_pair, _finish
 
 # Largest tunneling-symmetry gap of the interacting singlet run (L=6, U=0.5J,
@@ -84,7 +84,7 @@ def tunneling_symmetry_gap(
     basis = psi0.basis
     if basis.L != params.L:
         raise ParameterError(f"state has L={basis.L}, params have L={params.L}")
-    weight_outside = float(density_profile(psi0)[l_a:].sum())
+    weight_outside = float(StateBlock(basis, psi0.amplitudes).density()[l_a:].sum())
     if weight_outside > 1e-12:
         raise ParameterError(f"initial state leaks {weight_outside} outside region A")
 
@@ -115,10 +115,8 @@ def fk_equivalence_residual(
     basis = product_basis(L, 1, 1)
     amps = np.zeros(basis.dim, dtype=np.complex128)
     amps[basis.index(site_bit(up_site), site_bit(1))] = 1.0
-    psi0 = _finish(basis, amps)
     H = build_hamiltonian(params, basis)
-    psi_t = StateVector(basis, DensePropagator(H).advance(psi0.amplitudes, t))
-    n_up = density_profile(psi_t, spin="up")
+    n_up = StateBlock(basis, DensePropagator(H).advance(amps, t)).density("up")
 
     evals, evecs = np.linalg.eigh(build_fk_hamiltonian(L, J, U, h, orientation))
     phi = evecs @ (np.exp(-1j * t * evals) * evecs[up_site - 1])

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import fermichain
 from fermichain import scenarios
 from fermichain.cli import main
 
@@ -115,6 +121,16 @@ _VALID_SCENARIO = {
     ({"J": "0"}, "J: must be positive"),
     ({"sweep": "{parameter: U, values: {start: 1e12, stop: 1e12, step: 1e-3}}"},
      "sweep.values: a range must hold 1 to"),
+    ({"t_max": "0.05", "propagator": "{method: taylor, dt: 1.0e-300}"},
+     "propagator.dt: a taylor run takes at most 1000000 steps, got t_max / dt = 5e+298"),
+    ({"L": "62", "initial_state": "{kind: doublon_plus_up, doublon_site: 1, up_site: 2}",
+      "propagator": "{method: dense_eig}"},
+     "propagator.method: dense_eig is capped at dimension 4096, "
+     "the (2, 1) sector of L=62 has 117242"),
+    ({"initial_state": "{kind: doublon_plus_up, doublon_site: 1, up_site: 2}",
+      "propagator": "{method: dense_eig}", "sweep": "{parameter: L, values: [4, 30]}"},
+     "sweep.values: propagator.method: dense_eig is capped at dimension 4096, "
+     "the (2, 1) sector of L=30 has 13050"),
 ])
 def test_malformed_config_value_is_config_error(tmp_path, capsys, monkeypatch, override, field):
     def unreachable(*args, **kwargs):
@@ -211,6 +227,43 @@ def test_malformed_override_is_config_error(tmp_path, capsys, argv, field):
     err = capsys.readouterr().err
     assert "config error" in err and field in err and "Traceback" not in err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_dense_override_above_the_cap_is_config_error(tmp_path, capsys, monkeypatch, command):
+    def unreachable(*args, **kwargs):
+        pytest.fail("an over-cap dense_eig run reached the sector build")
+
+    monkeypatch.setattr(scenarios, "product_basis", unreachable)
+    fields = dict(_VALID_SCENARIO, L="30",
+                  initial_state="{kind: doublon_plus_up, doublon_site: 1, up_site: 2}")
+    sweep = "{parameter: U, values: [0, 1]}" if command == "sweep" else None
+    config = _write_config(tmp_path / "big.yaml", fields, sweep=sweep)
+    assert main([command, config, "--output", str(tmp_path), "--method", "dense"]) == 1
+    err = capsys.readouterr().err
+    assert ("config error: propagator.method: dense_eig is capped at dimension 4096, "
+            "the (2, 1) sector of L=30 has 13050") in err
+    assert "Traceback" not in err and not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("fields, code, message", [
+    ({"t_max": "0.05", "propagator": "{method: taylor, dt: 1.0e-300}"},
+     1, "config error: propagator.dt:"),
+    ({"U": "1.0e300", "propagator": "{method: taylor}"},
+     2, "numerical failure: taylor step needs more than 4096 substeps"),
+])
+def test_taylor_run_without_end_is_refused(tmp_path, fields, code, message):
+    # in a fresh process with a timeout: a regression fails here instead of hanging
+    config = _write_config(tmp_path / "taylor.yaml", dict(_VALID_SCENARIO, **fields))
+    src = str(Path(fermichain.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run(
+        [sys.executable, "-m", "fermichain.cli", "simulate", config, "--output", str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == code
+    assert message in done.stderr and "Traceback" not in done.stderr
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_values_override_is_checked_with_the_reduction(tmp_path, capsys):

@@ -8,23 +8,21 @@ from fermichain.evolution import (
     KrylovPropagator,
     PropagatorConfig,
     TaylorPropagator,
-    evolve_dense,
-    evolve_step,
     evolve_trajectory,
+    make_propagator,
 )
 from fermichain.hamiltonian import (
+    DENSE_CAP,
     HubbardParams,
     SparseHamiltonian,
     barrier_potential,
     build_hamiltonian,
     jstar_site,
-    total_spin_squared,
 )
-from fermichain.observables import observable_functions, site_density
+from fermichain.observables import StateBlock, observable_functions
 from fermichain.states import (
     StateVector,
     doublon_at,
-    from_amplitudes,
     single_particle_at,
     triplet_pair,
 )
@@ -45,21 +43,33 @@ def _random_vec(dim, rng):
     return v / np.linalg.norm(v)
 
 
-def test_evolve_dense_identity_at_t0():
+def _grid_states(H, psi0, times, config):
+    """The configured propagator's states on a time grid, (..., len(times), dim):
+    psi0 starts every run of a stack."""
+    amps = np.broadcast_to(psi0.amplitudes, H.shape[:-1])
+    return np.concatenate(list(make_propagator(H, config).blocks(amps, times)), axis=-2)
+
+
+def _dense_states(H, psi0, times):
+    return _grid_states(H, psi0, np.asarray(times, dtype=float), PropagatorConfig("dense_eig"))
+
+
+def test_dense_identity_at_t0():
     basis = product_basis(4, 1, 1)
     H = build_hamiltonian(HubbardParams(L=4, J=1.0, U=3.0, V=np.zeros(4)), basis)
     psi = doublon_at(basis, 2)
-    out = evolve_dense(H, psi, 0.0)
-    assert np.allclose(out.amplitudes, psi.amplitudes, atol=1e-15)
+    out = _dense_states(H, psi, [0.0])
+    assert np.allclose(out[0], psi.amplitudes, atol=1e-15)
 
 
 def test_two_site_rabi_oscillation():
     basis = product_basis(2, 1, 0)
     H = build_hamiltonian(HubbardParams(L=2, J=1.0, U=0.0, V=np.zeros(2)), basis)
     psi0 = single_particle_at(basis, 1)
-    for t in np.linspace(0, 7, 29):
-        psi = evolve_dense(H, psi0, t)
-        assert abs(site_density(psi, 2) - np.sin(t) ** 2) <= 1e-12
+    times = np.linspace(0, 7, 29)
+    n_2 = observable_functions(["n_2"], basis)["n_2"]
+    density = n_2(StateBlock(basis, _dense_states(H, psi0, times)))
+    assert np.all(np.abs(density - np.sin(times) ** 2) <= 1e-12)
 
 
 def test_two_site_doublon_oscillation_closed_form():
@@ -81,11 +91,11 @@ def test_two_site_doublon_oscillation_closed_form():
     evals, evecs = np.linalg.eigh(hand)
     e0 = np.zeros(4)
     e0[0] = 1.0
-    for t in np.linspace(0, 12, 49):
-        psi = evolve_dense(H, psi0, t)
+    times = np.linspace(0, 12, 49)
+    for t, psi in zip(times, _dense_states(H, psi0, times)):
         expected = evecs @ (np.exp(-1j * t * evals) * (evecs.T @ e0))
-        assert np.linalg.norm(psi.amplitudes - expected) <= 1e-12
-        p_doublon = abs(psi.amplitudes[0]) ** 2 + abs(psi.amplitudes[3]) ** 2
+        assert np.linalg.norm(psi - expected) <= 1e-12
+        p_doublon = abs(psi[0]) ** 2 + abs(psi[3]) ** 2
         closed = 1 - (8 / omega**2) * np.sin(omega * t / 2) ** 2
         assert abs(p_doublon - closed) <= 1e-12
 
@@ -95,9 +105,9 @@ def test_step_matches_dense_oracle_random_100dim(method):
     H, rng = _random_sparse(100, seed=21)
     v = _random_vec(100, rng)
     config = PropagatorConfig(method=method)
-    stepped = evolve_step(H, StateVector(None, v), config.dt, config)
+    stepped = make_propagator(H, config).advance(v, config.dt)
     oracle = DensePropagator(H).advance(v, config.dt)
-    assert np.linalg.norm(stepped.amplitudes - oracle) <= 1e-10
+    assert np.linalg.norm(stepped - oracle) <= 1e-10
 
 
 @pytest.mark.parametrize("method", ["krylov", "taylor"])
@@ -155,17 +165,12 @@ def test_trajectory_conserved_columns():
     V = np.array([0.0, 0.0, 10.0, 5.0, 0.0, 0.0])
     H = build_hamiltonian(HubbardParams(L=6, J=1.0, U=0.5, V=V), basis)
     psi0 = triplet_pair(basis, 1, 2)
-    s2 = total_spin_squared(basis)
-    observables = {
-        "norm": lambda block: np.linalg.norm(block.amplitudes, axis=1),
-        "energy": lambda block: [H.expectation(v) for v in block.amplitudes],
-        "s_squared": lambda block: [s2.expectation(v) for v in block.amplitudes],
-    }
+    observables = observable_functions(["norm", "energy", "s_squared"], basis, H=H)
     times = np.arange(0.0, 10.0 + 1e-9, 0.1)
     traj = evolve_trajectory(H, psi0, times, PropagatorConfig(), observables)
-    assert np.max(np.abs(traj.column("norm") - 1.0)) <= 1e-10
-    assert np.max(np.abs(traj.column("energy") - traj.columns["energy"][0])) <= 1e-10
-    assert np.max(np.abs(traj.column("s_squared") - 2.0)) <= 1e-10
+    assert np.max(np.abs(traj.columns["norm"] - 1.0)) <= 1e-10
+    assert np.max(np.abs(traj.columns["energy"] - traj.columns["energy"][0])) <= 1e-10
+    assert np.max(np.abs(traj.columns["s_squared"] - 2.0)) <= 1e-10
 
 
 def test_trajectory_grid_validation():
@@ -181,19 +186,28 @@ def test_trajectory_grid_validation():
         evolve_trajectory(H, psi0, [], config, {})
 
 
-def test_trajectory_stores_states():
+@pytest.mark.parametrize("method", ["dense_eig", "krylov", "taylor"])
+def test_blocks_start_at_psi0(method):
     basis = product_basis(2, 1, 0)
     H = build_hamiltonian(HubbardParams(L=2, J=1.0, U=0.0, V=np.zeros(2)), basis)
     psi0 = single_particle_at(basis, 1)
-    traj = evolve_trajectory(H, psi0, [0.0, 0.5, 1.0], PropagatorConfig(), {}, store_states=True)
-    assert traj.states.shape == (3, basis.dim)
-    assert np.allclose(traj.states[0], psi0.amplitudes)
+    states = _grid_states(H, psi0, np.array([0.0, 0.5, 1.0]), PropagatorConfig(method))
+    assert states.shape == (3, basis.dim)
+    assert np.allclose(states[0], psi0.amplitudes)
 
 
-def test_dense_capacity_error():
-    H = csr_from_dense(np.zeros((8, 8)))
+def test_dense_capacity_error(monkeypatch):
+    # checked from the shape alone: neither matrix is ever made dense
+    dim = DENSE_CAP + 1
+    diagonal = SparseHamiltonian(indptr=np.arange(dim + 1), indices=np.arange(dim),
+                                 data=np.zeros(dim))
+    monkeypatch.setattr(SparseHamiltonian, "to_dense", lambda self: pytest.fail("made dense"))
     with pytest.raises(CapacityError):
-        DensePropagator(H, cap=4)
+        DensePropagator(diagonal)
+    with pytest.raises(CapacityError):
+        DensePropagator(np.broadcast_to(0.0, (dim, dim)))  # a view: no dim^2 array
+    with pytest.raises(ParameterError):
+        DensePropagator(np.zeros((3, 4)))
 
 
 def test_taylor_nonconvergence_raises_with_diagnostics():
@@ -246,12 +260,12 @@ def _barrier_sector(L, orientation):
 
 
 def _trajectory_error(H, psi0, times, method="krylov"):
-    """Per-sample distance of a stored trajectory from the dense oracle."""
+    """Per-sample distance of the propagator's states from the dense oracle."""
     config = PropagatorConfig(method=method)
-    traj = evolve_trajectory(H, psi0, times, config, {}, store_states=True)
+    states = _grid_states(H, psi0, times, config)
     oracle = DensePropagator(H)
     exact = np.array([oracle.advance(psi0.amplitudes, t) for t in times])
-    return np.linalg.norm(traj.states - exact, axis=1), config.tolerance
+    return np.linalg.norm(states - exact, axis=1), config.tolerance
 
 
 @pytest.mark.parametrize("method", ["dense_eig", "krylov", "taylor"])
@@ -338,12 +352,12 @@ def test_krylov_trap_stack_build_count_and_oracle(site, builds, krylov_bases):
     psi0 = doublon_at(basis, site)
     times = 0.05 * np.arange(301)
     config = PropagatorConfig()
-    traj = evolve_trajectory(stack, psi0, times, config, {}, store_states=True)
+    states = _grid_states(stack, psi0, times, config)
     assert len(krylov_bases) == builds
     for r, p in enumerate(params):
         oracle = DensePropagator(build_hamiltonian(p, basis))
         exact = np.array([oracle.advance(psi0.amplitudes, t) for t in times])
-        assert np.all(np.linalg.norm(traj.states[r] - exact, axis=1)
+        assert np.all(np.linalg.norm(states[r] - exact, axis=1)
                       <= config.tolerance * times + 1e-13)
 
 
@@ -379,15 +393,15 @@ def test_energy_and_s_squared_columns_make_no_matvec(count_matvecs):
     count_matvecs[0] = 0
     traj = evolve_trajectory(stack, psi0, times, PropagatorConfig(), fns)
     assert count_matvecs[0] == propagation
-    assert np.allclose(traj.column("s_squared"), 0.0, rtol=0, atol=1e-12)  # a doublon is a singlet
+    assert np.allclose(traj.columns["s_squared"], 0.0, rtol=0, atol=1e-12)  # a doublon is a singlet
     count_matvecs[0] = 0
     traj = evolve_trajectory(stack, psi0, times, PropagatorConfig(method="dense_eig"), fns)
     assert count_matvecs[0] == 0
-    assert np.allclose(traj.column("energy"), 10.0, rtol=0, atol=1e-9)
+    assert np.allclose(traj.columns["energy"], 10.0, rtol=0, atol=1e-9)
 
 
 def test_krylov_rejects_non_finite_operator():
-    H = np.diag([1.0, 2.0, np.nan, 3.0])
+    H = csr_from_dense(np.diag([1.0, 2.0, np.nan, 3.0]))
     v = np.full(4, 0.5, dtype=complex)
     with pytest.raises(NumericalError):
         KrylovPropagator(H, PropagatorConfig()).advance(v, 0.05)
@@ -415,21 +429,23 @@ def test_stack_rows_match_single_runs_and_the_oracle(method, L):
     config = PropagatorConfig(method=method)
     jstars = [jstar_site(L, 20.0, o) for _, o in _STACK_ROWS]
     fns = observable_functions(["n_h2", "energy"], basis, H=stack, jstar=jstars)
-    traj = evolve_trajectory(stack, psi0, times, config, fns, store_states=True)
-    assert traj.states.shape == (len(params), len(times), basis.dim)
+    traj = evolve_trajectory(stack, psi0, times, config, fns)
+    states = _grid_states(stack, psi0, times, config)
+    assert states.shape == (len(params), len(times), basis.dim)
     bound = config.tolerance * times + 1e-13
     for r, p in enumerate(params):
         H = build_hamiltonian(p, basis)
         assert np.array_equal(stack.data[r], H.data)
         fns = observable_functions(["n_h2", "energy"], basis, H=H, jstar=jstars[r])
-        single = evolve_trajectory(H, psi0, times, config, fns, store_states=True)
+        single = evolve_trajectory(H, psi0, times, config, fns)
         oracle = DensePropagator(H)
         exact = np.array([oracle.advance(psi0.amplitudes, t) for t in times])
-        assert np.all(np.linalg.norm(traj.states[r] - exact, axis=1) <= bound)
-        assert np.all(np.linalg.norm(traj.states[r] - single.states, axis=1) <= bound)
+        assert np.all(np.linalg.norm(states[r] - exact, axis=1) <= bound)
+        assert np.all(np.linalg.norm(states[r] - _grid_states(H, psi0, times, config), axis=1)
+                      <= bound)
         row = traj.row(r)
         for name in ("n_h2", "energy"):
-            assert np.allclose(row.column(name), single.column(name), rtol=0, atol=1e-9)
+            assert np.allclose(row.columns[name], single.columns[name], rtol=0, atol=1e-9)
 
 
 def test_stack_row_in_an_invariant_space_stays_exact(count_matvecs):
@@ -445,13 +461,13 @@ def test_stack_row_in_an_invariant_space_stays_exact(count_matvecs):
     times = 0.05 * np.arange(101)
     config = PropagatorConfig(krylov_dim=12)  # below dim 64: the moving row has beta > 0
     count_matvecs[0] = 0
-    traj = evolve_trajectory(stack, psi0, times, config, {}, store_states=True)
+    states = _grid_states(stack, psi0, times, config)
     assert count_matvecs[0] > 12  # the moving row needed several bases
-    energy = build_hamiltonian(params[0], basis).expectation(psi0.amplitudes)
+    energy = build_hamiltonian(params[0], basis).expectations(psi0.amplitudes[None])[0]
     exact = np.exp(-1j * energy * times)[:, None] * psi0.amplitudes
-    assert np.max(np.abs(traj.states[0] - exact)) <= 1e-13
+    assert np.max(np.abs(states[0] - exact)) <= 1e-13
     H = build_hamiltonian(params[1], basis)
     oracle = DensePropagator(H)
     moving = np.array([oracle.advance(psi0.amplitudes, t) for t in times])
-    assert np.all(np.linalg.norm(traj.states[1] - moving, axis=1)
+    assert np.all(np.linalg.norm(states[1] - moving, axis=1)
                   <= config.tolerance * times + 1e-13)

@@ -194,9 +194,9 @@ def test_matches_full_fock_oracle_l4_with_asymmetric_hopping():
 def test_spin_squared_eigenstates():
     basis = product_basis(6, 1, 1)
     s2 = total_spin_squared(basis)
-    assert abs(s2.expectation(singlet_pair(basis, 1, 2).amplitudes)) <= 1e-12
-    assert abs(s2.expectation(triplet_pair(basis, 1, 2).amplitudes) - 2.0) <= 1e-12
-    assert abs(s2.expectation(doublon_at(basis, 1).amplitudes)) <= 1e-12
+    states = [singlet_pair(basis, 1, 2), triplet_pair(basis, 1, 2), doublon_at(basis, 1)]
+    got = s2.expectations(np.array([psi.amplitudes for psi in states]))
+    assert np.all(np.abs(got - [0.0, 2.0, 0.0]) <= 1e-12)
 
 
 @pytest.mark.parametrize("n_up,n_down", [(1, 1), (2, 1), (2, 2), (1, 0), (0, 2)])

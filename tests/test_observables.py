@@ -13,39 +13,46 @@ from fermichain.hamiltonian import (
 )
 from fermichain.observables import (
     StateBlock,
-    density_profile,
-    doublon_count,
-    energy,
-    n_after,
-    norm,
     observable_functions,
-    s_squared,
-    site_density,
     time_average,
-    total_number,
     trap_time,
 )
-from fermichain.states import StateVector, doublon_at, mirror_state, singlet_pair
+from fermichain.states import doublon_at, mirror_state, singlet_pair
+
+import fock_oracle
+
+
+def _measure(tokens, psi):
+    """The columns of one state, as the callables that trajectories sample compute them."""
+    fns = observable_functions(tokens, psi.basis)
+    block = StateBlock(psi.basis, psi.amplitudes[None])
+    return {name: float(fn(block)[0]) for name, fn in fns.items()}
+
+
+def _densities(prop, basis, psi0, times, spin=None):
+    """Per-site densities on a time grid, (len(times), L)."""
+    states = np.concatenate(list(prop.blocks(psi0, np.asarray(times, dtype=float))))
+    return StateBlock(basis, states).density(spin)
 
 
 def test_doublon_densities():
     basis = product_basis(4, 1, 1)
-    psi = doublon_at(basis, 1)
-    assert site_density(psi, 1) == 2.0
-    assert all(site_density(psi, j) == 0.0 for j in (2, 3, 4))
-    assert site_density(psi, 1, "up") == 1.0
-    assert doublon_count(psi) == 1.0
-    assert total_number(psi) == 2.0
+    got = _measure(["n_all", "n_up_1", "doublon_count", "n_total"], doublon_at(basis, 1))
+    assert got["n_1"] == 2.0
+    assert all(got[f"n_{j}"] == 0.0 for j in (2, 3, 4))
+    assert got["n_up_1"] == 1.0
+    assert got["doublon_count"] == 1.0
+    assert got["n_total"] == 2.0
     with pytest.raises(ParameterError):
-        site_density(psi, 5)
+        observable_functions(["n_5"], basis)
 
 
 def test_singlet_densities():
     basis = product_basis(4, 1, 1)
-    psi = singlet_pair(basis, 1, 2)
-    assert abs(site_density(psi, 1) - 1.0) <= 1e-15
-    assert abs(site_density(psi, 2) - 1.0) <= 1e-15
-    assert abs(doublon_count(psi)) <= 1e-15
+    got = _measure(["n_1", "n_2", "doublon_count"], singlet_pair(basis, 1, 2))
+    assert abs(got["n_1"] - 1.0) <= 1e-15
+    assert abs(got["n_2"] - 1.0) <= 1e-15
+    assert abs(got["doublon_count"]) <= 1e-15
 
 
 def test_number_conservation_along_run():
@@ -55,27 +62,25 @@ def test_number_conservation_along_run():
     prop = DensePropagator(H)
     psi0 = np.zeros(basis.dim, dtype=complex)
     psi0[0] = 1.0
-    for t in np.linspace(0, 25, 26):
-        psi = StateVector(basis, prop.advance(psi0, t))
-        profile = density_profile(psi)
-        assert abs(profile.sum() - 3.0) <= 1e-10
-        assert np.all(profile >= -1e-12) and np.all(profile <= 2 + 1e-12)
-        up = density_profile(psi, "up")
-        assert np.all(up >= -1e-12) and np.all(up <= 1 + 1e-12)
+    times = np.linspace(0, 25, 26)
+    profile = _densities(prop, basis, psi0, times)
+    assert np.all(np.abs(profile.sum(axis=1) - 3.0) <= 1e-10)
+    assert np.all(profile >= -1e-12) and np.all(profile <= 2 + 1e-12)
+    up = _densities(prop, basis, psi0, times, "up")
+    assert np.all(up >= -1e-12) and np.all(up <= 1 + 1e-12)
 
 
 def test_n_after_examples():
     basis = product_basis(6, 1, 1)
     psi = doublon_at(basis, 1)
-    assert n_after(psi) == 0.0
-    assert n_after(mirror_state(basis, psi)) == 2.0
+    assert _measure(["n_after"], psi)["n_after"] == 0.0
+    assert _measure(["n_after"], mirror_state(basis, psi))["n_after"] == 2.0
 
-    basis4 = product_basis(4, 1, 1)
-    psi4 = doublon_at(basis4, 3)
-    assert n_after(psi4) == site_density(psi4, 4)
+    got = _measure(["n_after", "n_4"], doublon_at(product_basis(4, 1, 1), 3))
+    assert got["n_after"] == got["n_4"]
 
     with pytest.raises(ParameterError):
-        n_after(doublon_at(product_basis(5, 1, 1), 1))
+        observable_functions(["n_after"], product_basis(5, 1, 1))
 
 
 def test_mirror_covariance_of_densities():
@@ -86,13 +91,10 @@ def test_mirror_covariance_of_densities():
     V = barrier_potential(L, 10.0, "a")
     H_fwd = build_hamiltonian(HubbardParams(L=L, J=1.0, U=2.0, V=V), basis)
     H_mir = build_hamiltonian(HubbardParams(L=L, J=1.0, U=2.0, V=V[::-1].copy()), basis)
-    fwd = DensePropagator(H_fwd)
-    mir = DensePropagator(H_mir)
-    psi0_m = mirror_state(basis, psi0)
-    for t in (0.0, 3.0, 11.0, 27.0):
-        a = density_profile(StateVector(basis, fwd.advance(psi0.amplitudes, t)))
-        b = density_profile(StateVector(basis, mir.advance(psi0_m.amplitudes, t)))
-        assert np.max(np.abs(a - b[::-1])) <= 1e-10
+    times = (0.0, 3.0, 11.0, 27.0)
+    a = _densities(DensePropagator(H_fwd), basis, psi0.amplitudes, times)
+    b = _densities(DensePropagator(H_mir), basis, mirror_state(basis, psi0).amplitudes, times)
+    assert np.max(np.abs(a - b[:, ::-1])) <= 1e-10
 
 
 def _loop_reference(basis, amps, H, s2):
@@ -116,7 +118,13 @@ def _loop_reference(basis, amps, H, s2):
     }
 
 
-def test_block_observables_match_state_functions():
+def _random_block(basis, seed, n=7):
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=(n, basis.dim)) + 1j * rng.normal(size=(n, basis.dim))
+    return amps / np.linalg.norm(amps, axis=1, keepdims=True)
+
+
+def test_block_observables_match_loop_reference():
     L = 6
     basis = product_basis(L, 2, 1)
     H = build_hamiltonian(HubbardParams(L=L, J=1.0, U=4.0, V=barrier_potential(L, 10.0, "a")),
@@ -125,23 +133,41 @@ def test_block_observables_match_state_functions():
     tokens = ["n_3", "n_up_1", "n_down_L", "n_h2", "n_after", "n_total", "norm",
               "doublon_count", "energy", "s_squared"]
     fns = observable_functions(tokens, basis, H=H, jstar=jstar_site(L, 10.0, "a"))
-    rng = np.random.default_rng(11)
-    amps = rng.normal(size=(7, basis.dim)) + 1j * rng.normal(size=(7, basis.dim))
-    amps /= np.linalg.norm(amps, axis=1, keepdims=True)
+    amps = _random_block(basis, 11)
     columns = {name: fn(StateBlock(basis, amps)) for name, fn in fns.items()}
     for row, v in enumerate(amps):
-        psi = StateVector(basis, v)
-        state = {
-            "n_3": site_density(psi, 3), "n_up_1": site_density(psi, 1, "up"),
-            "n_down_L": density_profile(psi, "down")[-1], "n_h2": site_density(psi, 4),
-            "n_after": n_after(psi), "n_total": total_number(psi), "norm": norm(psi),
-            "doublon_count": doublon_count(psi), "energy": energy(psi, H),
-            "s_squared": s_squared(psi, s2),
-        }
         reference = _loop_reference(basis, v, H, s2)
         for name, col in columns.items():
-            assert abs(col[row] - state[name]) <= 1e-13, name
             assert abs(col[row] - reference[name]) <= 1e-12, name
+
+
+@pytest.mark.parametrize("n_up, n_down", [(1, 1), (2, 1), (2, 2)])
+def test_block_observables_match_full_fock_oracle(n_up, n_down):
+    # every operator of the reference is a Jordan-Wigner product on the 4^L
+    # Fock space, projected onto the sector: no code shared with the package
+    L, U = 4, 3.0
+    V = barrier_potential(L, 10.0, "b")
+    basis = product_basis(L, n_up, n_down)
+    H = build_hamiltonian(HubbardParams(L=L, J=1.0, U=U, V=V), basis)
+    fns = observable_functions(["n_all", "n_up_all", "n_down_all", "doublon_count",
+                                "energy", "s_squared"], basis, H=H)
+    amps = _random_block(basis, 5)
+    columns = {name: fn(StateBlock(basis, amps)) for name, fn in fns.items()}
+
+    E = fock_oracle.sector_embedding(L, basis)
+    cd = fock_oracle.creation_operators(2 * L)
+    number = [m @ m.T for m in cd]  # n_m for mode m: up sites 1..L, then down sites
+    operators = {"energy": fock_oracle.full_hamiltonian(L, 1.0, 1.0, U, V),
+                 "s_squared": fock_oracle.full_spin_squared(L),
+                 "doublon_count": sum(number[j] @ number[L + j] for j in range(L))}
+    for j in range(1, L + 1):
+        operators[f"n_up_{j}"] = number[j - 1]
+        operators[f"n_down_{j}"] = number[L + j - 1]
+        operators[f"n_{j}"] = number[j - 1] + number[L + j - 1]
+    assert sorted(operators) == sorted(columns)
+    for name, op in operators.items():
+        want = np.einsum("ni,ij,nj->n", amps.conj(), E.T @ op @ E, amps).real
+        assert np.max(np.abs(columns[name] - want)) <= 1e-12, name
 
 
 def test_time_average_examples():

@@ -408,3 +408,9 @@ def test_threads_never_change_the_stacks(monkeypatch, values):
         run_sweep(sweep, threads=threads)
     assert seen[1] == seen[3]
     assert len(seen[1]) == (1 if parameter == "U" else len(values))
+
+
+def test_empty_sweep_values_are_config_error():
+    sweep = dataclasses.replace(load_preset("fig4"), values=())
+    with pytest.raises(ConfigError, match="sweep.values: must hold at least one value"):
+        run_sweep(sweep)

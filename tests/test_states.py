@@ -3,8 +3,9 @@ import pytest
 
 from fermichain.basis import mirror_mask, product_basis
 from fermichain.errors import ParameterError
-from fermichain.evolution import evolve_dense
+from fermichain.evolution import DensePropagator
 from fermichain.hamiltonian import HubbardParams, build_hamiltonian, total_spin_squared
+from fermichain.observables import StateBlock
 from fermichain.states import (
     doublon_at,
     doublon_plus_up,
@@ -30,7 +31,7 @@ def test_doublon_examples():
     assert np.count_nonzero(psi.amplitudes) == 1
 
     H = build_hamiltonian(HubbardParams(L=4, J=1.0, U=10.0, V=np.zeros(4)), basis)
-    assert abs(H.expectation(psi.amplitudes) - 10.0) <= 1e-12
+    assert abs(H.expectations(psi.amplitudes[None])[0] - 10.0) <= 1e-12
 
     mirrored = mirror_state(basis, psi)
     assert np.allclose(mirrored.amplitudes, doublon_at(basis, 4).amplitudes)
@@ -43,8 +44,8 @@ def test_pair_states():
     triplet = triplet_pair(basis, 1, 2)
     assert abs(singlet.norm() - 1.0) <= 1e-15
     assert abs(triplet.norm() - 1.0) <= 1e-15
-    assert abs(s2.expectation(singlet.amplitudes)) <= 1e-12
-    assert abs(s2.expectation(triplet.amplitudes) - 2.0) <= 1e-12
+    got = s2.expectations(np.array([singlet.amplitudes, triplet.amplitudes]))
+    assert np.all(np.abs(got - [0.0, 2.0]) <= 1e-12)
     assert abs(singlet.overlap(triplet)) <= 1e-15
     with pytest.raises(ParameterError):
         singlet_pair(basis, 2, 2)
@@ -58,7 +59,7 @@ def test_doublon_plus_up():
     psi = doublon_plus_up(basis, 1, 4)
     assert np.count_nonzero(psi.amplitudes) == 1
     H = build_hamiltonian(HubbardParams(L=4, J=1.0, U=10.0, V=np.zeros(4)), basis)
-    assert abs(H.expectation(psi.amplitudes) - 10.0) <= 1e-12
+    assert abs(H.expectations(psi.amplitudes[None])[0] - 10.0) <= 1e-12
     with pytest.raises(ParameterError):
         doublon_plus_up(basis, 2, 2)
     with pytest.raises(ParameterError):
@@ -88,12 +89,11 @@ def test_single_particle_mirror_reverses_amplitudes():
 
 
 def test_mirror_occupations_reflect():
-    from fermichain.observables import density_profile
-
     basis = product_basis(6, 2, 1)
     psi = _random_state(basis, 9)
     mirrored = mirror_state(basis, psi)
-    assert np.allclose(density_profile(mirrored), density_profile(psi)[::-1], atol=1e-14)
+    profiles = StateBlock(basis, np.array([psi.amplitudes, mirrored.amplitudes])).density()
+    assert np.allclose(profiles[1], profiles[0][::-1], atol=1e-14)
 
 
 def test_mirror_commutes_with_symmetric_hamiltonian():
@@ -101,10 +101,11 @@ def test_mirror_commutes_with_symmetric_hamiltonian():
     V = np.array([0.0, 7.0, 7.0, 0.0])  # reflection-symmetric barrier
     H = build_hamiltonian(HubbardParams(L=4, J=1.0, U=2.5, V=V), basis)
     psi = _random_state(basis, 5)
+    prop = DensePropagator(H)
     t = 13.0
-    lhs = mirror_state(basis, evolve_dense(H, psi, t))
-    rhs = evolve_dense(H, mirror_state(basis, psi), t)
-    assert np.linalg.norm(lhs.amplitudes - rhs.amplitudes) <= 1e-10
+    lhs = mirror_state(basis, from_amplitudes(basis, prop.advance(psi.amplitudes, t)))
+    rhs = prop.advance(mirror_state(basis, psi).amplitudes, t)
+    assert np.linalg.norm(lhs.amplitudes - rhs) <= 1e-10
 
 
 def test_from_amplitudes_validation():
