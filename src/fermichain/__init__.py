@@ -11,8 +11,6 @@ truncated Taylor series.
 from .basis import (
     ProductBasis,
     SpinSectorBasis,
-    apply_hop,
-    apply_move,
     enumerate_sector,
     mirror_mask,
     product_basis,

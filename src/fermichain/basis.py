@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Optional
 
 import numpy as np
 
@@ -130,38 +129,6 @@ class ProductBasis:
 
 def product_basis(L: int, n_up: int, n_down: int) -> ProductBasis:
     return ProductBasis(up=enumerate_sector(L, n_up), down=enumerate_sector(L, n_down))
-
-
-def _check_site(L: int, site: int, name: str) -> None:
-    if not 1 <= site <= L:
-        raise ParameterError(f"{name}={site} outside chain [1, {L}]")
-
-
-def apply_move(L: int, mask: int, src: int, dst: int) -> Optional[tuple[int, int]]:
-    """Move one particle from site src to site dst with the Jordan-Wigner sign.
-
-    Returns (new_mask, sign) with sign = (-1)^(occupied sites strictly between
-    src and dst), or None when src is empty or dst occupied.  src and dst may
-    be any distinct sites; nearest-neighbor hops always carry sign +1.
-    """
-    _check_site(L, src, "src")
-    _check_site(L, dst, "dst")
-    if src == dst:
-        raise ParameterError("src and dst must differ")
-    bs, bd = site_bit(src), site_bit(dst)
-    if not mask & bs or mask & bd:
-        return None
-    lo, hi = (src, dst) if src < dst else (dst, src)
-    between = ((1 << (hi - 1)) - 1) & ~((1 << lo) - 1)
-    sign = -1 if popcount(mask & between) & 1 else 1
-    return mask ^ (bs | bd), sign
-
-
-def apply_hop(L: int, mask: int, src: int, dst: int) -> Optional[tuple[int, int]]:
-    """Nearest-neighbor hop; raises on non-adjacent sites."""
-    if abs(src - dst) != 1:
-        raise ParameterError(f"hop sites {src}->{dst} are not adjacent")
-    return apply_move(L, mask, src, dst)
 
 
 def mirror_mask(L: int, mask: int) -> int:

@@ -11,8 +11,10 @@ of consecutive samples, each an (n, dim) array.  The dense propagator reads
 every sample from one eigendecomposition; the Krylov propagator reads
 samples from one Lanczos basis ("dense output", as in Expokit: Sidje, ACM
 TOMS 24:130, 1998) until one fails its error estimate, and only then builds
-the next; the Taylor propagator, kept as the independent reference, steps
-from sample to sample.
+the next, which starts between grid times when a new basis cannot reach even
+the next sample; the Taylor propagator, kept as the independent reference,
+steps from sample to sample.  The dense and Krylov `advance` (one step) read
+a state of their own `blocks`; Taylor's `blocks` steps with its `advance`.
 """
 
 from __future__ import annotations
@@ -30,9 +32,11 @@ from .states import StateVector
 
 METHODS = ("dense_eig", "krylov", "taylor")
 
+MAX_TAYLOR_STEPS = 1_000_000  # per Taylor run: t / dt
 _TAYLOR_THETA = 4.0  # max ||H|| * dt per Taylor substep; keeps term growth mild
-_MAX_KRYLOV_SPLITS = 4096
 _MAX_TAYLOR_SUBSTEPS = 4096  # per Taylor step; ||H|| * dt up to 4096 * _TAYLOR_THETA
+_MAX_TAYLOR_TERMS = 200  # per Taylor substep
+_KRYLOV_HALVINGS = 12  # a new basis steps at least 2**-12 of the way to its next sample
 _BLOCK_ELEMENTS = 1 << 20  # amplitudes per block (16 MiB): bounds a trajectory's memory
 
 
@@ -48,7 +52,6 @@ class PropagatorConfig:
     dt: float = 0.05
     tolerance: float = 1e-10
     krylov_dim: int = 30
-    max_taylor_terms: int = 200
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -59,8 +62,6 @@ class PropagatorConfig:
                 raise ParameterError(f"{name}={value} must be positive and finite")
         if self.krylov_dim < 2:
             raise ParameterError(f"krylov_dim={self.krylov_dim} must be at least 2")
-        if self.max_taylor_terms < 1:
-            raise ParameterError("max_taylor_terms must be at least 1")
 
 
 @dataclass(eq=False)
@@ -142,8 +143,9 @@ class KrylovPropagator:
     basis a time s after its start has the a-posteriori error estimate
     |beta_m y_m(s)| ||v|| (Hochbruck & Lubich, SIAM J. Numer. Anal. 34:1911,
     1997).  A state is read only when that estimate is at most
-    tolerance * s for every row; a step that fails from a new basis is
-    bisected, and a non-finite estimate raises NumericalError.
+    tolerance * s for every row; a new basis that cannot reach the next
+    sample moves the state part of the way, and a non-finite estimate raises
+    NumericalError.
     """
 
     def __init__(self, H: SparseHamiltonian, config: PropagatorConfig):
@@ -206,49 +208,39 @@ class KrylovPropagator:
         """The states of coefficients Y, (k, n, dim)."""
         return basis.norm[:, None, None] * (np.swapaxes(Y, 1, 2) @ basis.V)
 
-    def _step(self, amps: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
-        basis = self._lanczos(amps)
-        Y, err = self._read(basis, np.array([tau]))
-        return self._states(basis, Y)[:, 0], err[:, 0]
-
-    def _split(self, amps: np.ndarray, dt: float, nsub: int) -> np.ndarray:
-        """Cover dt with nsub equal steps, doubling nsub until every step of every
-        row is accepted."""
-        worst = math.inf
-        while nsub <= _MAX_KRYLOV_SPLITS:
-            tau = dt / nsub
-            cur = amps
-            for _ in range(nsub):
-                cur, err = self._step(cur, tau)
-                if not np.all(err <= self.tolerance * abs(tau)):
-                    worst = float(np.max(err))
-                    break
-            else:
-                return cur
-            nsub *= 2
-        raise NumericalError(
-            "krylov step failed to reach tolerance",
-            residual=worst, step=dt, dimension=self.dim, krylov_dim=self.m,
-        )
+    def _partway(self, basis: _KrylovBasis, t0: float, span: float) -> tuple[np.ndarray, float]:
+        """From a basis built at t0 that cannot reach t0 + span: the first state of
+        t0 + span/2, t0 + span/4, ... whose estimate passes in every row, and its time."""
+        h = span * 0.5 ** np.arange(1, _KRYLOV_HALVINGS + 1)
+        Y, err = self._read(basis, h)
+        ok = np.all(err <= self.tolerance * np.abs(h), axis=0)
+        if not ok.any():
+            raise NumericalError("krylov step failed to reach tolerance",
+                                 residual=float(np.max(err[:, -1])), step=span,
+                                 dimension=self.dim, krylov_dim=self.m)
+        j = int(ok.argmax())
+        return self._states(basis, Y[:, :, j:j + 1])[:, 0], t0 + h[j]
 
     def advance(self, amps: np.ndarray, dt: float) -> np.ndarray:
         if dt == 0.0:
             return amps.copy()
-        return self._split(_rows_of(amps, self.dim), dt, 1).reshape(np.shape(amps))
+        return next(self.blocks(amps, np.array([0.0, dt])))[..., -1, :]
 
     def blocks(self, amps: np.ndarray, times: np.ndarray):
         """States at every grid time, in blocks of shape (..., n, dim).
 
         A Lanczos basis of the stack, built at time t0, serves the following
         samples for as long as each one's estimate, in every row, stays within
-        tolerance times its distance s from t0; the first sample that fails
+        tolerance times its distance |s| from t0; the first sample that fails
         ends the basis, and the next one is built at the last sample served.
-        The bases' spans tile the grid, so the error at t is at most
-        tolerance * t.  Samples are tried a window at a time: the window
-        starts at dt and becomes twice the last served sample's distance from
-        its basis's start; the next sample is always tried.  When a new basis
-        fails even that sample, the interval up to it is bisected.  A basis
-        exact in every row serves every remaining sample, without windows.
+        Samples are tried a window at a time: the window starts at dt and
+        becomes twice the last served sample's distance from its basis's
+        start; the next sample is always tried.  A new basis that fails even
+        that sample carries the state to the first of s/2, s/4, ... (down to
+        2**-_KRYLOV_HALVINGS s) whose estimate passes, and the next basis
+        starts there, between grid times.  The bases' spans tile the grid, so
+        the error at t is at most tolerance * |t|.  A basis exact in every row
+        serves every remaining sample, without windows.
         """
         shape = np.shape(amps)[:-1]
         cur = _rows_of(amps, self.dim)
@@ -256,30 +248,29 @@ class KrylovPropagator:
         head = cur[:, None]  # the t = 0 state rides with the first block
         window = self.dt
         basis = None
-        i, last = 0, len(times) - 1
+        start, i, last = times[0], 0, len(times) - 1  # cur is the state at time start
         while i < last:
             fresh = basis is None
             if fresh:
-                basis, t0 = self._lanczos(cur), times[i]
+                basis, t0 = self._lanczos(cur), start
             hi = min(last + 1, i + 1 + rows)
             if basis.beta.any():
                 hi = min(hi, max(i + 2, int(np.searchsorted(times, t0 + window, "right"))))
             s = times[i + 1:hi] - t0
             Y, err = self._read(basis, s)
-            ok = np.all(err <= self.tolerance * s, axis=0)
+            ok = np.all(err <= self.tolerance * np.abs(s), axis=0)
             n = len(s) if ok.all() else int(ok.argmin())
-            if not (n or fresh):  # a reused basis failed its next sample: start one at cur
+            if not n:  # a basis that serves no sample ends; a new one first goes part of the way
+                if fresh:
+                    cur, start = self._partway(basis, t0, s[0])
                 basis = None
                 continue
-            if n:
-                block = self._states(basis, Y[:, :, :n])
-                window = 2.0 * s[n - 1]
-            else:  # a new basis failed its first sample: bisect that interval
-                block = self._split(cur, s[0], 2)[:, None]
+            block = self._states(basis, Y[:, :, :n])
+            window = 2.0 * s[n - 1]
             if n < len(s):
                 basis = None  # a failed sample ends the basis
-            cur = block[:, -1].copy()
-            i += max(n, 1)
+            i += n
+            cur, start = block[:, -1].copy(), times[i]
             if head is not None:
                 block, head = np.concatenate([head, block], axis=1), None
             yield block.reshape(shape + block.shape[1:])
@@ -297,7 +288,6 @@ class TaylorPropagator:
     def __init__(self, H: SparseHamiltonian, config: PropagatorConfig):
         self.matvec, self.dim, self.hnorm = H.matvec, H.dim, H.inf_norm
         self.tolerance = config.tolerance
-        self.max_terms = config.max_taylor_terms
         self.dt = config.dt
 
     def advance(self, amps: np.ndarray, dt: float) -> np.ndarray:
@@ -322,7 +312,7 @@ class TaylorPropagator:
         # substep so a full run accumulates at most tolerance * t
         budget = 0.25 * self.tolerance * abs(tau) * np.maximum(_norms(psi), 1e-300)
         tn = math.inf
-        for k in range(1, self.max_terms + 1):
+        for k in range(1, _MAX_TAYLOR_TERMS + 1):
             term = (-1j * tau / k) * self.matvec(term)
             acc += term
             tn = _norms(term)
@@ -330,12 +320,16 @@ class TaylorPropagator:
                 return acc
         raise NumericalError(
             "taylor series did not converge",
-            residual=float(np.max(tn)), step=tau, dimension=self.dim, terms=self.max_terms,
+            residual=float(np.max(tn)), step=tau, dimension=self.dim, terms=_MAX_TAYLOR_TERMS,
         )
 
     def blocks(self, amps: np.ndarray, times: np.ndarray):
         """States at every grid time, in blocks of shape (..., n, dim); each sample
-        interval is covered by equal steps no longer than dt."""
+        interval is covered by equal steps no longer than dt, at most
+        MAX_TAYLOR_STEPS of them over the grid."""
+        if (steps := times[-1] / self.dt) > MAX_TAYLOR_STEPS:
+            raise ParameterError(f"a taylor run takes at most {MAX_TAYLOR_STEPS} steps, "
+                                 f"got t / dt = {steps:g}")
         cur = np.array(amps, dtype=np.complex128)
         rows = _block_rows(cur.size)
         block = [cur]

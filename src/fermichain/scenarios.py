@@ -24,6 +24,7 @@ import yaml
 from .basis import MAX_SITES, ProductBasis, product_basis, site_bit
 from .errors import ConfigError, ParameterError
 from .evolution import (
+    MAX_TAYLOR_STEPS,
     METHODS,
     PropagatorConfig,
     Trajectory,
@@ -160,6 +161,21 @@ def _positive(value) -> float:
     return out
 
 
+def _text(value) -> str:
+    """Text; a number counts, as YAML reads an unquoted 2024 as one."""
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise ValueError(f"must be text, got {value!r}")
+    return str(value)
+
+
+def _file_name(value) -> str:
+    name = _text(value)
+    if name in ("", ".", "..") or any(c in name for c in "/\\\0"):
+        raise ValueError(f"must be a plain file name (no path separator, "
+                         f"not '.' or '..'), got {name!r}")
+    return name
+
+
 def _one_of(*choices):
     def check(value):
         if value not in choices:
@@ -293,7 +309,6 @@ _PROPAGATOR = {
     "dt": (_positive, False),
     "tolerance": (_positive, False),
     "krylov_dim": (_integer, False),
-    "max_taylor_terms": (_integer, False),
 }
 
 
@@ -345,6 +360,14 @@ _SWEEP = {
     "reduction": (_section(_REDUCTION, "sweep.reduction", Reduction), False),
 }
 
+# the top level of a config document; its sections are read by their own tables
+_DOCUMENT = {
+    "name": (_file_name, False),
+    "description": (_text, False),
+    "scenario": (dict, True),
+    "sweep": (dict, False),
+}
+
 
 # kind -> the site fields that must name different sites
 _DISTINCT_SITES = {"singlet": ("i", "j"), "triplet": ("i", "j"),
@@ -392,8 +415,8 @@ def check_config(config: ScenarioConfig) -> None:
     errors += _initial_state_errors(config.initial_state)
     if (points := config.t_max / config.sample_dt) > MAX_POINTS:
         errors.append(f"t_max / sample_dt: must be at most {MAX_POINTS}, got {points:g}")
-    if prop.method == "taylor" and (steps := config.t_max / prop.dt) > MAX_POINTS:
-        errors.append(f"propagator.dt: a taylor run takes at most {MAX_POINTS} steps, "
+    if prop.method == "taylor" and (steps := config.t_max / prop.dt) > MAX_TAYLOR_STEPS:
+        errors.append(f"propagator.dt: a taylor run takes at most {MAX_TAYLOR_STEPS} steps, "
                       f"got t_max / dt = {steps:g}")
     if errors:
         raise ConfigError("; ".join(errors))
@@ -497,17 +520,14 @@ def load_config(source) -> ScenarioConfig | SweepConfig:
     for section in ("scenario", "sweep"):
         if section in doc and not isinstance(doc[section], dict):
             raise ConfigError(f"config section {section!r} must be a mapping")
-    unknown = sorted(str(k) for k in doc if k not in ("name", "description", "scenario", "sweep"))
-    if unknown:
-        raise ConfigError(f"config: unexpected keys {unknown}")
-    name = str(doc.get("name", "run"))
-    if name in ("", ".", "..") or any(c in name for c in "/\\\0"):
-        raise ConfigError(f"name: must be a plain file name (no path separator, "
-                          f"not '.' or '..'), got {name!r}")
-    description = str(doc.get("description", ""))
-    base = scenario_from_dict(doc["scenario"], name=name, description=description)
-    if "sweep" in doc:
-        return sweep_from_dict(doc["sweep"], base, name=name, description=description)
+    errors: list[str] = []
+    fields = _fields(doc, _DOCUMENT, "", errors)
+    if errors:
+        raise ConfigError("; ".join(errors))
+    name, description = fields.get("name", "run"), fields.get("description", "")
+    base = scenario_from_dict(fields["scenario"], name=name, description=description)
+    if "sweep" in fields:
+        return sweep_from_dict(fields["sweep"], base, name=name, description=description)
     return base
 
 

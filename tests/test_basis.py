@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from fermichain.basis import (
-    apply_hop,
-    apply_move,
     enumerate_sector,
     mirror_mask,
     popcount,
@@ -13,8 +11,6 @@ from fermichain.basis import (
     reorder_sign,
 )
 from fermichain.errors import ParameterError
-
-import fock_oracle
 
 
 def test_enumerate_examples():
@@ -48,52 +44,6 @@ def test_product_basis_dimensions():
     assert basis.L == 6
     g = basis.index(0b000011, 0b000111)
     assert basis.config(g) == (0b000011, 0b000111)
-
-
-def test_apply_hop_examples():
-    assert apply_hop(4, 0b101, 3, 2) == (0b011, +1)   # sites {1,3}, move 3 -> 2
-    assert apply_hop(4, 0b010, 1, 2) is None          # source empty
-    assert apply_hop(4, 0b011, 1, 2) is None          # destination occupied
-    with pytest.raises(ParameterError):
-        apply_hop(4, 0b001, 1, 3)
-    with pytest.raises(ParameterError):
-        apply_hop(4, 0b001, 4, 5)
-
-
-def test_hop_roundtrip_preserves_mask_and_sign():
-    rng = np.random.default_rng(7)
-    L = 10
-    for _ in range(200):
-        mask = int(rng.integers(0, 1 << L))
-        src = int(rng.integers(1, L))
-        dst = src + 1
-        result = apply_hop(L, mask, src, dst)
-        if result is None:
-            continue
-        moved, sign = result
-        assert popcount(moved) == popcount(mask)
-        back = apply_hop(L, moved, dst, src)
-        assert back == (mask, sign)
-
-
-def test_move_signs_match_second_quantization():
-    # c+_dst c_src on the spinless L-site chain, all masks and site pairs
-    L = 5
-    cd = fock_oracle.creation_operators(L)
-    c = [m.T for m in cd]
-    for src in range(1, L + 1):
-        for dst in range(1, L + 1):
-            if src == dst:
-                continue
-            op = cd[dst - 1] @ c[src - 1]
-            for mask in range(1 << L):
-                result = apply_move(L, mask, src, dst)
-                if result is None:
-                    assert np.all(op[:, mask] == 0)
-                else:
-                    moved, sign = result
-                    assert op[moved, mask] == sign
-                    assert np.count_nonzero(op[:, mask]) == 1
 
 
 def test_mirror_examples():

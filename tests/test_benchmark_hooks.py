@@ -9,6 +9,11 @@ from pathlib import Path
 
 import numpy as np
 
+from fermichain.basis import product_basis
+from fermichain.evolution import METHODS, PropagatorConfig, make_propagator
+from fermichain.hamiltonian import HubbardParams, barrier_potential, build_hamiltonian
+from fermichain.states import doublon_at
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
@@ -34,6 +39,21 @@ def test_tracer_installs_and_removes_every_wrapper(monkeypatch):
         trace.uninstall()
     assert all(w is not o for w, o in zip(wrapped, originals))
     assert [owner.__dict__[name] for owner, name in targets] == originals
+
+
+def test_traced_advance_returns_the_states_of_the_unwrapped_call(monkeypatch):
+    tracer = _load("tracer", monkeypatch)
+    basis = product_basis(4, 1, 1)
+    H = build_hamiltonian(HubbardParams(L=4, J=1.0, U=10.0, V=barrier_potential(4, 20.0, "a")),
+                          basis)
+    psi0 = doublon_at(basis, 1).amplitudes
+    props = [make_propagator(H, PropagatorConfig(method)) for method in METHODS]
+    assert sorted(type(p).__name__ for p in props) == sorted(c.__name__ for c in tracer.PROPAGATORS)
+    plain = [p.advance(psi0, 0.5) for p in props]
+    trace = tracer.Tracer()
+    traced = trace.run(lambda: [p.advance(psi0, 0.5) for p in props])
+    assert all(np.array_equal(a, b) for a, b in zip(traced, plain))
+    assert trace.counts()["evolution.advance"] == 3
 
 
 def test_output_check_reference_runs_on_both_of_its_propagators(monkeypatch):

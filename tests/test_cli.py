@@ -131,6 +131,16 @@ _VALID_SCENARIO = {
       "propagator": "{method: dense_eig}", "sweep": "{parameter: L, values: [4, 30]}"},
      "sweep.values: propagator.method: dense_eig is capped at dimension 4096, "
      "the (2, 1) sector of L=30 has 13050"),
+    ({"name": "null"}, "name: must be text, got None"),
+    ({"name": "true"}, "name: must be text, got True"),
+    ({"name": "[a, b]"}, "name: must be text, got ['a', 'b']"),
+    ({"name": "{a: 1}"}, "name: must be text, got {'a': 1}"),
+    ({"description": "null"}, "description: must be text, got None"),
+    ({"description": "false"}, "description: must be text, got False"),
+    ({"description": "[x]"}, "description: must be text, got ['x']"),
+    ({"description": "{a: 1}"}, "description: must be text, got {'a': 1}"),
+    ({"propagator": "{method: taylor, max_taylor_terms: 2}"},
+     "propagator: unexpected keys ['max_taylor_terms']"),
 ])
 def test_malformed_config_value_is_config_error(tmp_path, capsys, monkeypatch, override, field):
     def unreachable(*args, **kwargs):
@@ -138,8 +148,11 @@ def test_malformed_config_value_is_config_error(tmp_path, capsys, monkeypatch, o
 
     monkeypatch.setattr(scenarios, "product_basis", unreachable)
     monkeypatch.setattr(scenarios, "build_hamiltonian", unreachable)
-    fields = dict(_VALID_SCENARIO, **{k: v for k, v in override.items() if k != "sweep"})
-    text = "name: bad\nscenario:\n" + "".join(f"  {k}: {v}\n" for k, v in fields.items())
+    top = {"name": "bad", **{k: v for k, v in override.items() if k in ("name", "description")}}
+    fields = dict(_VALID_SCENARIO, **{k: v for k, v in override.items()
+                                      if k not in ("sweep", *top)})
+    text = "".join(f"{k}: {v}\n" for k, v in top.items()) + "scenario:\n"
+    text += "".join(f"  {k}: {v}\n" for k, v in fields.items())
     command = "simulate"
     if "sweep" in override:
         text += f"sweep: {override['sweep']}\n"

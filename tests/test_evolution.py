@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -210,13 +215,39 @@ def test_dense_capacity_error(monkeypatch):
         DensePropagator(np.zeros((3, 4)))
 
 
-def test_taylor_nonconvergence_raises_with_diagnostics():
+def test_taylor_nonconvergence_raises_with_diagnostics(monkeypatch):
+    from fermichain import evolution
+
+    monkeypatch.setattr(evolution, "_MAX_TAYLOR_TERMS", 2)
     H, rng = _random_sparse(40, seed=3, scale=50.0)
     v = _random_vec(40, rng)
-    prop = TaylorPropagator(H, PropagatorConfig(method="taylor", max_taylor_terms=2))
+    prop = TaylorPropagator(H, PropagatorConfig(method="taylor"))
     with pytest.raises(NumericalError) as err:
         prop.advance(v, 0.05)
     assert "terms" in err.value.diagnostics
+
+
+def test_taylor_run_of_too_many_steps_is_refused_before_stepping():
+    from fermichain import evolution
+
+    # in a fresh process with a timeout: a regression fails here instead of hanging
+    code = (
+        "import numpy as np\n"
+        "from fermichain import (HubbardParams, PropagatorConfig, build_hamiltonian,\n"
+        "                        doublon_at, evolve_trajectory, product_basis)\n"
+        "basis = product_basis(4, 1, 1)\n"
+        "H = build_hamiltonian(HubbardParams(L=4, J=1.0, U=0.0, V=np.zeros(4)), basis)\n"
+        "evolve_trajectory(H, doublon_at(basis, 1), [0.0, 0.05],\n"
+        "                  PropagatorConfig(method='taylor', dt=1e-300), {})\n"
+    )
+    src = str(Path(evolution.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 1
+    assert ("ParameterError: a taylor run takes at most 1000000 steps, "
+            "got t / dt = 5e+298") in done.stderr
 
 
 def test_krylov_tolerance_failure_raises():
@@ -300,19 +331,27 @@ def test_krylov_exact_sector_needs_one_build(count_matvecs):
 
 
 def test_krylov_coarse_grid_bisects(monkeypatch):
+    # no basis reaches 5/J at this tolerance: a new basis that fails its first
+    # sample carries the state part of the way there, and the next basis starts
+    # between grid times; covering each 5/J with equal sub-steps, restarted
+    # from scratch with twice as many on failure, took 33 builds
     basis, H = _barrier_sector(20, "a")
-    splits = []
-    split = KrylovPropagator._split
+    starts = []
+    lanczos = KrylovPropagator._lanczos
 
-    def recording(self, amps, dt, nsub):
-        splits.append(dt)
-        return split(self, amps, dt, nsub)
+    def building(self, amps):
+        starts.append(amps[0].copy())
+        return lanczos(self, amps)
 
-    monkeypatch.setattr(KrylovPropagator, "_split", recording)
+    monkeypatch.setattr(KrylovPropagator, "_lanczos", building)
     times = np.array([0.0, 5.0, 10.0, 15.0])
-    err, tol = _trajectory_error(H, doublon_at(basis, 3), times)
-    assert splits == [5.0, 5.0, 5.0]  # no single step reaches 5/J at this tolerance
+    psi0 = doublon_at(basis, 3)
+    err, tol = _trajectory_error(H, psi0, times)
     assert np.all(err <= tol * times + 1e-13)
+    assert len(starts) == 20
+    oracle = DensePropagator(H)
+    on_grid = np.array([oracle.advance(psi0.amplitudes, t) for t in times])
+    assert any(np.min(np.linalg.norm(on_grid - v, axis=1)) > 1e-3 for v in starts)
 
 
 def _trap_stack():
@@ -361,24 +400,15 @@ def test_krylov_trap_stack_build_count_and_oracle(site, builds, krylov_bases):
                       <= config.tolerance * times + 1e-13)
 
 
-def test_krylov_reused_basis_that_fails_is_rebuilt_not_bisected(monkeypatch, krylov_bases):
+def test_krylov_reused_basis_that_fails_is_rebuilt_not_bisected(krylov_bases):
     # on a 0.6 grid a fresh basis reaches its first sample but not always the
     # next one: the reused basis then fails its first new sample, and the step
     # restarts from the last state with a new basis instead of bisecting
     basis, H = _barrier_sector(20, "a")
-    splits = []
-    split = KrylovPropagator._split
-
-    def recording(self, amps, dt, nsub):
-        splits.append(dt)
-        return split(self, amps, dt, nsub)
-
-    monkeypatch.setattr(KrylovPropagator, "_split", recording)
     times = 0.6 * np.arange(11)
     err, tol = _trajectory_error(H, doublon_at(basis, 3), times)
     assert all(reads[0] for reads in krylov_bases)  # every fresh basis reached its first sample
     assert sum(not ok for reads in krylov_bases for ok in reads[1:]) >= 1
-    assert splits == []
     assert np.all(err <= tol * times + 1e-13)
 
 
