@@ -15,6 +15,10 @@ the next, which starts between grid times when a new basis cannot reach even
 the next sample; the Taylor propagator, kept as the independent reference,
 steps from sample to sample.  The dense and Krylov `advance` (one step) read
 a state of their own `blocks`; Taylor's `blocks` steps with its `advance`.
+
+make_propagator picks the method by size (Moler & Van Loan, SIAM Rev. 45:3,
+2003): a krylov config whose Krylov space would span the whole sector gets
+the dense propagator, exact and without matrix-vector products.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ _MAX_TAYLOR_SUBSTEPS = 4096  # per Taylor step; ||H|| * dt up to 4096 * _TAYLOR_
 _MAX_TAYLOR_TERMS = 200  # per Taylor substep
 _KRYLOV_HALVINGS = 12  # a new basis steps at least 2**-12 of the way to its next sample
 _BLOCK_ELEMENTS = 1 << 20  # amplitudes per block (16 MiB): bounds a trajectory's memory
+_ANCHORED_MIN = 16  # fewest lattice samples in a block whose phases come from anchors
 
 
 @dataclass(frozen=True)
@@ -93,6 +98,38 @@ def _rows_of(amps, dim: int) -> np.ndarray:
     return np.array(amps, dtype=np.complex128).reshape(-1, dim)
 
 
+def _lattice(times: np.ndarray) -> tuple[float, int]:
+    """(h, m) such that times[:m] == h * arange(m) exactly, where m is len(times),
+    or one less when only the last sample is off the lattice (clipped short, as
+    scenarios' grids are); m is 0 for any other grid."""
+    if len(times) < 2 or not times[1] > 0:
+        return 0.0, 0
+    h = times[1]
+    on = times == h * np.arange(len(times))
+    m = len(times) - (not on[-1])
+    return h, (m if on[:m].all() else 0)
+
+
+def _phases(evals: np.ndarray, times: np.ndarray, h: float, m: int) -> np.ndarray:
+    """exp(-i t (x) E), (..., len(times), dim), for a block whose first m times
+    are consecutive multiples of h.  Those m come from exact exps at anchors
+    about sqrt(m) samples apart times the exact exps of the in-group offsets
+    j h: about 2 sqrt(m) exps per eigenvalue instead of m, with the error of
+    rounding t, about |E| ulp(t), that the direct exp also has.  The other
+    times, and blocks of fewer than _ANCHORED_MIN lattice samples, take the
+    direct exp."""
+    if m < _ANCHORED_MIN:
+        return np.exp(-1j * times[:, None] * evals[..., None, :])
+    g = math.isqrt(m)
+    anchors = np.exp(-1j * times[:m:g, None] * evals[..., None, :])
+    offsets = np.exp(-1j * (h * np.arange(g))[:, None] * evals[..., None, :])
+    grid = anchors[..., :, None, :] * offsets[..., None, :, :]
+    grid = grid.reshape(grid.shape[:-3] + (-1, grid.shape[-1]))[..., :m, :]
+    if m == len(times):
+        return grid
+    return np.concatenate([grid, np.exp(-1j * times[m:, None] * evals[..., None, :])], axis=-2)
+
+
 class DensePropagator:
     """Exact evolution through a cached full eigendecomposition: one batched
     eigh for a stack.  H is a SparseHamiltonian or a square array; states are
@@ -106,6 +143,8 @@ class DensePropagator:
             raise CapacityError(f"dense propagator capped at dim {DENSE_CAP}, got {shape[-1]}")
         dense = H.to_dense() if isinstance(H, SparseHamiltonian) else np.asarray(H, np.float64)
         self.evals, self.evecs = np.linalg.eigh(dense)
+        if not np.isfinite(self.evals).all():  # eigh returns NaN, it does not raise
+            raise NumericalError("dense spectrum is not finite", dimension=shape[-1])
 
     def advance(self, amps: np.ndarray, dt: float) -> np.ndarray:
         return next(self.blocks(amps, np.array([dt])))[..., 0, :]
@@ -115,8 +154,9 @@ class DensePropagator:
         (exp(-i t (x) E) * c) @ W^T."""
         coef = amps[..., None, :] @ self.evecs
         rows = _block_rows(coef.size)
+        h, m = _lattice(times)
         for lo in range(0, len(times), rows):
-            phases = np.exp(-1j * times[lo:lo + rows, None] * self.evals[..., None, :])
+            phases = _phases(self.evals, times[lo:lo + rows], h, max(0, min(rows, m - lo)))
             yield (phases * coef) @ np.swapaxes(self.evecs, -1, -2)
 
 
@@ -352,12 +392,13 @@ def stack_capacity(dim: int, sampled: int, config: PropagatorConfig) -> int:
 
     Besides its samples, a run of a stack holds the propagator's arrays: the
     dense matrix and its eigenvectors for dense_eig (2 dim^2), the Lanczos
-    basis for krylov (krylov_dim * dim), a few vectors for taylor.  A stack
-    holds at most _BLOCK_ELEMENTS of these values, as many as one block of
-    states, however many runs share its sector.  A sector above DENSE_CAP
-    runs alone: on the L = 30 (2, 1) sector (dim 13 050) a stack of the two
-    orientations took as long as two stacks of one, and two stacks of one
-    on two threads took a fifth less.
+    basis for krylov (min(krylov_dim, dim) * dim, which also covers the
+    dim^2 eigenvectors of the exact path krylov takes when krylov_dim >= dim),
+    a few vectors for taylor.  A stack holds at most _BLOCK_ELEMENTS of these
+    values, as many as one block of states, however many runs share its
+    sector.  A sector above DENSE_CAP runs alone: on the L = 30 (2, 1)
+    sector (dim 13 050) a stack of the two orientations took as long as two
+    stacks of one, and two stacks of one on two threads took a fifth less.
     """
     if dim > DENSE_CAP:
         return 1
@@ -366,7 +407,12 @@ def stack_capacity(dim: int, sampled: int, config: PropagatorConfig) -> int:
 
 
 def make_propagator(H, config: PropagatorConfig):
-    if config.method == "dense_eig":
+    """The configured propagator; a krylov config whose krylov_dim spans the
+    sector (dim <= krylov_dim, dim <= DENSE_CAP) gets the exact
+    DensePropagator: a Krylov space that spans the sector is the sector."""
+    dim = np.shape(H)[-1]
+    if config.method == "dense_eig" or (config.method == "krylov"
+                                        and dim <= min(config.krylov_dim, DENSE_CAP)):
         return DensePropagator(H)
     if config.method == "krylov":
         return KrylovPropagator(H, config)

@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from .basis import ProductBasis, enumerate_sector
-from .errors import ParameterError
+from .errors import NumericalError, ParameterError
 
 DENSE_CAP = 4096  # largest dimension handled by dense eigendecompositions
 # (state, stored entry) terms per chunk of an expectation; on a dim-400 stack
@@ -260,11 +260,12 @@ def build_hamiltonian(params, basis: ProductBasis) -> SparseHamiltonian:
     du, dd = len(up), len(down)
     U = np.array([float(p.U) for p in stack])[:, None, None]
     V = np.array([p.V for p in stack])
-    diag = U * np.bitwise_count(up[:, None] & down[None, :]).astype(np.float64)
-    for j in range(L):
-        bu = ((up >> j) & 1).astype(np.float64)
-        bd = ((down >> j) & 1).astype(np.float64)
-        diag += V[:, j, None, None] * (bu[:, None] + bd[None, :])
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite entry raises below
+        diag = U * np.bitwise_count(up[:, None] & down[None, :]).astype(np.float64)
+        for j in range(L):
+            bu = ((up >> j) & 1).astype(np.float64)
+            bd = ((down >> j) & 1).astype(np.float64)
+            diag += V[:, j, None, None] * (bu[:, None] + bd[None, :])
 
     su, tu = _species_hops(L, up)
     sd, td = _species_hops(L, down)
@@ -277,6 +278,8 @@ def build_hamiltonian(params, basis: ProductBasis) -> SparseHamiltonian:
         np.repeat([[-float(p.hop_up)] for p in stack], len(su) * dd, axis=1),
         np.repeat([[-float(p.hop_down)] for p in stack], len(sd) * du, axis=1),
     ], axis=1)
+    if not np.isfinite(vals).all():
+        raise NumericalError("hamiltonian entries are not finite", dimension=basis.dim)
     return _csr(basis.dim, rows, cols, vals[0] if single else vals, basis)
 
 

@@ -165,27 +165,37 @@ def observable_functions(
     return fns
 
 
-def time_average(times, values, T: float) -> float:
-    """Trapezoid-rule average of a sampled column over [0, T].
+def time_average(times, values, T: float):
+    """Trapezoid-rule average over [0, T] of a sampled column (n,), as a float,
+    or of each row of a (columns, n) array, as an array.
 
-    The grid must cover [0, T]; samples beyond T are ignored.
+    The grid must cover [0, T]; samples beyond T are ignored.  A column is
+    averaged as a one-row array, so its average does not depend on the rows
+    it comes with.
     """
     times = np.asarray(times, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
     if not T > 0:
         raise ParameterError(f"averaging window T={T} must be positive")
     keep = times <= T * (1 + 1e-12)
-    tt, vv = times[keep], values[keep]
+    tt = times[keep]
     if len(tt) < 2 or tt[-1] < T * (1 - 1e-9):
         raise ParameterError(f"trajectory covers [0, {times[-1] if len(times) else 0}], need [0, {T}]")
-    return float(np.trapezoid(vv, tt) / (tt[-1] - tt[0]))
+    # row-major rows: each row's sum is then the same pairwise sum as a 1-d array's
+    rows = np.ascontiguousarray(np.atleast_2d(values)[:, keep])
+    avg = np.trapezoid(rows, tt, axis=-1) / (tt[-1] - tt[0])
+    return float(avg[0]) if values.ndim == 1 else avg
 
 
-def trap_time(times, values, threshold: float = 0.01) -> float | None:
-    """First sampled time where the column strictly exceeds threshold; None if never."""
+def trap_time(times, values, threshold: float = 0.01):
+    """First sampled time where a column (n,) strictly exceeds threshold, None
+    if never; or that time for each row of a (columns, n) array, NaN if never."""
     if not threshold > 0:
         raise ParameterError(f"threshold={threshold} must be positive")
-    hits = np.flatnonzero(np.asarray(values) > threshold)
-    if hits.size == 0:
-        return None
-    return float(np.asarray(times)[hits[0]])
+    hits = np.atleast_2d(np.asarray(values)) > threshold
+    # a row without a hit stops at the appended True and reads the appended NaN
+    hits = np.concatenate([hits, np.ones(hits.shape[:-1] + (1,), dtype=bool)], axis=-1)
+    first = np.append(np.asarray(times, dtype=np.float64), np.nan)[hits.argmax(axis=-1)]
+    if np.ndim(values) > 1:
+        return first
+    return None if np.isnan(first[0]) else float(first[0])

@@ -641,17 +641,16 @@ def run_scenario(config: ScenarioConfig, output_dir=None, threads: int = 1):
 
 
 def _reduce(sweep: SweepConfig, traj: Trajectory) -> dict[str, float]:
+    """The sweep's reduction of one trajectory: one call over all the columns it reads."""
     red = sweep.reduction
     if red.kind == "time_average":
         T = red.T if red.T is not None else sweep.base.t_max
-        return {f"avg_{name}": time_average(traj.times, col, T)
-                for name, col in traj.columns.items()}
-    out = {}
-    for name, col in traj.columns.items():
-        if _matches(name, red.column):
-            t_tr = trap_time(traj.times, col, red.threshold)
-            out[f"t_tr_{name}"] = float("nan") if t_tr is None else t_tr
-    return out
+        names = list(traj.columns)
+        values = time_average(traj.times, [traj.columns[n] for n in names], T)
+        return {f"avg_{name}": value for name, value in zip(names, values.tolist())}
+    names = [name for name in traj.columns if _matches(name, red.column)]
+    values = trap_time(traj.times, [traj.columns[n] for n in names], red.threshold)
+    return {f"t_tr_{name}": value for name, value in zip(names, values.tolist())}
 
 
 def run_sweep(sweep: SweepConfig, output_dir=None, threads: int = 1):

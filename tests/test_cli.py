@@ -279,6 +279,23 @@ def test_taylor_run_without_end_is_refused(tmp_path, fields, code, message):
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize("method", ["dense_eig", "krylov"])
+def test_overflowing_hamiltonian_is_a_numerical_failure(tmp_path, method):
+    # U + V = 2e308 on the doublon's site: dense_eig wrote an all-NaN CSV with exit 0
+    fields = dict(_VALID_SCENARIO, U="1.0e308", h="1.0e308", propagator=f"{{method: {method}}}")
+    config = _write_config(tmp_path / "overflow.yaml", fields)
+    src = str(Path(fermichain.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run(
+        [sys.executable, "-m", "fermichain.cli", "simulate", config, "--output", str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 2
+    assert done.stderr.splitlines() == [
+        "numerical failure: hamiltonian entries are not finite (dimension=16)"]
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_values_override_is_checked_with_the_reduction(tmp_path, capsys):
     sweep = "{parameter: U, values: [1, 2], reduction: {kind: trajectory}}"
     config = _write_config(tmp_path / "bad.yaml", _VALID_SCENARIO, sweep=sweep)

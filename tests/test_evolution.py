@@ -48,11 +48,17 @@ def _random_vec(dim, rng):
     return v / np.linalg.norm(v)
 
 
+def _propagator(H, config):
+    """The configured propagator; a krylov config gets the Lanczos method even
+    on a sector that its space spans, where make_propagator takes the exact path."""
+    return KrylovPropagator(H, config) if config.method == "krylov" else make_propagator(H, config)
+
+
 def _grid_states(H, psi0, times, config):
     """The configured propagator's states on a time grid, (..., len(times), dim):
     psi0 starts every run of a stack."""
     amps = np.broadcast_to(psi0.amplitudes, H.shape[:-1])
-    return np.concatenate(list(make_propagator(H, config).blocks(amps, times)), axis=-2)
+    return np.concatenate(list(_propagator(H, config).blocks(amps, times)), axis=-2)
 
 
 def _dense_states(H, psi0, times):
@@ -328,6 +334,83 @@ def test_krylov_exact_sector_needs_one_build(count_matvecs):
     err, tol = _trajectory_error(H, doublon_at(basis, 1), times)
     assert count_matvecs[0] == basis.dim  # one Lanczos build, one matvec per basis vector
     assert np.all(err <= tol * times + 1e-13)
+
+
+@pytest.mark.parametrize("krylov_dim", [16, 30])
+def test_krylov_config_that_spans_its_sector_takes_the_exact_path(krylov_dim, count_matvecs):
+    basis, H = _barrier_sector(4, "a")  # dim 16 <= krylov_dim
+    psi0 = doublon_at(basis, 1)
+    times = 0.05 * np.arange(101)
+    config = PropagatorConfig(krylov_dim=krylov_dim)
+    prop = make_propagator(H, config)
+    assert isinstance(prop, DensePropagator)
+    states = np.concatenate(list(prop.blocks(psi0.amplitudes, times)))
+    oracle = DensePropagator(H)
+    exact = np.array([oracle.advance(psi0.amplitudes, t) for t in times])
+    assert count_matvecs[0] == 0
+    assert np.all(np.linalg.norm(states - exact, axis=1) <= config.tolerance * times + 1e-13)
+
+
+def test_krylov_config_below_its_sector_builds_lanczos_bases(count_matvecs):
+    basis, H = _barrier_sector(4, "a")
+    config = PropagatorConfig(krylov_dim=basis.dim - 1)
+    assert isinstance(make_propagator(H, config), KrylovPropagator)
+    evolve_trajectory(H, doublon_at(basis, 1), 0.05 * np.arange(101), config, {})
+    assert count_matvecs[0] >= basis.dim - 1
+
+
+def test_dense_rejects_a_non_finite_spectrum():
+    with pytest.raises(NumericalError):
+        DensePropagator(np.diag([1.0, 2.0, np.nan, 3.0]))
+
+
+def _direct_phases(evals, times):
+    return np.exp(-1j * times[:, None] * evals[..., None, :])
+
+
+@pytest.mark.parametrize("t_max", [5.0, 30.0, 50.0, 100.0, 7.33])  # 7.33: last sample clipped
+def test_anchored_phases_match_direct_exps_on_preset_grids(t_max):
+    from fermichain.evolution import _lattice, _phases
+    from fermichain.scenarios import _time_grid
+
+    times = _time_grid(t_max, 0.05)
+    evals = np.random.default_rng(7).uniform(-60.0, 60.0, (3, 24))
+    h, m = _lattice(times)
+    assert h == 0.05 and m == len(times) - (t_max == 7.33)
+    phases = _phases(evals, times, h, m)
+    assert phases.shape == (3, len(times), 24)
+    assert np.max(np.abs(phases - _direct_phases(evals, times))) <= 2e-12
+    if m < len(times):  # the clipped sample is an exact exp
+        assert np.array_equal(phases[:, -1], _direct_phases(evals, times[-1:])[:, 0])
+
+
+def test_phases_off_a_lattice_are_direct_exps():
+    from fermichain.evolution import _lattice, _phases
+
+    evals = np.random.default_rng(8).uniform(-60.0, 60.0, 24)
+    uneven = np.concatenate([[0.0], np.cumsum(np.linspace(0.02, 0.4, 16))])
+    short = 0.05 * np.arange(10)
+    for times in (uneven, short, np.array([0.3])):
+        assert np.array_equal(_phases(evals, times, *_lattice(times)),
+                              _direct_phases(evals, times))
+    assert _lattice(uneven)[1] == 0
+
+
+def test_dense_blocks_read_anchored_phases_at_their_own_grid_times(monkeypatch):
+    from fermichain import evolution
+
+    basis = product_basis(6, 1, 1)
+    params = [HubbardParams(L=6, J=1.0, U=U, V=barrier_potential(6, 20.0, "a")) for U in (0, 10)]
+    stack = build_hamiltonian(params, basis)
+    monkeypatch.setattr(evolution, "_BLOCK_ELEMENTS", 2 * 37 * basis.dim)  # 37 samples a block
+    times = 0.05 * np.arange(801)
+    psi0 = np.broadcast_to(doublon_at(basis, 1).amplitudes, (2, basis.dim))
+    prop = DensePropagator(stack)
+    blocks = list(prop.blocks(psi0, times))
+    assert [b.shape[-2] for b in blocks[:2]] == [37, 37]
+    coef = psi0[:, None, :] @ prop.evecs
+    direct = (_direct_phases(prop.evals, times) * coef) @ np.swapaxes(prop.evecs, -1, -2)
+    assert np.max(np.abs(np.concatenate(blocks, axis=-2) - direct)) <= 2e-12
 
 
 def test_krylov_coarse_grid_bisects(monkeypatch):

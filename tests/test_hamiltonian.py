@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fermichain.basis import product_basis
-from fermichain.errors import ParameterError
+from fermichain.errors import NumericalError, ParameterError
 from fermichain.hamiltonian import (
     BarrierOrientation,
     HubbardParams,
@@ -122,6 +122,18 @@ def test_assembled_operators_equal_their_transpose(seed):
     for op in (H, stack, s2):
         dense = op.to_dense()
         assert np.array_equal(dense, np.swapaxes(dense, -1, -2))
+
+
+def test_overflowing_entries_raise_without_warning():
+    # 1e308 on the diagonal and 1e308 more from the barrier: the sum overflows;
+    # RuntimeWarnings are errors under the suite's filterwarnings
+    basis = product_basis(4, 1, 1)
+    V = barrier_potential(4, 1.0e308, "a")
+    with pytest.raises(NumericalError, match="not finite"):
+        build_hamiltonian(HubbardParams(L=4, J=1.0, U=1.0e308, V=V), basis)
+    with pytest.raises(NumericalError, match="not finite"):
+        build_hamiltonian([HubbardParams(L=4, J=1.0, U=0.0, V=np.zeros(4)),
+                           HubbardParams(L=4, J=1.0, U=1.0e308, V=V)], basis)
 
 
 def test_dimension_mismatch_rejected():

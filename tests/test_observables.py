@@ -194,3 +194,18 @@ def test_trap_time_examples():
     assert trap_time([0.0, 1.0], [0.02, 0.0], threshold=0.01) == 0.0
     with pytest.raises(ParameterError):
         trap_time([0.0], [0.0], threshold=0.0)
+
+
+def test_reductions_of_a_column_stack_equal_the_per_column_calls():
+    # bit for bit: a sweep reduces all of a trajectory's columns in one call
+    rng = np.random.default_rng(5)
+    times = 0.05 * np.arange(2001)
+    values = rng.random((6, len(times))) * np.linspace(0.0, 0.02, len(times))
+    for T in (5.0, 40.0, 100.0):
+        stacked = time_average(times, values, T)
+        assert stacked.shape == (6,)
+        assert stacked.tolist() == [time_average(times, col, T) for col in values]
+    first = trap_time(times, values, 0.015)
+    assert first.tolist() == [trap_time(times, col, 0.015) for col in values]
+    never = trap_time(times, [values[0], np.zeros(len(times))], 0.015)
+    assert never[0] == first[0] and np.isnan(never[1])
