@@ -16,9 +16,9 @@ the next sample; the Taylor propagator, kept as the independent reference,
 steps from sample to sample.  The dense and Krylov `advance` (one step) read
 a state of their own `blocks`; Taylor's `blocks` steps with its `advance`.
 
-make_propagator picks the method by size (Moler & Van Loan, SIAM Rev. 45:3,
-2003): a krylov config whose Krylov space would span the whole sector gets
-the dense propagator, exact and without matrix-vector products.
+plan picks, from a sector's size alone, the propagator that runs it, the runs
+per stack and the memory of a stack; make_propagator, the config checks and
+the stack split all read it.
 """
 
 from __future__ import annotations
@@ -386,35 +386,37 @@ class TaylorPropagator:
             yield np.stack(block, axis=-2)
 
 
-def stack_capacity(dim: int, sampled: int, config: PropagatorConfig) -> int:
-    """The most runs of one sector that propagate as one stack, when each run
-    samples `sampled` values (samples times columns).
+def plan(dim: int, sampled: int, config: PropagatorConfig, nnz: int = 0) -> tuple[str, int, int]:
+    """The propagator that runs a sector of dimension dim, the runs per stack
+    when each samples `sampled` values (samples times columns), and the bytes
+    one stack needs with H's nnz values a run; from sizes alone.
 
-    Besides its samples, a run of a stack holds the propagator's arrays: the
-    dense matrix and its eigenvectors for dense_eig (2 dim^2), the Lanczos
-    basis for krylov (min(krylov_dim, dim) * dim, which also covers the
-    dim^2 eigenvectors of the exact path krylov takes when krylov_dim >= dim),
-    a few vectors for taylor.  A stack holds at most _BLOCK_ELEMENTS of these
-    values, as many as one block of states, however many runs share its
-    sector.  A sector above DENSE_CAP runs alone: on the L = 30 (2, 1)
-    sector (dim 13 050) a stack of the two orientations took as long as two
-    stacks of one, and two stacks of one on two threads took a fifth less.
+    A krylov config whose Krylov space spans the sector runs dense_eig, exact
+    and without matrix-vector products (Moler & Van Loan, SIAM Rev. 45:3,
+    2003).  A stack holds at most _BLOCK_ELEMENTS values of samples and
+    propagator arrays (2 dim^2 a run for dense_eig, the Lanczos basis for
+    krylov, a few vectors for taylor); a sector above DENSE_CAP runs alone: a
+    stack of two L = 30 (2, 1) runs (dim 13 050) took as long as two of one.
     """
-    if dim > DENSE_CAP:
-        return 1
-    vectors = {"dense_eig": 2 * dim, "krylov": min(config.krylov_dim, dim), "taylor": 4}
-    return max(1, _BLOCK_ELEMENTS // (sampled + vectors[config.method] * dim))
+    if config.method == "dense_eig" and dim > DENSE_CAP:
+        raise CapacityError(f"dense_eig is capped at dimension {DENSE_CAP}, the sector has {dim}")
+    method = config.method
+    if method == "krylov" and dim <= min(config.krylov_dim, DENSE_CAP):
+        method = "dense_eig"
+    vectors = {"dense_eig": 2 * dim, "krylov": min(config.krylov_dim, dim), "taylor": 4}[method]
+    per_run = max(1, sampled + vectors * dim)  # 1 for an empty sector (dim 0)
+    rows = 1 if dim > DENSE_CAP else max(1, _BLOCK_ELEMENTS // per_run)
+    # 16 bytes a value: samples, propagator arrays, H's values and indices, a block of states
+    values = rows * (per_run + nnz) + nnz + max(_BLOCK_ELEMENTS, rows * dim)
+    return method, rows, 16 * values
 
 
 def make_propagator(H, config: PropagatorConfig):
-    """The configured propagator; a krylov config whose krylov_dim spans the
-    sector (dim <= krylov_dim, dim <= DENSE_CAP) gets the exact
-    DensePropagator: a Krylov space that spans the sector is the sector."""
-    dim = np.shape(H)[-1]
-    if config.method == "dense_eig" or (config.method == "krylov"
-                                        and dim <= min(config.krylov_dim, DENSE_CAP)):
+    """The propagator that plan picks for H's dimension."""
+    method = plan(np.shape(H)[-1], 0, config)[0]
+    if method == "dense_eig":
         return DensePropagator(H)
-    if config.method == "krylov":
+    if method == "krylov":
         return KrylovPropagator(H, config)
     return TaylorPropagator(H, config)
 

@@ -22,17 +22,16 @@ import numpy as np
 import yaml
 
 from .basis import MAX_SITES, ProductBasis, product_basis, site_bit
-from .errors import ConfigError, ParameterError
+from .errors import CapacityError, ConfigError, ParameterError
 from .evolution import (
     MAX_TAYLOR_STEPS,
     METHODS,
     PropagatorConfig,
     Trajectory,
     evolve_trajectory,
-    stack_capacity,
+    plan,
 )
 from .hamiltonian import (
-    DENSE_CAP,
     HubbardParams,
     barrier_potential,
     build_hamiltonian,
@@ -60,6 +59,7 @@ ORIENTATIONS = ("a", "b", "both")
 SWEEP_PARAMETERS = ("U", "h", "L")
 REDUCTIONS = ("time_average", "trap_time", "trajectory")
 MAX_POINTS = 1_000_000  # samples of one time grid, values of one range sweep
+MEMORY_BUDGET = 4 << 30  # bytes one stack may need; a sector that needs more is refused
 
 
 # ---------------------------------------------------------------------------
@@ -407,11 +407,17 @@ def check_config(config: ScenarioConfig) -> None:
             errors.append(f"observables: {exc}")
         errors += [f"initial_state: site {s} outside chain [1, {L}]"
                    for s in config.initial_state.sites() if not 1 <= s <= L]
-        n_up, n_down = config.initial_state.sector()
-        dim = math.comb(L, n_up) * math.comb(L, n_down)
-        if prop.method == "dense_eig" and dim > DENSE_CAP:
-            errors.append(f"propagator.method: dense_eig is capped at dimension {DENSE_CAP}, "
-                          f"the ({n_up}, {n_down}) sector of L={L} has {dim}")
+        sector = config.initial_state.sector()
+        dim = math.comb(L, sector[0]) * math.comb(L, sector[1])
+        try:  # each particle hops to at most two sites: nnz <= dim (1 + 2 N)
+            _, _, need = plan(dim, 0, prop, nnz=dim * (1 + 2 * sum(sector)))
+        except CapacityError as exc:  # plan's message, naming the sector
+            errors.append(f"propagator.method: {exc}".replace("sector", f"{sector} sector of L={L}"))
+        else:
+            if need > MEMORY_BUDGET:
+                errors.append(f"L: the {sector} sector of L={L} has dimension {dim}; a stack "
+                              f"of it needs {need / 2**30:.1f} GiB, more than the budget of "
+                              f"{MEMORY_BUDGET / 2**30:g} GiB")
     errors += _initial_state_errors(config.initial_state)
     if (points := config.t_max / config.sample_dt) > MAX_POINTS:
         errors.append(f"t_max / sample_dt: must be at most {MAX_POINTS}, got {points:g}")
@@ -553,7 +559,7 @@ def _stacks(runs: list[tuple[ScenarioConfig, str]]):
 
     A stack holds consecutive runs that differ at most in U, h and
     orientation, so they share one sector and one Hamiltonian pattern, and
-    at most evolution.stack_capacity of them, so a stack's samples and
+    at most the rows of the sector's evolution.plan, so a stack's samples and
     propagator arrays stay bounded however many values a sweep has.
     """
     for _, group in groupby(runs, key=lambda run: dataclasses.replace(
@@ -563,7 +569,7 @@ def _stacks(runs: list[tuple[ScenarioConfig, str]]):
         basis = product_basis(config.L, *config.initial_state.sector())
         sampled = (len(_time_grid(config.t_max, config.sample_dt))
                    * len(columns(config.observables, config.L)))
-        size = stack_capacity(basis.dim, sampled, config.propagator)
+        size = plan(basis.dim, sampled, config.propagator)[1]
         for lo in range(0, len(group), size):
             yield basis, group[lo:lo + size]
 

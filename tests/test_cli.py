@@ -40,6 +40,10 @@ def test_sweep_with_value_override(tmp_path):
     rows = (tmp_path / "supp3.csv").read_text().splitlines()
     assert rows[0] == "L,t_tr_n_h2_a,t_tr_n_h2_b"
     assert len(rows) == 3
+    # the preset names dense_eig; the Lanczos stepper (L = 6, dim 36 > krylov_dim) agrees
+    assert main(["sweep", "supp3", "--output", str(tmp_path / "krylov"), "--t-max", "10",
+                 "--values", "4,6", "--threads", "2", "--method", "krylov"]) == 0
+    assert (tmp_path / "krylov" / "supp3.csv").read_text().splitlines() == rows
 
 
 def test_sweep_range_override(tmp_path):
@@ -141,6 +145,13 @@ _VALID_SCENARIO = {
     ({"description": "{a: 1}"}, "description: must be text, got {'a': 1}"),
     ({"propagator": "{method: taylor, max_taylor_terms: 2}"},
      "propagator: unexpected keys ['max_taylor_terms']"),
+    ({"L": "30", "initial_state": "{kind: doublon_plus_up, doublon_site: 1, up_site: 2}",
+      "propagator": "{method: dense_eig}", "t_max": "1.0e5", "sample_dt": "0.05"},
+     "propagator.method: dense_eig is capped at dimension 4096, the (2, 1) sector of L=30 has "
+     "13050; t_max / sample_dt: must be at most 1000000, got 2e+06"),
+    ({"L": "1", "h": "0.0",
+      "initial_state": "{kind: doublon_plus_up, doublon_site: 1, up_site: 1}"},
+     "initial_state: doublon_site and up_site must differ, got 1 for both"),  # an empty sector
 ])
 def test_malformed_config_value_is_config_error(tmp_path, capsys, monkeypatch, override, field):
     def unreachable(*args, **kwargs):
@@ -257,6 +268,30 @@ def test_dense_override_above_the_cap_is_config_error(tmp_path, capsys, monkeypa
     assert ("config error: propagator.method: dense_eig is capped at dimension 4096, "
             "the (2, 1) sector of L=30 has 13050") in err
     assert "Traceback" not in err and not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("L, sweep, message", [
+    ("30", None, "L: the (4, 4) sector of L=30 has dimension 751034025"),
+    ("40", None, "L: the (4, 4) sector of L=40 has dimension 8352132100"),
+    ("4", "{parameter: L, values: [4, 40]}",
+     "sweep.values: L: the (4, 4) sector of L=40 has dimension 8352132100"),
+])
+def test_sector_above_the_memory_budget_is_config_error(tmp_path, capsys, monkeypatch, L, sweep,
+                                                        message):
+    # the basis arrays alone of these sectors take 5.6 and 62 GiB: refused before any is built
+    def unreachable(*args, **kwargs):
+        pytest.fail("an oversized sector reached the sector build")
+
+    monkeypatch.setattr(scenarios, "product_basis", unreachable)
+    state = tmp_path / "state.json"
+    state.write_text('{"entries": [{"up": [1, 2, 3, 4], "down": [1, 2, 3, 4], "re": 1.0}]}')
+    fields = dict(_VALID_SCENARIO, L=L, initial_state=f"{{kind: custom, path: '{state}'}}")
+    config = _write_config(tmp_path / "big.yaml", fields, sweep=sweep)
+    assert main(["sweep" if sweep else "simulate", config, "--output", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("config error:") == 1 and message in err and "Traceback" not in err
+    assert "GiB, more than the budget of 4 GiB" in err
+    assert not list(tmp_path.glob("*.csv"))
 
 
 @pytest.mark.parametrize("fields, code, message", [

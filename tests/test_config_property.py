@@ -1,11 +1,16 @@
 """Properties: any config mapping parses to a config or raises ConfigError, never
-any other exception; and a config that parses runs without a ParameterError."""
+any other exception, and builds no basis while it does; a config that parses
+has a run plan; and a config that parses runs without a ParameterError."""
 
 import math
+from unittest import mock
 
 import pytest
 
+from fermichain import basis, scenarios
+from fermichain.basis import MAX_SITES
 from fermichain.errors import ConfigError, NumericalError
+from fermichain.evolution import METHODS, plan
 from fermichain.scenarios import ScenarioConfig, SweepConfig, load_config, run_scenario, run_sweep
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -19,10 +24,10 @@ VALID_SCENARIO = {
 SCENARIO_KEYS = [*VALID_SCENARIO, "J", "sample_dt", "propagator"]
 KNOWN_KEYS = [
     *SCENARIO_KEYS, "kind", "site", "i", "j", "doublon_site", "up_site", "path",
-    "method", "dt", "tolerance", "krylov_dim", "max_taylor_terms",
+    "method", "dt", "tolerance", "krylov_dim",
     "parameter", "values", "reduction", "start", "stop", "step", "T", "threshold", "column",
 ]
-UNKNOWN_KEYS = ["dense_cap", "output_path", "tmax", "", 0, None, True]
+UNKNOWN_KEYS = ["dense_cap", "max_taylor_terms", "output_path", "tmax", "", 0, None, True]
 
 # strings stay short and free of '/', so a custom path names no existing file
 words = st.sampled_from([
@@ -63,13 +68,17 @@ def mutated(draw, section: dict, section_keys) -> dict:
 
 
 @st.composite
-def documents(draw):
+def documents(draw, lengths=None):
+    """A mutated scenario or sweep document; with `lengths`, half the scenarios
+    and the swept value lists also draw L from it."""
     scenario = mutated(draw, VALID_SCENARIO, SCENARIO_KEYS)
+    if lengths is not None and draw(st.booleans()):
+        scenario["L"] = draw(lengths)
     doc = {"name": "prop", "scenario": rarely(draw, values, scenario)}
     if draw(st.booleans()):
         swept = draw(st.one_of(
             st.fixed_dictionaries({key: numbers for key in ("start", "stop", "step")}),
-            st.lists(numbers, min_size=1, max_size=4)))
+            st.lists(numbers if lengths is None else numbers | lengths, min_size=1, max_size=4)))
         if isinstance(swept, dict):
             swept = mutated(draw, swept, ["start", "stop", "step"])
         sweep = {"parameter": draw(st.sampled_from(["U", "h", "L"])), "values": swept,
@@ -80,14 +89,28 @@ def documents(draw):
     return doc
 
 
+def _unreachable(*args, **kwargs):
+    pytest.fail("loading a config built a basis")
+
+
 @hypothesis.settings(derandomize=True, max_examples=400, deadline=None)
-@hypothesis.given(documents())
+@hypothesis.given(documents(lengths=st.integers(1, MAX_SITES)))
 def test_load_config_gives_config_or_config_error(doc):
-    try:
-        config = load_config(doc)
-    except ConfigError:
-        return
-    assert isinstance(config, (ScenarioConfig, SweepConfig))
+    with (mock.patch.object(scenarios, "product_basis", _unreachable),
+          mock.patch.object(basis, "enumerate_sector", _unreachable)):
+        try:
+            config = load_config(doc)
+        except ConfigError:
+            return
+        assert isinstance(config, (ScenarioConfig, SweepConfig))
+        swept = scenarios._swept_configs(config) if isinstance(config, SweepConfig) else [config]
+    for c in swept:
+        n_up, n_down = c.initial_state.sector()
+        dim = math.comb(c.L, n_up) * math.comb(c.L, n_down)
+        sampled = (len(scenarios._time_grid(c.t_max, c.sample_dt))
+                   * len(scenarios.columns(c.observables, c.L)))
+        method, rows, _ = plan(dim, sampled, c.propagator)
+        assert rows >= 1 and method in METHODS
 
 
 def _small(config) -> bool:

@@ -11,10 +11,12 @@ from fermichain.errors import CapacityError, NumericalError, ParameterError
 from fermichain.evolution import (
     DensePropagator,
     KrylovPropagator,
+    METHODS,
     PropagatorConfig,
     TaylorPropagator,
     evolve_trajectory,
     make_propagator,
+    plan,
 )
 from fermichain.hamiltonian import (
     DENSE_CAP,
@@ -357,6 +359,25 @@ def test_krylov_config_below_its_sector_builds_lanczos_bases(count_matvecs):
     assert isinstance(make_propagator(H, config), KrylovPropagator)
     evolve_trajectory(H, doublon_at(basis, 1), 0.05 * np.arange(101), config, {})
     assert count_matvecs[0] >= basis.dim - 1
+
+
+@pytest.mark.parametrize("L", range(1, 7))
+def test_plan_names_the_propagator_that_runs(L):
+    classes = {"dense_eig": DensePropagator, "krylov": KrylovPropagator,
+               "taylor": TaylorPropagator}
+    for n_up in range(L + 1):
+        for n_down in range(L + 1):
+            basis = product_basis(L, n_up, n_down)
+            H = build_hamiltonian(HubbardParams(L=L, J=1.0, U=1.0, V=np.arange(L) / L), basis)
+            dim = basis.dim
+            for method in METHODS:
+                for krylov_dim in sorted({2, dim - 1, dim, 30} - {0, 1}):
+                    config = PropagatorConfig(method, krylov_dim=krylov_dim)
+                    # the documented routing: a Krylov space that spans the sector is the sector
+                    spans = method == "krylov" and dim <= min(krylov_dim, DENSE_CAP)
+                    expected = DensePropagator if spans else classes[method]
+                    chosen = classes[plan(dim, 0, config)[0]]
+                    assert type(make_propagator(H, config)) is chosen is expected
 
 
 def test_dense_rejects_a_non_finite_spectrum():

@@ -349,9 +349,10 @@ def test_long_many_value_sweep_splits_into_bounded_stacks():
     sweep = SweepConfig(name="long", parameter="U", values=tuple(range(2000)), base=base)
     runs = _runs(sweep)
     stacks = list(scenarios._stacks(runs))
-    per_run = 2001 * 5 + 16 * 16  # samples x columns, and the dim-16 Lanczos basis
-    assert _sizes(stacks) == [102] * 39 + [22]
-    assert 102 * per_run <= evolution._BLOCK_ELEMENTS < 103 * per_run
+    # samples x columns, and the exact path's dim-16 matrix and eigenvectors
+    per_run = 2001 * 5 + 2 * 16 * 16
+    assert _sizes(stacks) == [99] * 40 + [40]
+    assert 99 * per_run <= evolution._BLOCK_ELEMENTS < 100 * per_run
     assert [run for _, stack in stacks for run in stack] == runs
 
 
@@ -370,7 +371,7 @@ def test_split_sweep_reduces_each_stack_before_later_stacks_run(monkeypatch, thr
     sweep = _mini_sweep(values=(0.0, 1.0, 2.0, 3.5, 5.0, 7.5, 10.0))
     _, whole, _ = run_sweep(sweep)
     started, at_reduce = [], []
-    run_stack, reduce = scenarios._run_stack, scenarios._reduce
+    run_stack, reduce, plan = scenarios._run_stack, scenarios._reduce, scenarios.plan
 
     def logged_stack(basis, stack):
         started.append(stack)
@@ -380,9 +381,13 @@ def test_split_sweep_reduces_each_stack_before_later_stacks_run(monkeypatch, thr
         at_reduce.append(len(started))
         return reduce(sweep, traj)
 
+    def three_rows(*args, **kwargs):
+        method, _, need = plan(*args, **kwargs)
+        return method, 3, need
+
     monkeypatch.setattr(scenarios, "_run_stack", logged_stack)
     monkeypatch.setattr(scenarios, "_reduce", logged_reduce)
-    monkeypatch.setattr(scenarios, "stack_capacity", lambda *args: 3)
+    monkeypatch.setattr(scenarios, "plan", three_rows)
     _, split, _ = run_sweep(sweep, threads=threads)
     assert len(started) == 5
     needed = [(2 * i + 1) // 3 + 1 for i in range(len(sweep.values))]  # the stack of value i's run b
