@@ -48,6 +48,7 @@ from .states import (
     doublon_at,
     doublon_plus_up,
     from_amplitudes,
+    from_entries,
     mirror_state,
     singlet_pair,
     single_particle_at,

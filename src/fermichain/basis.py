@@ -55,17 +55,20 @@ class SpinSectorBasis:
     L: int
     N: int
     masks: np.ndarray  # int64, ascending
-    index_of: dict
 
     @property
     def dim(self) -> int:
         return len(self.masks)
 
-    def index(self, mask: int) -> int:
-        try:
-            return self.index_of[int(mask)]
-        except KeyError:
-            raise ParameterError(f"mask {mask:#b} not in (L={self.L}, N={self.N}) sector") from None
+    def index(self, masks):
+        """Position of a mask, or of each of an array of masks, among the sorted
+        masks; a mask outside the sector raises ParameterError (searchsorted
+        alone gives the position it would be inserted at)."""
+        idx = np.minimum(np.searchsorted(self.masks, masks), self.dim - 1)
+        if (absent := np.ravel(self.masks[idx] != masks)).any():
+            mask = int(np.ravel(masks)[absent.argmax()])
+            raise ParameterError(f"mask {mask:#b} not in (L={self.L}, N={self.N}) sector")
+        return idx
 
     @cached_property
     def occupations(self) -> np.ndarray:
@@ -87,8 +90,7 @@ def enumerate_sector(L: int, N: int) -> SpinSectorBasis:
     )
     masks.sort()
     masks.setflags(write=False)
-    index_of = {int(m): k for k, m in enumerate(masks)}
-    return SpinSectorBasis(L=L, N=N, masks=masks, index_of=index_of)
+    return SpinSectorBasis(L=L, N=N, masks=masks)
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,14 +133,15 @@ def product_basis(L: int, n_up: int, n_down: int) -> ProductBasis:
     return ProductBasis(up=enumerate_sector(L, n_up), down=enumerate_sector(L, n_down))
 
 
-def mirror_mask(L: int, mask: int) -> int:
-    """Reflect a mask about the chain center: site j maps to site L+1-j."""
-    if mask >> L:
-        raise ParameterError(f"mask {mask:#b} has bits beyond site {L}")
-    out = 0
-    for i in range(L):
-        out |= ((mask >> i) & 1) << (L - 1 - i)
-    return out
+def mirror_mask(L: int, mask):
+    """Reflect a mask, or an array of masks, about the chain center: site j
+    maps to site L+1-j."""
+    masks = np.asarray(mask, dtype=np.int64)
+    if np.any(masks >> L):
+        raise ParameterError(f"mask {mask} has bits beyond site {L}")
+    sites = np.arange(L, dtype=np.int64)
+    out = (((masks[..., None] >> sites) & 1) << sites[::-1]).sum(axis=-1)
+    return int(out) if out.ndim == 0 else out
 
 
 def reorder_sign(k: int) -> int:

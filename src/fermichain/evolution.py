@@ -4,7 +4,10 @@ Three interchangeable propagators: a dense eigendecomposition (the oracle,
 capped in dimension), a Lanczos/Krylov stepper (production default), and a
 truncated Taylor series (independent cross-check).  Every Krylov or Taylor
 step of length s keeps its estimated local error below tolerance * s, so a
-run to time t accumulates at most tolerance * t.
+run to time t accumulates at most tolerance * t.  A Krylov estimate also
+passes within the rounding of its read, n eps beta ||v|| for a basis of n
+vectors (3e-14 at n = 30, beta ||v|| = 4): each Lanczos basis may add that
+much, and grids finer than that rounding over tolerance still run.
 
 A trajectory is propagated over its whole time grid and handed out in blocks
 of consecutive samples, each an (n, dim) array.  The dense propagator reads
@@ -163,7 +166,9 @@ class DensePropagator:
 class _KrylovBasis(NamedTuple):
     """Lanczos bases of a stack of k vectors v: orthonormal rows V (k, m, dim),
     the eigenpairs of each row's tridiagonal T (k, m) and (k, m, m), the
-    residual norms beta (k,) and ||v|| (k,).  A row whose space was invariant
+    residual norms beta (k,), ||v|| (k,) and the rounding of an error estimate
+    read from each row (k,), m eps beta ||v||: the estimate sums m terms whose
+    magnitudes add up to at most beta ||v||.  A row whose space was invariant
     has beta 0, its T padded with decoupled zeros; every exponential read from
     it is then exact."""
 
@@ -172,6 +177,7 @@ class _KrylovBasis(NamedTuple):
     evecs: np.ndarray
     beta: np.ndarray
     norm: np.ndarray
+    rounding: np.ndarray
 
 
 class KrylovPropagator:
@@ -183,9 +189,9 @@ class KrylovPropagator:
     basis a time s after its start has the a-posteriori error estimate
     |beta_m y_m(s)| ||v|| (Hochbruck & Lubich, SIAM J. Numer. Anal. 34:1911,
     1997).  A state is read only when that estimate is at most
-    tolerance * s for every row; a new basis that cannot reach the next
-    sample moves the state part of the way, and a non-finite estimate raises
-    NumericalError.
+    tolerance * s, or within the rounding of the read, for every row; a new
+    basis that cannot reach the next sample moves the state part of the way,
+    and a non-finite estimate raises NumericalError.
     """
 
     def __init__(self, H: SparseHamiltonian, config: PropagatorConfig):
@@ -236,7 +242,8 @@ class KrylovPropagator:
         T[:, i[:-1], i[1:]] = T[:, i[1:], i[:-1]] = np.where(last, 0.0, beta[:, :n])[:, :-1]
         evals, evecs = np.linalg.eigh(T)
         residual = np.where(size == m, beta[:, m - 1], 0.0) if m < self.dim else np.zeros(k)
-        return _KrylovBasis(V[:, :n], evals, evecs, residual, nv)
+        return _KrylovBasis(V[:, :n], evals, evecs, residual, nv,
+                            n * np.finfo(np.float64).eps * residual * nv)
 
     def _read(self, basis: _KrylovBasis, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Coefficients exp(-iTs) e1, (k, m, len(s)), and their error estimates (k, len(s))."""
@@ -253,7 +260,7 @@ class KrylovPropagator:
         t0 + span/2, t0 + span/4, ... whose estimate passes in every row, and its time."""
         h = span * 0.5 ** np.arange(1, _KRYLOV_HALVINGS + 1)
         Y, err = self._read(basis, h)
-        ok = np.all(err <= self.tolerance * np.abs(h), axis=0)
+        ok = np.all(err <= self.tolerance * np.abs(h) + basis.rounding[:, None], axis=0)
         if not ok.any():
             raise NumericalError("krylov step failed to reach tolerance",
                                  residual=float(np.max(err[:, -1])), step=span,
@@ -279,8 +286,9 @@ class KrylovPropagator:
         that sample carries the state to the first of s/2, s/4, ... (down to
         2**-_KRYLOV_HALVINGS s) whose estimate passes, and the next basis
         starts there, between grid times.  The bases' spans tile the grid, so
-        the error at t is at most tolerance * |t|.  A basis exact in every row
-        serves every remaining sample, without windows.
+        the error at t is at most tolerance * |t| plus the read's rounding once
+        per basis.  A basis exact in every row serves every remaining sample,
+        without windows.
         """
         shape = np.shape(amps)[:-1]
         cur = _rows_of(amps, self.dim)
@@ -298,7 +306,7 @@ class KrylovPropagator:
                 hi = min(hi, max(i + 2, int(np.searchsorted(times, t0 + window, "right"))))
             s = times[i + 1:hi] - t0
             Y, err = self._read(basis, s)
-            ok = np.all(err <= self.tolerance * np.abs(s), axis=0)
+            ok = np.all(err <= self.tolerance * np.abs(s) + basis.rounding[:, None], axis=0)
             n = len(s) if ok.all() else int(ok.argmin())
             if not n:  # a basis that serves no sample ends; a new one first goes part of the way
                 if fresh:

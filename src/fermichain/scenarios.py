@@ -9,6 +9,7 @@ U, h or L values and reduces each run to one row.
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import json
 import math
 from collections import Counter, deque
@@ -21,7 +22,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .basis import MAX_SITES, ProductBasis, product_basis, site_bit
+from .basis import MAX_SITES, ProductBasis, product_basis
 from .errors import CapacityError, ConfigError, ParameterError
 from .evolution import (
     MAX_TAYLOR_STEPS,
@@ -44,16 +45,7 @@ from .observables import (
     time_average,
     trap_time,
 )
-from .states import (
-    NORM_TOLERANCE,
-    StateVector,
-    doublon_at,
-    doublon_plus_up,
-    from_amplitudes,
-    singlet_pair,
-    single_particle_at,
-    triplet_pair,
-)
+from .states import ENTRIES, check_entries, from_entries
 
 ORIENTATIONS = ("a", "b", "both")
 SWEEP_PARAMETERS = ("U", "h", "L")
@@ -68,23 +60,17 @@ MEMORY_BUDGET = 4 << 30  # bytes one stack may need; a sector that needs more is
 
 @dataclass(frozen=True)
 class InitialState:
-    """A kind of INITIAL_STATES with its checked fields; site labels are 1-based."""
+    """A kind of INITIAL_STATES with the fields the user wrote and its entries
+    (up sites, down sites, amplitude), as states.from_entries builds them;
+    site labels are 1-based."""
 
     kind: str
     fields: dict
+    entries: tuple
 
     def sector(self) -> tuple[int, int]:
-        if self.kind == "custom":  # the sector of the file's entries
-            return len(self.fields["path"][0]["up"]), len(self.fields["path"][0]["down"])
-        return INITIAL_STATES[self.kind][1]
-
-    def build(self, basis: ProductBasis) -> StateVector:
-        return INITIAL_STATES[self.kind][2](basis, *self.fields.values())
-
-    def sites(self) -> list[int]:
-        if self.kind == "custom":
-            return [s for e in self.fields["path"] for s in e["up"] + e["down"]]
-        return list(self.fields.values())
+        up, down, _ = self.entries[0]
+        return len(up), len(down)
 
 
 @dataclass(frozen=True)
@@ -230,69 +216,47 @@ def _section(table: dict, label: str, build):
     return check
 
 
-def _custom_entry(k: int, e) -> dict:
-    """One checked amplitude entry of a custom initial-state file."""
+def _custom_entry(k: int, e) -> tuple:
+    """One amplitude entry of a custom initial-state file, as (up, down, amplitude)."""
     label = f"entries[{k}]"
     if not isinstance(e, dict):
         raise ValueError(f"{label} must be a mapping with 'up', 'down', 're', 'im'")
-    out = {}
-    for key in ("up", "down"):
-        sites = e.get(key)
-        if not isinstance(sites, list) or not all(
-                isinstance(v, int) and not isinstance(v, bool) for v in sites):
-            raise ValueError(f"{label}.{key} must be a list of integer sites, got {sites!r}")
-        if len(set(sites)) != len(sites):
-            raise ValueError(f"{label}.{key} repeats a site: {sites}")
-        out[key] = tuple(sites)
+    sites = [e.get(key) for key in ("up", "down")]
+    for key, value in zip(("up", "down"), sites):
+        if not isinstance(value, list) or not all(
+                isinstance(v, int) and not isinstance(v, bool) for v in value):
+            raise ValueError(f"{label}.{key} must be a list of integer sites, got {value!r}")
     parts = [e.get(key, 0.0) for key in ("re", "im")]
     try:
         if any(isinstance(v, str) for v in parts):  # JSON, unlike YAML, has no numbers as text
             raise ValueError
-        out["amp"] = complex(*map(_real, parts))
+        amp = complex(*map(_real, parts))
     except ValueError:
         raise ValueError(f"{label}: re and im must be finite numbers, got {parts}") from None
-    return out
+    return tuple(sites[0]), tuple(sites[1]), amp
 
 
-def _custom_entries(path) -> tuple[dict, ...]:
-    """The checked entries of a custom initial-state JSON file."""
+def _custom_entries(path) -> tuple[tuple, ...]:
+    """The entries of a custom initial-state JSON file."""
     try:
         payload = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path!r} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ValueError(f"{path!r} nests too deeply to read") from None
     except (OSError, TypeError, ValueError) as exc:  # also a NUL byte, undecodable text
         raise ValueError(f"cannot read {path!r}: {exc}") from None
     entries = payload.get("entries") if isinstance(payload, dict) else None
     if not isinstance(entries, list) or not entries:
         raise ValueError(f"{path!r} must hold a non-empty 'entries' list")
-    entries = tuple(_custom_entry(k, e) for k, e in enumerate(entries))
-    if len({(len(e["up"]), len(e["down"])) for e in entries}) > 1:
-        raise ValueError("entries mix particle-number sectors")
-    if len({(frozenset(e["up"]), frozenset(e["down"])) for e in entries}) < len(entries):
-        raise ValueError("entries repeat a configuration")
-    return entries
+    return tuple(_custom_entry(k, e) for k, e in enumerate(entries))
 
 
-def _custom_state(basis: ProductBasis, entries) -> StateVector:
-    amps = np.zeros(basis.dim, dtype=np.complex128)
-    for e in entries:
-        mu = sum(site_bit(s) for s in e["up"])
-        md = sum(site_bit(s) for s in e["down"])
-        amps[basis.index(mu, md)] = e["amp"]
-    return from_amplitudes(basis, amps)
-
-
-_SITE = (_integer, True)
-
-# kind -> (fields, sector, constructor(basis, *field values)); custom's path holds its entries
-INITIAL_STATES = {
-    "doublon": ({"site": _SITE}, (1, 1), doublon_at),
-    "singlet": ({"i": _SITE, "j": _SITE}, (1, 1), singlet_pair),
-    "triplet": ({"i": _SITE, "j": _SITE}, (1, 1), triplet_pair),
-    "doublon_plus_up": ({"doublon_site": _SITE, "up_site": _SITE}, (2, 1), doublon_plus_up),
-    "single_particle": ({"site": _SITE}, (1, 0), single_particle_at),
-    "custom": ({"path": (_custom_entries, True)}, None, _custom_state),
-}
+# kind -> (fields, its entries from the field values): a named kind's fields are
+# the sites its states.ENTRIES function takes; custom's path check reads the entries
+INITIAL_STATES = {kind: ({name: (_integer, True) for name in inspect.signature(fn).parameters}, fn)
+                  for kind, fn in ENTRIES.items()}
+INITIAL_STATES["custom"] = ({"path": (_custom_entries, True)}, lambda entries: entries)
 
 
 def _initial_state(doc) -> InitialState:
@@ -300,8 +264,9 @@ def _initial_state(doc) -> InitialState:
         raise ValueError(f"must be a mapping with a 'kind' key, got {doc!r}")
     kind = _one_of(*INITIAL_STATES)(doc.get("kind"))
     rest = {key: value for key, value in doc.items() if key != "kind"}
-    return _section(INITIAL_STATES[kind][0], "initial_state",
-                    lambda **fields: InitialState(kind, fields))(rest)
+    table, entries = INITIAL_STATES[kind]
+    return _section(table, "initial_state",
+                    lambda **fields: InitialState(kind, fields, entries(*fields.values())))(rest)
 
 
 _PROPAGATOR = {
@@ -369,26 +334,6 @@ _DOCUMENT = {
 }
 
 
-# kind -> the site fields that must name different sites
-_DISTINCT_SITES = {"singlet": ("i", "j"), "triplet": ("i", "j"),
-                   "doublon_plus_up": ("doublon_site", "up_site")}
-
-
-def _initial_state_errors(state: InitialState) -> list[str]:
-    """What makes an initial state unbuildable on any chain: two particles of
-    one pair on one site, or custom amplitudes that are not normalized."""
-    if state.kind in _DISTINCT_SITES:
-        a, b = _DISTINCT_SITES[state.kind]
-        if state.fields[a] == state.fields[b]:
-            return [f"initial_state: {a} and {b} must differ, got {state.fields[a]} for both"]
-    if state.kind == "custom":
-        norm = float(np.linalg.norm([e["amp"] for e in state.fields["path"]]))
-        if abs(norm - 1.0) > NORM_TOLERANCE:
-            return [f"initial_state: the custom amplitudes have norm {norm:.17g}, "
-                    f"expected 1 within {NORM_TOLERANCE:g}"]
-    return []
-
-
 def check_config(config: ScenarioConfig) -> None:
     """The cross-field checks of a scenario, run on every parsed, swept or
     overridden config; raises ConfigError naming each offending field."""
@@ -406,7 +351,8 @@ def check_config(config: ScenarioConfig) -> None:
         except ParameterError as exc:
             errors.append(f"observables: {exc}")
         errors += [f"initial_state: site {s} outside chain [1, {L}]"
-                   for s in config.initial_state.sites() if not 1 <= s <= L]
+                   for up, down, _ in config.initial_state.entries
+                   for s in up + down if not 1 <= s <= L]
         sector = config.initial_state.sector()
         dim = math.comb(L, sector[0]) * math.comb(L, sector[1])
         try:  # each particle hops to at most two sites: nnz <= dim (1 + 2 N)
@@ -418,7 +364,15 @@ def check_config(config: ScenarioConfig) -> None:
                 errors.append(f"L: the {sector} sector of L={L} has dimension {dim}; a stack "
                               f"of it needs {need / 2**30:.1f} GiB, more than the budget of "
                               f"{MEMORY_BUDGET / 2**30:g} GiB")
-    errors += _initial_state_errors(config.initial_state)
+    state = config.initial_state
+    try:
+        check_entries(state.entries)
+    except ParameterError as exc:  # a named kind's entries break a rule only where two fields meet
+        values = list(state.fields.values())
+        same = [key for key, value in state.fields.items() if values.count(value) > 1]
+        errors.append(f"initial_state: {' and '.join(same)} must differ, got "
+                      f"{state.fields[same[0]]} for both" if same
+                      else f"initial_state: the {state.kind} {exc}")
     if (points := config.t_max / config.sample_dt) > MAX_POINTS:
         errors.append(f"t_max / sample_dt: must be at most {MAX_POINTS}, got {points:g}")
     if prop.method == "taylor" and (steps := config.t_max / prop.dt) > MAX_TAYLOR_STEPS:
@@ -513,12 +467,15 @@ def sweep_from_dict(doc: dict, base: ScenarioConfig, name: str = "sweep",
 def load_config(source) -> ScenarioConfig | SweepConfig:
     """Parse a YAML document (path or mapping) into a scenario or sweep config."""
     if isinstance(source, (str, Path)):
+        name = str(source)
         try:
             doc = yaml.safe_load(Path(source).read_text())
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {source!r}: {exc}") from None
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config {name!r}: {exc}") from None
         except yaml.YAMLError as exc:
-            raise ConfigError(f"config {source!r} is not valid YAML: {exc}") from None
+            raise ConfigError(f"config {name!r} is not valid YAML: {exc}") from None
+        except RecursionError:
+            raise ConfigError(f"config {name!r} nests too deeply to read") from None
     else:
         doc = source
     if not isinstance(doc, dict) or "scenario" not in doc:
@@ -584,7 +541,7 @@ def _run_stack(basis: ProductBasis, stack: list[tuple[ScenarioConfig, str]]) -> 
         params.append(HubbardParams(L=run.L, J=run.J, U=run.U, V=V))
         jstars.append(jstar_site(run.L, run.h, orientation) if barrier else None)
     H = build_hamiltonian(params, basis)
-    psi0 = config.initial_state.build(basis)
+    psi0 = from_entries(basis, config.initial_state.entries)
 
     fns = observable_functions(config.observables, basis, H=H,
                                jstar=None if None in jstars else jstars)
@@ -631,6 +588,18 @@ def _run_configs(configs: list[ScenarioConfig], threads: int):
         yield Trajectory(times=trajs[0].times, columns=columns)
 
 
+def _output_dir(output_dir) -> Path | None:
+    """output_dir, created before anything runs; one that cannot be is a ConfigError."""
+    if output_dir is None:
+        return None
+    try:
+        Path(output_dir).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"output directory {str(output_dir)!r} cannot be created: "
+                          f"{exc.strerror or exc}") from None
+    return Path(output_dir)
+
+
 def run_scenario(config: ScenarioConfig, output_dir=None, threads: int = 1):
     """Run one scenario; returns (Trajectory, csv_path or None).
 
@@ -638,10 +607,11 @@ def run_scenario(config: ScenarioConfig, output_dir=None, threads: int = 1):
     whose columns carry _a/_b suffixes.  A CSV named after the config is
     written when the caller gives an output directory.
     """
+    out = _output_dir(output_dir)
     (traj,) = _run_configs([config], threads)
     path = None
-    if output_dir is not None:
-        path = Path(output_dir) / f"{config.name}.csv"
+    if out is not None:
+        path = out / f"{config.name}.csv"
         write_trajectory_csv(traj, path)
     return traj, path
 
@@ -667,22 +637,23 @@ def run_sweep(sweep: SweepConfig, output_dir=None, threads: int = 1):
     so only a few stacks are alive at a time.
     """
     configs = _swept_configs(sweep)
+    out = _output_dir(output_dir)
     results = []
     for value, traj in zip(sweep.values, _run_configs(configs, threads)):
         if sweep.reduction.kind != "trajectory":
             results.append(_reduce(sweep, traj))
             continue
         path = None
-        if output_dir is not None:
-            path = Path(output_dir) / _trajectory_file(sweep.name, sweep.parameter, value)
+        if out is not None:
+            path = out / _trajectory_file(sweep.name, sweep.parameter, value)
             write_trajectory_csv(traj, path)
         results.append({"trajectory": str(path) if path else ""})
     header = [sweep.parameter] + list(results[0])
     rows = [[value, *res.values()] for value, res in zip(sweep.values, results)]
 
     path = None
-    if output_dir is not None:
-        path = Path(output_dir) / f"{sweep.name}.csv"
+    if out is not None:
+        path = out / f"{sweep.name}.csv"
         write_rows_csv(path, header, rows)
     return header, rows, path
 
@@ -701,13 +672,11 @@ def _format(value) -> str:
 
 
 def write_rows_csv(path, header, rows) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     lines = [",".join(header)]
     if rows:
         line = ",".join(_format(x) for x in rows[0])
         lines.extend(line % tuple(row) for row in rows)
-    path.write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:

@@ -1,4 +1,6 @@
-"""Constructors for the initial states of the tunneling experiments.
+"""Initial states of the tunneling experiments.  Every state is a list of
+entries (up sites, down sites, amplitude), sites 1-based and in any order;
+check_entries holds the rules, from_entries builds one on a basis.
 
 Singlet and triplet labels refer to the spinor ordering fixed in the basis
 module: |up_i down_j> means c+_{i,up} c+_{j,down} |0>, so
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import ProductBasis, mirror_mask, popcount, reorder_sign, site_bit
+from .basis import ProductBasis, mirror_mask, reorder_sign, site_bit
 from .errors import ParameterError
 
 
@@ -46,69 +48,93 @@ def _finish(basis: ProductBasis | None, amps: np.ndarray) -> StateVector:
 NORM_TOLERANCE = 1e-6  # allowed distance of a user-supplied state's norm from 1
 
 
+def _norm(amps) -> float:
+    """The norm of a state's amplitudes, refused when off 1 by more than NORM_TOLERANCE."""
+    norm = float(np.linalg.norm(amps))
+    if not abs(norm - 1.0) <= NORM_TOLERANCE:
+        raise ParameterError(f"amplitudes have norm {norm:.17g}, expected 1 within "
+                             f"{NORM_TOLERANCE:g}")
+    return norm
+
+
 def from_amplitudes(basis: ProductBasis, amplitudes) -> StateVector:
     """Wrap a user-supplied amplitude vector; must be normalized within NORM_TOLERANCE."""
     amps = np.asarray(amplitudes, dtype=np.complex128)
     if amps.shape != (basis.dim,):
         raise ParameterError(f"amplitudes have shape {amps.shape}, expected ({basis.dim},)")
-    nrm = np.linalg.norm(amps)
-    if abs(nrm - 1.0) > NORM_TOLERANCE:
-        raise ParameterError(f"amplitudes have norm {nrm}, expected 1 within {NORM_TOLERANCE}")
-    return _finish(basis, amps / nrm)
+    return _finish(basis, amps / _norm(amps))
 
 
-def _require_sector(basis: ProductBasis, n_up: int, n_down: int, what: str) -> None:
-    if (basis.up.N, basis.down.N) != (n_up, n_down):
-        raise ParameterError(
-            f"{what} lives in the ({n_up},{n_down}) sector, basis is "
-            f"({basis.up.N},{basis.down.N})"
-        )
+def check_entries(entries) -> float:
+    """The norm of entries (up sites, down sites, amplitude) that make a state,
+    on any chain: no site twice in one species, one particle-number sector, no
+    configuration twice and a norm within NORM_TOLERANCE of 1.  Raises
+    ParameterError naming the first entry that breaks a rule."""
+    seen = {}
+    for k, (up, down, _) in enumerate(entries):
+        for species, sites in (("up", up), ("down", down)):
+            if len(set(sites)) != len(sites):
+                raise ParameterError(f"entries[{k}].{species} repeats a site: {list(sites)}")
+        sector, first = (len(up), len(down)), tuple(map(len, entries[0][:2]))
+        if sector != first:
+            raise ParameterError(f"entries[{k}] lie in the {sector} sector, "
+                                 f"entries[0] in the {first} sector")
+        config = (frozenset(up), frozenset(down))
+        if config in seen:
+            raise ParameterError(f"entries[{k}] repeat the configuration of entries[{seen[config]}]")
+        seen[config] = k
+    return _norm([amp for _, _, amp in entries])
+
+
+def from_entries(basis: ProductBasis, entries) -> StateVector:
+    """The state of entries (up sites, down sites, amplitude) on basis, checked
+    by check_entries and scaled to norm 1; a site off the chain or an entry
+    outside the basis's sector raises ParameterError."""
+    norm = check_entries(entries)
+    if off := [s for up, down, _ in entries for s in (*up, *down) if not 1 <= s <= basis.L]:
+        raise ParameterError(f"site {off[0]} outside chain [1, {basis.L}]")
+    up, down = np.array([[sum(map(site_bit, e[0])), sum(map(site_bit, e[1]))] for e in entries]).T
+    amps = np.zeros(basis.dim, dtype=np.complex128)
+    amps[basis.up.index(up) * basis.down.dim + basis.down.index(down)] = [e[2] for e in entries]
+    return _finish(basis, amps / norm)
+
+
+_PAIR = 1.0 / np.sqrt(2.0)  # each amplitude of a two-site spin pair
+
+# kind -> its entries, from its site fields in this order
+ENTRIES = {
+    "doublon": lambda site: (((site,), (site,), 1.0),),
+    "singlet": lambda i, j: (((i,), (j,), _PAIR), ((j,), (i,), _PAIR)),
+    "triplet": lambda i, j: (((i,), (j,), _PAIR), ((j,), (i,), -_PAIR)),
+    "doublon_plus_up": lambda doublon_site, up_site: (
+        ((doublon_site, up_site), (doublon_site,), 1.0),),
+    "single_particle": lambda site: (((site,), (), 1.0),),
+}
 
 
 def doublon_at(basis: ProductBasis, site: int) -> StateVector:
     """Both species on one site."""
-    _require_sector(basis, 1, 1, "doublon")
-    amps = np.zeros(basis.dim, dtype=np.complex128)
-    amps[basis.index(site_bit(site), site_bit(site))] = 1.0
-    return _finish(basis, amps)
+    return from_entries(basis, ENTRIES["doublon"](site))
 
 
 def single_particle_at(basis: ProductBasis, site: int) -> StateVector:
     """One spin-up particle on one site (sector (1, 0))."""
-    _require_sector(basis, 1, 0, "single particle")
-    amps = np.zeros(basis.dim, dtype=np.complex128)
-    amps[basis.index(site_bit(site), 0)] = 1.0
-    return _finish(basis, amps)
-
-
-def _pair(basis: ProductBasis, i: int, j: int, relative_sign: int) -> StateVector:
-    _require_sector(basis, 1, 1, "two-site spin pair")
-    if i == j:
-        raise ParameterError("pair sites must differ (equal sites would be the doublon)")
-    amps = np.zeros(basis.dim, dtype=np.complex128)
-    amps[basis.index(site_bit(i), site_bit(j))] = 1.0 / np.sqrt(2.0)
-    amps[basis.index(site_bit(j), site_bit(i))] = relative_sign / np.sqrt(2.0)
-    return _finish(basis, amps)
+    return from_entries(basis, ENTRIES["single_particle"](site))
 
 
 def singlet_pair(basis: ProductBasis, i: int, j: int) -> StateVector:
     """Spin singlet on sites i, j; S^2 eigenvalue 0."""
-    return _pair(basis, i, j, +1)
+    return from_entries(basis, ENTRIES["singlet"](i, j))
 
 
 def triplet_pair(basis: ProductBasis, i: int, j: int) -> StateVector:
     """S_z = 0 spin triplet on sites i, j; S^2 eigenvalue 2."""
-    return _pair(basis, i, j, -1)
+    return from_entries(basis, ENTRIES["triplet"](i, j))
 
 
 def doublon_plus_up(basis: ProductBasis, doublon_site: int, up_site: int) -> StateVector:
     """A doublon plus one extra spin-up spectator (sector (2, 1))."""
-    _require_sector(basis, 2, 1, "doublon plus spin-up")
-    if doublon_site == up_site:
-        raise ParameterError("spectator site collides with the doublon site")
-    amps = np.zeros(basis.dim, dtype=np.complex128)
-    amps[basis.index(site_bit(doublon_site) | site_bit(up_site), site_bit(doublon_site))] = 1.0
-    return _finish(basis, amps)
+    return from_entries(basis, ENTRIES["doublon_plus_up"](doublon_site, up_site))
 
 
 def mirror_state(basis: ProductBasis, psi: StateVector) -> StateVector:
@@ -121,18 +147,7 @@ def mirror_state(basis: ProductBasis, psi: StateVector) -> StateVector:
     """
     if psi.basis is not basis:
         raise ParameterError("state does not live on the given basis")
-    L = basis.L
-    out = np.zeros(basis.dim, dtype=np.complex128)
-    src = psi.amplitudes.reshape(basis.up.dim, basis.down.dim)
-    dst = out.reshape(basis.up.dim, basis.down.dim)
-    for iu, mu in enumerate(basis.up.masks):
-        mu_m = mirror_mask(L, int(mu))
-        ku = basis.up.index(mu_m)
-        sign_u = reorder_sign(popcount(mu_m))
-        for idn, md in enumerate(basis.down.masks):
-            amp = src[iu, idn]
-            if amp == 0:
-                continue
-            md_m = mirror_mask(L, int(md))
-            dst[ku, basis.down.index(md_m)] = sign_u * reorder_sign(popcount(md_m)) * amp
-    return _finish(basis, out)
+    up, down = (s.index(mirror_mask(basis.L, s.masks)) for s in (basis.up, basis.down))
+    out = np.empty((basis.up.dim, basis.down.dim), dtype=np.complex128)
+    out[np.ix_(up, down)] = psi.amplitudes.reshape(out.shape)
+    return _finish(basis, reorder_sign(basis.up.N) * reorder_sign(basis.down.N) * out.ravel())

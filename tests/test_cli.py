@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import fermichain
-from fermichain import scenarios
+from fermichain import evolution, scenarios
 from fermichain.cli import main
 
 
@@ -152,6 +152,8 @@ _VALID_SCENARIO = {
     ({"L": "1", "h": "0.0",
       "initial_state": "{kind: doublon_plus_up, doublon_site: 1, up_site: 1}"},
      "initial_state: doublon_site and up_site must differ, got 1 for both"),  # an empty sector
+    ({"description": "caf\udce9"}, "cannot read config"),  # a byte that is not UTF-8
+    ({"U": "[" * 3000 + "]" * 3000}, "nests too deeply to read"),
 ])
 def test_malformed_config_value_is_config_error(tmp_path, capsys, monkeypatch, override, field):
     def unreachable(*args, **kwargs):
@@ -169,7 +171,7 @@ def test_malformed_config_value_is_config_error(tmp_path, capsys, monkeypatch, o
         text += f"sweep: {override['sweep']}\n"
         command = "sweep"
     config = tmp_path / "bad.yaml"
-    config.write_text(text)
+    config.write_bytes(text.encode("utf-8", "surrogateescape"))
     assert main([command, str(config), "--output", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert "config error" in err and field in err and "Traceback" not in err
@@ -186,6 +188,8 @@ def test_malformed_config_value_is_config_error(tmp_path, capsys, monkeypatch, o
     ('{"entries": [{"up": [0], "down": [2], "re": 1.0}]}', "outside chain"),
     ('{"entries": [{"up": [1], "down": [2], "re": NaN}]}', "finite numbers"),
     ('{"entries": [{"up": [1], "down": [2], "re": "1"}]}', "finite numbers"),
+    pytest.param('{"entries": ' + "[" * 100_000 + "]" * 100_000 + "}",
+                 "initial_state.path: ", id="nested"),
 ])
 def test_malformed_custom_state_is_config_error(tmp_path, capsys, payload, field):
     state = tmp_path / "state.json"
@@ -196,6 +200,7 @@ def test_malformed_custom_state_is_config_error(tmp_path, capsys, payload, field
     assert main(["simulate", str(config), "--output", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert "config error" in err and field in err and "Traceback" not in err
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def _write_config(path, text_fields, name="bad", sweep=None):
@@ -224,7 +229,12 @@ def test_output_name_must_be_a_plain_file_name(tmp_path, capsys, name):
     ("custom", "the custom amplitudes have norm 0.70710678118654757"),
 ])
 @pytest.mark.parametrize("command", ["simulate", "sweep"])
-def test_unbuildable_initial_state_is_config_error(tmp_path, capsys, state, message, command):
+def test_unbuildable_initial_state_is_config_error(tmp_path, capsys, monkeypatch, state, message,
+                                                  command):
+    def unreachable(*args, **kwargs):
+        pytest.fail("an unbuildable initial state reached the sector build")
+
+    monkeypatch.setattr(scenarios, "product_basis", unreachable)
     if state == "custom":
         path = tmp_path / "state.json"
         path.write_text('{"entries": [{"up": [1], "down": [2], "re": 0.5},'
@@ -237,6 +247,46 @@ def test_unbuildable_initial_state_is_config_error(tmp_path, capsys, state, mess
     err = capsys.readouterr().err
     assert f"config error: initial_state: {message}" in err and "Traceback" not in err
     assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("command, preset", [("simulate", "fig2"), ("sweep", "fig4")])
+@pytest.mark.parametrize("inside", [False, True])
+def test_output_directory_that_cannot_be_made_is_config_error(tmp_path, capsys, monkeypatch,
+                                                              command, preset, inside):
+    def unreachable(*args, **kwargs):
+        pytest.fail("a run without its output directory reached the sector build")
+
+    monkeypatch.setattr(scenarios, "product_basis", unreachable)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "out" if inside else blocker
+    assert main([command, preset, "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: output directory {str(out)!r} cannot be created")
+    assert len(err.splitlines()) == 1 and not list(tmp_path.rglob("*.csv"))
+
+
+@pytest.mark.parametrize("fields, tolerance", [
+    ({"sample_dt": "1.0e-7", "t_max": "0.001"}, 1e-10),
+    ({"sample_dt": "1.0e-5", "t_max": "0.01", "propagator": "{tolerance: 1.0e-12}"}, 1e-12),
+])
+def test_krylov_runs_grids_finer_than_the_rounding_of_its_estimate(tmp_path, monkeypatch, fields,
+                                                                   tolerance):
+    # tolerance * sample_dt is 1e-17 here, below the estimate's rounding (about 5e-17)
+    builds = []
+    lanczos = evolution.KrylovPropagator._lanczos
+    monkeypatch.setattr(evolution.KrylovPropagator, "_lanczos",
+                        lambda self, amps: builds.append(1) or lanczos(self, amps))
+    fields = dict(_VALID_SCENARIO, L="20", U="10.0", h="20.0", observables="[n_all]", **fields)
+    config = _write_config(tmp_path / "fine.yaml", fields, name="fine")
+    assert main(["simulate", config, "--output", str(tmp_path / "krylov")]) == 0
+    assert main(["simulate", config, "--output", str(tmp_path / "dense"), "--method", "dense"]) == 0
+    krylov, dense = (np.loadtxt(tmp_path / d / "fine.csv", delimiter=",", skiprows=1)
+                     for d in ("krylov", "dense"))
+    # the documented bound on the state: tolerance * t, plus n eps beta ||v|| per basis, with
+    # beta <= ||H||_inf = 4 hops + U + h; a site density moves by at most 4 times that
+    state = tolerance * krylov[-1, 0] + len(builds) * 30 * np.finfo(float).eps * 34.0
+    assert builds and np.max(np.abs(krylov - dense)) <= 4 * state
 
 
 @pytest.mark.parametrize("argv, field", [

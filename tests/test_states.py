@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -7,9 +9,12 @@ from fermichain.evolution import DensePropagator
 from fermichain.hamiltonian import HubbardParams, build_hamiltonian, total_spin_squared
 from fermichain.observables import StateBlock
 from fermichain.states import (
+    ENTRIES,
+    check_entries,
     doublon_at,
     doublon_plus_up,
     from_amplitudes,
+    from_entries,
     mirror_state,
     singlet_pair,
     single_particle_at,
@@ -122,3 +127,52 @@ def test_single_particle_at():
     assert psi.amplitudes[basis.index(0b00100, 0)] == 1.0
     with pytest.raises(ParameterError):
         single_particle_at(product_basis(5, 1, 1), 3)
+
+
+@pytest.mark.parametrize("entries, message", [
+    ([((1, 1), (2,), 1.0)], "entries[0].up repeats a site: [1, 1]"),
+    ([((1,), (2,), 0.6), ((1, 2), (2,), 0.8)], "entries[1] lie in the (2, 1) sector"),
+    ([((1,), (2,), 0.6), ((1,), (2,), 0.8)], "entries[1] repeat the configuration of entries[0]"),
+    ([((2, 1), (3,), 0.6), ((1, 2), (3,), 0.8)], "repeat the configuration"),  # sites as a set
+    ([((1,), (2,), 0.5)], "amplitudes have norm 0.5"),
+    ([], "amplitudes have norm 0"),
+])
+def test_check_entries_refuses_non_states(entries, message):
+    with pytest.raises(ParameterError, match=re.escape(message)):
+        check_entries(entries)
+
+
+def test_from_entries_refuses_sites_off_the_chain_and_other_sectors():
+    basis = product_basis(4, 1, 1)
+    for site in (0, 5, 63):
+        with pytest.raises(ParameterError, match="outside chain"):
+            from_entries(basis, [((site,), (1,), 1.0)])
+    # searchsorted gives each of these masks the position of a (1, 1) configuration
+    for entries in ([((1, 2), (1,), 1.0)], [((), (1,), 1.0)], [((1,), (1, 2), 1.0)]):
+        with pytest.raises(ParameterError, match="not in \\(L=4, N=1\\) sector"):
+            from_entries(basis, entries)
+
+
+def test_from_entries_places_each_amplitude_on_its_configuration():
+    basis = product_basis(5, 2, 1)
+    entries = [((4, 1), (5,), 0.6), ((2, 3), (2,), 0.8j)]
+    psi = from_entries(basis, entries)
+    assert psi.amplitudes[basis.index(0b01001, 0b10000)] == 0.6
+    assert psi.amplitudes[basis.index(0b00110, 0b00010)] == 0.8j
+    assert np.count_nonzero(psi.amplitudes) == 2
+
+
+def test_named_states_are_their_entry_lists():
+    basis = product_basis(6, 1, 1)
+    assert np.array_equal(singlet_pair(basis, 2, 5).amplitudes,
+                          from_entries(basis, ENTRIES["singlet"](2, 5)).amplitudes)
+    spectator = product_basis(6, 2, 1)
+    psi = doublon_plus_up(spectator, 4, 2)
+    assert psi.amplitudes[spectator.index(0b001010, 0b001000)] == 1.0
+
+
+def test_mirror_mask_reflects_arrays():
+    masks = product_basis(7, 3, 0).up.masks
+    assert mirror_mask(7, masks).tolist() == [mirror_mask(7, int(m)) for m in masks]
+    with pytest.raises(ParameterError):
+        mirror_mask(3, np.array([0b0111, 0b1000]))
