@@ -46,7 +46,7 @@ def cmd_simulate(args) -> int:
         return EXIT_CONFIG
     config = _apply_overrides(config, args)
     started = time.perf_counter()
-    traj, path = run_scenario(config, output_dir=args.output, threads=args.threads)
+    traj, path = run_scenario(config, output_dir=args.output)
     elapsed = time.perf_counter() - started
     print(f"{config.name}: {len(traj.times)} samples, {len(traj.columns)} columns "
           f"in {elapsed:.2f} s -> {path}")
@@ -68,7 +68,7 @@ def cmd_sweep(args) -> int:
         spec = {"parameter": config.parameter, "values": _parse_values(args.values)}
         config = dataclasses.replace(config, values=sweep_from_dict(spec, base).values)
     started = time.perf_counter()
-    header, rows, path = run_sweep(config, output_dir=args.output, threads=args.threads)
+    header, rows, path = run_sweep(config, output_dir=args.output)
     elapsed = time.perf_counter() - started
     print(f"{config.name}: {len(rows)} x {len(header)} table in {elapsed:.2f} s -> {path}")
     return EXIT_OK
@@ -133,7 +133,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--t-max", type=float, default=None, help="override run horizon (1/J)")
     common.add_argument("--method", choices=sorted(_METHODS), default=None,
                         help="override the propagator")
-    common.add_argument("--threads", type=_thread_count, default=1, help="worker threads")
+    # kept so that existing command lines still run; it selects nothing
+    common.add_argument("--threads", type=_thread_count, default=1,
+                        help="accepted and checked, with no effect: runs are sequential")
 
     p = sub.add_parser("simulate", parents=[common], help="run one scenario, write a trajectory CSV")
     p.set_defaults(func=cmd_simulate)

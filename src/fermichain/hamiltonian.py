@@ -87,7 +87,7 @@ class SparseHamiltonian:
     each row; assembly is deterministic, so identical inputs yield
     bit-identical arrays.  A stack of k matrices shares one pattern (indptr,
     indices) and stores its values as a (k, nnz) array; a single matrix
-    stores (nnz,).  Instances are immutable and safe to share across threads.
+    stores (nnz,).  Instances are immutable.
     """
 
     indptr: np.ndarray

@@ -12,8 +12,7 @@ import dataclasses
 import inspect
 import json
 import math
-from collections import Counter, deque
-from concurrent.futures import ThreadPoolExecutor
+from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
 from itertools import groupby
@@ -550,33 +549,12 @@ def _run_stack(basis: ProductBasis, stack: list[tuple[ScenarioConfig, str]]) -> 
     return [traj.row(r) for r in range(len(stack))]
 
 
-def _trajectories(stacks: list, threads: int):
-    """Yield the trajectories of the stacks' runs, in order.
-
-    With threads > 1 and several stacks, a thread pool runs up to `threads`
-    stacks at once, and a stack is submitted only when the one `threads`
-    places before it has been handed out, so a caller that drops each
-    trajectory holds at most threads + 1 stacks.
-    """
-    if threads <= 1 or len(stacks) <= 1:
-        for basis, stack in stacks:
-            yield from _run_stack(basis, stack)
-        return
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        pending = deque()
-        for basis, stack in stacks:
-            pending.append(pool.submit(_run_stack, basis, stack))
-            if len(pending) == threads:
-                yield from pending.popleft().result()
-        while pending:
-            yield from pending.popleft().result()
-
-
-def _run_configs(configs: list[ScenarioConfig], threads: int):
+def _run_configs(configs: list[ScenarioConfig]):
     """Yield one trajectory per config, in order, its orientations merged as
-    in run_scenario.  The runs (one per orientation) propagate in stacks."""
+    in run_scenario.  The runs (one per orientation) propagate in stacks, one
+    after another, and a stack's basis is built when the stack is reached."""
     runs = [(config, o) for config in configs for o in _orientations(config)]
-    done = _trajectories(list(_stacks(runs)), threads)
+    done = (traj for basis, stack in _stacks(runs) for traj in _run_stack(basis, stack))
     for config in configs:
         orientations = _orientations(config)
         trajs = [next(done) for _ in orientations]
@@ -600,7 +578,7 @@ def _output_dir(output_dir) -> Path | None:
     return Path(output_dir)
 
 
-def run_scenario(config: ScenarioConfig, output_dir=None, threads: int = 1):
+def run_scenario(config: ScenarioConfig, output_dir=None):
     """Run one scenario; returns (Trajectory, csv_path or None).
 
     With orientation 'both' the a and b runs are merged into one trajectory
@@ -608,7 +586,7 @@ def run_scenario(config: ScenarioConfig, output_dir=None, threads: int = 1):
     written when the caller gives an output directory.
     """
     out = _output_dir(output_dir)
-    (traj,) = _run_configs([config], threads)
+    (traj,) = _run_configs([config])
     path = None
     if out is not None:
         path = out / f"{config.name}.csv"
@@ -629,17 +607,17 @@ def _reduce(sweep: SweepConfig, traj: Trajectory) -> dict[str, float]:
     return {f"t_tr_{name}": value for name, value in zip(names, values.tolist())}
 
 
-def run_sweep(sweep: SweepConfig, output_dir=None, threads: int = 1):
+def run_sweep(sweep: SweepConfig, output_dir=None):
     """Run a sweep; returns (header, rows, csv_path or None), rows in values order.
 
     The sweep is checked as a config file's is before anything runs.  Each
     value's trajectory is reduced, or written, as soon as its stack has run,
-    so only a few stacks are alive at a time.
+    so one stack is alive at a time.
     """
     configs = _swept_configs(sweep)
     out = _output_dir(output_dir)
     results = []
-    for value, traj in zip(sweep.values, _run_configs(configs, threads)):
+    for value, traj in zip(sweep.values, _run_configs(configs)):
         if sweep.reduction.kind != "trajectory":
             results.append(_reduce(sweep, traj))
             continue

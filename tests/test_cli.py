@@ -53,6 +53,16 @@ def test_sweep_range_override(tmp_path):
     assert len(rows) == 4  # header + U in {0, 1, 2}
 
 
+@pytest.mark.parametrize("argv", [["simulate", "fig2"], ["sweep", "supp3", "--values", "4,6,8"]])
+def test_threads_flag_changes_no_output(tmp_path, argv):
+    written = []
+    for threads in ([], ["--threads", "2"]):
+        out = tmp_path / f"run{len(written)}"
+        assert main([*argv, "--output", str(out), *threads]) == 0
+        written.append((out / f"{argv[1]}.csv").read_bytes())
+    assert written[0] == written[1]
+
+
 def test_sweep_rejects_scenario_preset(capsys):
     assert main(["sweep", "fig2"]) == 1
 

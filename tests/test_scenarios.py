@@ -6,7 +6,6 @@ import pytest
 
 from fermichain import evolution, scenarios
 from fermichain.errors import ConfigError, ParameterError
-from fermichain.evolution import Trajectory
 from fermichain.hamiltonian import DENSE_CAP
 from fermichain.observables import columns, time_average
 from fermichain.scenarios import (
@@ -235,15 +234,6 @@ def test_degenerate_sweep_equals_scenario_reduction():
         assert got == want
 
 
-def test_sweep_parallel_matches_sequential(tmp_path):
-    sweep = _mini_sweep()
-    h1, rows1, p1 = run_sweep(sweep, output_dir=tmp_path / "seq", threads=1)
-    h2, rows2, p2 = run_sweep(sweep, output_dir=tmp_path / "par", threads=3)
-    assert h1 == h2
-    assert rows1 == rows2
-    assert p1.read_bytes() == p2.read_bytes()
-
-
 def test_sweep_over_l_with_trap_time():
     base = scenario_from_dict(
         _scenario_doc(h=20.0, U=10.0, t_max=10.0, observables=["n_h2"], orientation="a"),
@@ -279,7 +269,7 @@ def test_sweep_trajectory_reduction_writes_files(tmp_path):
 def test_sweep_writes_only_its_outputs(tmp_path, monkeypatch, kind):
     monkeypatch.chdir(tmp_path)
     sweep = _mini_sweep(values=(0.0, 1.0, 2.0), reduction=Reduction(kind=kind), t_max=1.0)
-    run_sweep(sweep, output_dir=tmp_path / "out", threads=2)
+    run_sweep(sweep, output_dir=tmp_path / "out")
     written = sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*.csv"))
     expected = [f"out/{sweep.name}.csv"]
     if kind == "trajectory":
@@ -365,8 +355,7 @@ def test_dense_stacks_count_their_matrices(method, sizes):
     assert _sizes(scenarios._stacks(_runs(sweep))) == sizes
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_split_sweep_reduces_each_stack_before_later_stacks_run(monkeypatch, threads):
+def test_split_sweep_reduces_each_stack_before_later_stacks_run(monkeypatch):
     # stacks of 3 runs split some values' two orientations across stacks
     sweep = _mini_sweep(values=(0.0, 1.0, 2.0, 3.5, 5.0, 7.5, 10.0))
     _, whole, _ = run_sweep(sweep)
@@ -388,31 +377,32 @@ def test_split_sweep_reduces_each_stack_before_later_stacks_run(monkeypatch, thr
     monkeypatch.setattr(scenarios, "_run_stack", logged_stack)
     monkeypatch.setattr(scenarios, "_reduce", logged_reduce)
     monkeypatch.setattr(scenarios, "plan", three_rows)
-    _, split, _ = run_sweep(sweep, threads=threads)
+    _, split, _ = run_sweep(sweep)
     assert len(started) == 5
     needed = [(2 * i + 1) // 3 + 1 for i in range(len(sweep.values))]  # the stack of value i's run b
-    if threads == 1:
-        assert at_reduce == needed
-    assert all(n <= k + threads - 1 for n, k in zip(at_reduce, needed))
+    assert at_reduce == needed
     assert np.allclose(np.array(split), np.array(whole), rtol=0, atol=1e-9)
 
 
-@pytest.mark.parametrize("values", [(0.0, 1.0, 2.0), (4, 6)])
-def test_threads_never_change_the_stacks(monkeypatch, values):
-    parameter = "U" if isinstance(values[0], float) else "L"
-    sweep = dataclasses.replace(_mini_sweep(values=values, reduction=Reduction("trajectory")),
-                                parameter=parameter)
-    seen = {}
+@pytest.mark.parametrize("parameter, values", [("U", (0.0, 1.0, 2.0)), ("L", (4, 6, 8))])
+def test_each_stack_builds_its_basis_when_it_is_reached(monkeypatch, parameter, values):
+    # a U sweep is one stack, an L sweep one stack per value
+    sweep = dataclasses.replace(_mini_sweep(values=values, t_max=1.0), parameter=parameter)
+    events = []
+    product_basis, run_stack = scenarios.product_basis, scenarios._run_stack
 
-    def recording(basis, stack):
-        seen.setdefault(threads, []).append([(c.U, c.L, o) for c, o in stack])
-        return [Trajectory(times=np.zeros(1), columns={}) for _ in stack]
+    def logged_basis(*args):
+        events.append("basis")
+        return product_basis(*args)
 
-    monkeypatch.setattr(scenarios, "_run_stack", recording)
-    for threads in (1, 3):
-        run_sweep(sweep, threads=threads)
-    assert seen[1] == seen[3]
-    assert len(seen[1]) == (1 if parameter == "U" else len(values))
+    def logged_stack(basis, stack):
+        events.append("stack")
+        return run_stack(basis, stack)
+
+    monkeypatch.setattr(scenarios, "product_basis", logged_basis)
+    monkeypatch.setattr(scenarios, "_run_stack", logged_stack)
+    run_sweep(sweep)
+    assert events == ["basis", "stack"] * (1 if parameter == "U" else len(values))
 
 
 def test_empty_sweep_values_are_config_error():
