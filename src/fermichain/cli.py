@@ -14,11 +14,9 @@ from .scenarios import (
     ScenarioConfig,
     SweepConfig,
     preset_names,
-    replace_fields,
     resolve_config,
     run_scenario,
     run_sweep,
-    sweep_from_dict,
 )
 from .verification import run_suites
 
@@ -31,12 +29,12 @@ _METHODS = {"dense": "dense_eig", "krylov": "krylov", "taylor": "taylor"}
 
 
 def _apply_overrides(config: ScenarioConfig, args) -> ScenarioConfig:
+    changes = {}  # applied in one replace, which checks the config with all of them
     if args.t_max is not None:
-        config = replace_fields(config, t_max=args.t_max)
+        changes["t_max"] = args.t_max
     if args.method is not None:
-        propagator = dataclasses.asdict(config.propagator) | {"method": _METHODS[args.method]}
-        config = replace_fields(config, propagator=propagator)
-    return config
+        changes["propagator"] = dataclasses.replace(config.propagator, method=_METHODS[args.method])
+    return dataclasses.replace(config, **changes) if changes else config
 
 
 def cmd_simulate(args) -> int:
@@ -59,14 +57,14 @@ def cmd_sweep(args) -> int:
         print(f"{args.config!r} is a scenario config; use the 'simulate' command", file=sys.stderr)
         return EXIT_CONFIG
     base = _apply_overrides(config.base, args)
-    config = dataclasses.replace(config, base=base)
+    changes = {"base": base} if base is not config.base else {}  # applied in one checked replace
     red = config.reduction
-    if args.t_max is not None and red.kind == "time_average" and (
-            red.T is None or red.T > args.t_max):
-        config = dataclasses.replace(config, reduction=dataclasses.replace(red, T=args.t_max))
+    if args.t_max is not None and red.kind == "time_average" and (red.T or 0) > args.t_max:
+        changes["reduction"] = dataclasses.replace(red, T=args.t_max)
     if args.values is not None:
-        spec = {"parameter": config.parameter, "values": _parse_values(args.values)}
-        config = dataclasses.replace(config, values=sweep_from_dict(spec, base).values)
+        changes["values"] = _parse_values(args.values)
+    if changes:
+        config = dataclasses.replace(config, **changes)
     started = time.perf_counter()
     header, rows, path = run_sweep(config, output_dir=args.output)
     elapsed = time.perf_counter() - started

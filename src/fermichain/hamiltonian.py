@@ -93,7 +93,6 @@ class SparseHamiltonian:
     indptr: np.ndarray
     indices: np.ndarray
     data: np.ndarray
-    basis: ProductBasis | None = None
 
     def __post_init__(self):
         for arr in (self.indptr, self.indices, self.data):
@@ -186,15 +185,13 @@ class SparseHamiltonian:
         return float(sums.max())
 
 
-def _csr(dim: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
-         basis: ProductBasis | None) -> SparseHamiltonian:
+def _csr(dim: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> SparseHamiltonian:
     """Canonical CSR from (row, col, value) triplets with unique (row, col) pairs;
     vals of shape (k, nnz) give a stack over the one pattern."""
     order = np.argsort(rows * dim + cols)
     indptr = np.zeros(dim + 1, dtype=np.int64)
     indptr[1:] = np.cumsum(np.bincount(rows, minlength=dim))
-    return SparseHamiltonian(indptr=indptr, indices=cols[order], data=vals[..., order],
-                             basis=basis)
+    return SparseHamiltonian(indptr=indptr, indices=cols[order], data=vals[..., order])
 
 
 def barrier_potential(L: int, h: float, orientation) -> np.ndarray:
@@ -280,7 +277,7 @@ def build_hamiltonian(params, basis: ProductBasis) -> SparseHamiltonian:
     ], axis=1)
     if not np.isfinite(vals).all():
         raise NumericalError("hamiltonian entries are not finite", dimension=basis.dim)
-    return _csr(basis.dim, rows, cols, vals[0] if single else vals, basis)
+    return _csr(basis.dim, rows, cols, vals[0] if single else vals)
 
 
 def build_single_particle(L: int, J: float, V) -> np.ndarray:
@@ -347,4 +344,4 @@ def total_spin_squared(basis: ProductBasis) -> SparseHamiltonian:
     keys, inverse = np.unique(a * dim + b, return_inverse=True)
     vals = np.bincount(inverse, weights=v, minlength=len(keys))
     keep = vals != 0
-    return _csr(dim, keys[keep] // dim, keys[keep] % dim, vals[keep], basis)
+    return _csr(dim, keys[keep] // dim, keys[keep] % dim, vals[keep])

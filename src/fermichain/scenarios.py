@@ -13,7 +13,7 @@ import inspect
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 from itertools import groupby
 from pathlib import Path
@@ -74,7 +74,7 @@ class InitialState:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """One evolution run (or an a/b orientation pair) with sampled observables."""
+    """An evolution run (or an a/b orientation pair) with sampled observables, checked when made."""
 
     L: int
     U: float
@@ -89,6 +89,11 @@ class ScenarioConfig:
     propagator: PropagatorConfig = PropagatorConfig()
     description: str = ""
 
+    def __post_init__(self):
+        if errors := _store_checked(self, {key: getattr(self, key) for key in _SCALARS}, _SCALARS):
+            raise ConfigError("; ".join(errors))
+        check_config(self)
+
 
 @dataclass(frozen=True)
 class Reduction:
@@ -100,7 +105,8 @@ class Reduction:
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """A base scenario repeated over values of one parameter."""
+    """A base scenario repeated over values of one parameter, checked when made by its
+    _SWEEP rules and by _swept_configs, which makes configs: each value's scenario."""
 
     name: str
     parameter: str
@@ -108,6 +114,15 @@ class SweepConfig:
     base: ScenarioConfig
     reduction: Reduction = Reduction("time_average")
     description: str = ""
+    configs: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        reduction = {key: value for key, value in vars(self.reduction).items() if value is not None}
+        doc = {"parameter": self.parameter, "values": self.values, "reduction": reduction}
+        if errors := _store_checked(self, doc, _SWEEP, "sweep"):
+            raise ConfigError("invalid sweep config:\n  " + "\n  ".join(errors))
+        object.__setattr__(self, "configs", tuple(_swept_configs(self)))
+        object.__setattr__(self, "values", tuple(getattr(c, self.parameter) for c in self.configs))
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +215,14 @@ def _fields(doc, table: dict, label: str, errors: list) -> dict:
     return out
 
 
+def _store_checked(config, doc: dict, table: dict, label: str = "") -> list[str]:
+    """Store in config what table's rules return for doc's fields; returns the problems found."""
+    errors: list[str] = []
+    for key, value in _fields(doc, table, label, errors).items():
+        object.__setattr__(config, key, value)
+    return errors
+
+
 def _section(table: dict, label: str, build):
     """A check that reads a nested mapping with its own table into build(**fields).
 
@@ -288,6 +311,8 @@ _SCENARIO = {
     "propagator": (_section(_PROPAGATOR, "", PropagatorConfig), False),
     "observables": (_tokens, True),
 }
+_SCALARS = {key: rule for key, rule in _SCENARIO.items()
+            if key not in ("initial_state", "propagator")}  # the sections are built checked
 
 
 def _arange(start: float, stop: float, step: float) -> list:
@@ -307,7 +332,7 @@ def _values(spec) -> list:
     if isinstance(spec, dict):
         return _section(_RANGE, "sweep.values", _arange)(spec)
     if not isinstance(spec, (list, tuple)) or not spec:
-        raise ValueError(f"must be a non-empty list or {{start, stop, step}}, got {spec!r}")
+        raise ValueError(f"must hold at least one value (a list or a range), got {spec!r}")
     return spec
 
 
@@ -334,8 +359,8 @@ _DOCUMENT = {
 
 
 def check_config(config: ScenarioConfig) -> None:
-    """The cross-field checks of a scenario, run on every parsed, swept or
-    overridden config; raises ConfigError naming each offending field."""
+    """The cross-field checks of a scenario, run by ScenarioConfig on every
+    config it makes; raises ConfigError naming each offending field."""
     errors = []
     L, h, prop = config.L, config.h, config.propagator
     if h < 0:
@@ -381,26 +406,12 @@ def check_config(config: ScenarioConfig) -> None:
         raise ConfigError("; ".join(errors))
 
 
-def replace_fields(config: ScenarioConfig, **values) -> ScenarioConfig:
-    """config with some fields replaced (a swept value, a command-line override),
-    each checked as in a config file, then check_config."""
-    errors: list[str] = []
-    fields = _fields(values, {key: _SCENARIO[key] for key in values}, "", errors)
-    if errors:
-        raise ConfigError("; ".join(errors))
-    config = dataclasses.replace(config, **fields)
-    check_config(config)
-    return config
-
-
 def scenario_from_dict(doc: dict, name: str = "scenario", description: str = "") -> ScenarioConfig:
     errors: list[str] = []
     fields = _fields(doc, _SCENARIO, "", errors)
     if errors:
         raise ConfigError("invalid scenario config:\n  " + "\n  ".join(errors))
-    config = ScenarioConfig(name=name, description=description, **fields)
-    check_config(config)
-    return config
+    return ScenarioConfig(name=name, description=description, **fields)
 
 
 def _matches(name: str, column: str) -> bool:
@@ -418,15 +429,18 @@ def _swept_configs(sweep: SweepConfig) -> list[ScenarioConfig]:
     """The scenario of each swept value, checked with the reduction that reads
     it; raises ConfigError naming each offending field."""
     errors, configs = [], []
-    if not sweep.values:
-        errors.append("sweep.values: must hold at least one value")
-    red = sweep.reduction
-    if red.kind == "time_average" and red.T is not None and red.T > sweep.base.t_max:
-        errors.append(f"sweep.reduction.T: must be at most t_max = {sweep.base.t_max:g}, "
-                      f"got {red.T:g}")
+    red, base = sweep.reduction, sweep.base
+    if red.kind == "time_average" and red.T is not None:
+        try:  # time_average reads [0, T] only if T is a time of the sample grid
+            times = _time_grid(base.t_max, base.sample_dt)
+            time_average(times, times, red.T)
+        except ParameterError:
+            rule = (f"at most t_max = {base.t_max:g}" if red.T > base.t_max else
+                    f"a sample time (a multiple of sample_dt = {base.sample_dt:g}, or t_max)")
+            errors.append(f"sweep.reduction.T: must be {rule}, got {red.T:g}")
     for value in sweep.values:
         try:
-            config = replace_fields(sweep.base, **{sweep.parameter: value})
+            config = dataclasses.replace(base, **{sweep.parameter: value})
         except ConfigError as exc:
             errors.append(f"sweep.values: {exc}")
             continue
@@ -450,17 +464,6 @@ def _swept_configs(sweep: SweepConfig) -> list[ScenarioConfig]:
     if errors:
         raise ConfigError("invalid sweep config:\n  " + "\n  ".join(errors))
     return configs
-
-
-def sweep_from_dict(doc: dict, base: ScenarioConfig, name: str = "sweep",
-                    description: str = "") -> SweepConfig:
-    errors: list[str] = []
-    fields = _fields(doc, _SWEEP, "sweep", errors)
-    if errors:
-        raise ConfigError("invalid sweep config:\n  " + "\n  ".join(errors))
-    sweep = SweepConfig(name=name, base=base, description=description, **fields)
-    values = tuple(getattr(config, sweep.parameter) for config in _swept_configs(sweep))
-    return dataclasses.replace(sweep, values=values)
 
 
 def load_config(source) -> ScenarioConfig | SweepConfig:
@@ -488,9 +491,12 @@ def load_config(source) -> ScenarioConfig | SweepConfig:
         raise ConfigError("; ".join(errors))
     name, description = fields.get("name", "run"), fields.get("description", "")
     base = scenario_from_dict(fields["scenario"], name=name, description=description)
-    if "sweep" in fields:
-        return sweep_from_dict(fields["sweep"], base, name=name, description=description)
-    return base
+    if "sweep" not in fields:
+        return base
+    sweep = _fields(fields["sweep"], _SWEEP, "sweep", errors)
+    if errors:
+        raise ConfigError("invalid sweep config:\n  " + "\n  ".join(errors))
+    return SweepConfig(name=name, base=base, description=description, **sweep)
 
 
 # ---------------------------------------------------------------------------
@@ -518,8 +524,8 @@ def _stacks(runs: list[tuple[ScenarioConfig, str]]):
     at most the rows of the sector's evolution.plan, so a stack's samples and
     propagator arrays stay bounded however many values a sweep has.
     """
-    for _, group in groupby(runs, key=lambda run: dataclasses.replace(
-            run[0], U=0.0, h=0.0, orientation="both")):
+    for _, group in groupby(runs, key=lambda run: tuple(
+            value for key, value in vars(run[0]).items() if key not in ("U", "h", "orientation"))):
         group = list(group)
         config = group[0][0]
         basis = product_basis(config.L, *config.initial_state.sector())
@@ -610,14 +616,13 @@ def _reduce(sweep: SweepConfig, traj: Trajectory) -> dict[str, float]:
 def run_sweep(sweep: SweepConfig, output_dir=None):
     """Run a sweep; returns (header, rows, csv_path or None), rows in values order.
 
-    The sweep is checked as a config file's is before anything runs.  Each
-    value's trajectory is reduced, or written, as soon as its stack has run,
-    so one stack is alive at a time.
+    The sweep's scenarios were made and checked with it (sweep.configs).
+    Each value's trajectory is reduced, or written, as soon as its stack has
+    run, so one stack is alive at a time.
     """
-    configs = _swept_configs(sweep)
     out = _output_dir(output_dir)
     results = []
-    for value, traj in zip(sweep.values, _run_configs(configs)):
+    for value, traj in zip(sweep.values, _run_configs(sweep.configs)):
         if sweep.reduction.kind != "trajectory":
             results.append(_reduce(sweep, traj))
             continue

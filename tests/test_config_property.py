@@ -103,7 +103,7 @@ def test_load_config_gives_config_or_config_error(doc):
         except ConfigError:
             return
         assert isinstance(config, (ScenarioConfig, SweepConfig))
-        swept = scenarios._swept_configs(config) if isinstance(config, SweepConfig) else [config]
+        swept = config.configs if isinstance(config, SweepConfig) else [config]
     for c in swept:
         n_up, n_down = c.initial_state.sector()
         dim = math.comb(c.L, n_up) * math.comb(c.L, n_down)

@@ -19,7 +19,7 @@ from fermichain.hamiltonian import (
     total_spin_squared,
 )
 from fermichain.observables import columns
-from fermichain.scenarios import SweepConfig, load_preset, preset_names, replace_fields
+from fermichain.scenarios import SweepConfig, load_preset, preset_names
 
 MOVED = ("differs from tests/data/{}.csv; if the physics output moved on purpose, "
          "say why and rerun tests/make_preset_data.py")
@@ -62,8 +62,7 @@ def _limits(config, header, rows) -> np.ndarray:
         return limits
     averages = [j for j, name in enumerate(header) if name.startswith("avg_")]
     T = config.reduction.T or config.base.t_max
-    for row, value in zip(limits, config.values):
-        run = replace_fields(config.base, **{config.parameter: value})
+    for row, run in zip(limits, config.configs):
         scales = _scales(run, [header[j][len("avg_"):] for j in averages])
         row[averages] = (2 * run.propagator.tolerance * T + 1e-12) * scales
     return limits

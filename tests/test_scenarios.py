@@ -278,8 +278,8 @@ def test_sweep_writes_only_its_outputs(tmp_path, monkeypatch, kind):
 
 
 def test_sweep_reduction_column_must_exist():
-    sweep = _mini_sweep(values=(1.0,), reduction=Reduction(kind="trap_time", column="n_missing"))
     with pytest.raises(ConfigError):
+        sweep = _mini_sweep(values=(1.0,), reduction=Reduction(kind="trap_time", column="n_missing"))
         run_sweep(sweep)
 
 
@@ -406,6 +406,88 @@ def test_each_stack_builds_its_basis_when_it_is_reached(monkeypatch, parameter, 
 
 
 def test_empty_sweep_values_are_config_error():
-    sweep = dataclasses.replace(load_preset("fig4"), values=())
     with pytest.raises(ConfigError, match="sweep.values: must hold at least one value"):
+        sweep = dataclasses.replace(load_preset("fig4"), values=())
         run_sweep(sweep)
+
+
+# ---------------------------------------------------------------------------
+# a config that exists has been checked
+# ---------------------------------------------------------------------------
+
+def _unreachable(*args, **kwargs):
+    pytest.fail("a refused config reached the sector build")
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"t_max": -5.0}, "t_max: must be positive, got -5.0"),
+    ({"t_max": 1.0, "sample_dt": 1e-7}, "t_max / sample_dt: must be at most 1000000, got 1e+07"),
+    ({"L": 7}, "L: barrier runs need even L >= 4, got 7"),
+    ({"observables": ("bogus",)}, "observables: unknown observable token 'bogus'"),
+])
+def test_replaced_scenario_is_checked(monkeypatch, changes, message):
+    monkeypatch.setattr(scenarios, "product_basis", _unreachable)
+    config = load_preset("fig2")  # a barrier run
+    with pytest.raises(ConfigError) as refused:
+        run_scenario(dataclasses.replace(config, **changes))
+    assert str(refused.value) == message
+
+
+def test_replaced_field_stores_its_checked_value():
+    config = dataclasses.replace(load_preset("fig2"), L="6", t_max="1e-1")
+    assert (config.L, config.t_max) == (6, 0.1)
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"reduction": Reduction("bogus")}, "sweep.reduction.kind: must be one of"),
+    ({"parameter": "J"}, "sweep.parameter: must be one of"),
+])
+def test_replaced_sweep_is_checked(monkeypatch, changes, message):
+    monkeypatch.setattr(scenarios, "product_basis", _unreachable)
+    with pytest.raises(ConfigError, match=message):
+        run_sweep(dataclasses.replace(_mini_sweep(), **changes))
+
+
+def test_sweep_checks_each_scenario_once_when_made(monkeypatch):
+    calls = []
+    check = scenarios.check_config
+    monkeypatch.setattr(scenarios, "check_config", lambda config: calls.append(1) or check(config))
+    sweep = load_preset("fig4")
+    assert len(calls) == 1 + len(sweep.values) == 42
+    assert [c.U for c in sweep.configs] == list(sweep.values)
+    run_sweep(sweep)
+    assert len(calls) == 42
+
+
+def _sweep_doc(T, t_max):
+    return {"name": "window", "scenario": _scenario_doc(t_max=t_max),
+            "sweep": {"parameter": "U", "values": [0, 1],
+                      "reduction": {"kind": "time_average", "T": T}}}
+
+
+def test_time_average_window_off_the_sample_grid_is_config_error(monkeypatch):
+    # the grid of t_max 1 and sample_dt 0.05 has no time 0.07: time_average cannot read [0, 0.07]
+    monkeypatch.setattr(scenarios, "product_basis", _unreachable)
+    with pytest.raises(ConfigError, match=r"sweep\.reduction\.T: must be a sample time "
+                                          r"\(a multiple of sample_dt = 0\.05, or t_max\), got 0\.07"):
+        load_config(_sweep_doc(T=0.07, t_max=1.0))
+
+
+@pytest.mark.parametrize("T, t_max", [(0.15, 1.0), (1.03, 1.03)])
+def test_time_average_window_on_the_sample_grid_runs(T, t_max):
+    # 3 * 0.05 rounds above 0.15; a t_max off the sample_dt lattice ends the grid itself
+    header, rows, _ = run_sweep(load_config(_sweep_doc(T=T, t_max=t_max)))
+    assert header == ["U", "avg_n_L_a", "avg_n_L_b"] and len(rows) == 2
+
+
+@pytest.mark.parametrize("cls, table", [
+    (ScenarioConfig, scenarios._SCENARIO), (SweepConfig, scenarios._SWEEP),
+    (Reduction, scenarios._REDUCTION), (evolution.PropagatorConfig, scenarios._PROPAGATOR),
+])
+def test_every_config_field_has_a_rule(cls, table):
+    # name and description are rules of the document's top level; a sweep's base is its
+    # scenario section
+    document = {"name": "name", "description": "description", "base": "scenario"}
+    fields = [f.name for f in dataclasses.fields(cls) if f.init]
+    assert [name for name in fields
+            if name not in table and document.get(name) not in scenarios._DOCUMENT] == []
