@@ -16,8 +16,9 @@ samples from one Lanczos basis ("dense output", as in Expokit: Sidje, ACM
 TOMS 24:130, 1998) until one fails its error estimate, and only then builds
 the next, which starts between grid times when a new basis cannot reach even
 the next sample; the Taylor propagator, kept as the independent reference,
-steps from sample to sample.  The dense and Krylov `advance` (one step) read
-a state of their own `blocks`; Taylor's `blocks` steps with its `advance`.
+sums its series over equal substeps of each sample interval.  Every
+propagator steps only in its `blocks`; its `advance` is the last state of
+`blocks` over [0, dt].
 
 plan picks, from a sector's size alone, the propagator that runs it, the runs
 per stack and the memory of a stack; make_propagator, the config checks and
@@ -133,6 +134,15 @@ def _phases(evals: np.ndarray, times: np.ndarray, h: float, m: int) -> np.ndarra
     return np.concatenate([grid, np.exp(-1j * times[m:, None] * evals[..., None, :])], axis=-2)
 
 
+def _advance(prop, amps: np.ndarray, dt: float) -> np.ndarray:
+    """The state (or stack) a time dt after amps: a copy at dt = 0, otherwise
+    the last state of the last block of prop.blocks over [0, dt]."""
+    if dt == 0.0:
+        return amps.copy()
+    *_, last = prop.blocks(amps, np.array([0.0, dt]))
+    return last[..., -1, :]
+
+
 class DensePropagator:
     """Exact evolution through a cached full eigendecomposition: one batched
     eigh for a stack.  H is a SparseHamiltonian or a square array; states are
@@ -149,8 +159,7 @@ class DensePropagator:
         if not np.isfinite(self.evals).all():  # eigh returns NaN, it does not raise
             raise NumericalError("dense spectrum is not finite", dimension=shape[-1])
 
-    def advance(self, amps: np.ndarray, dt: float) -> np.ndarray:
-        return next(self.blocks(amps, np.array([dt])))[..., 0, :]
+    advance = _advance
 
     def blocks(self, amps: np.ndarray, times: np.ndarray):
         """States at every grid time, in blocks of shape (..., n, dim):
@@ -199,6 +208,8 @@ class KrylovPropagator:
         self.m = min(config.krylov_dim, self.dim)
         self.tolerance = config.tolerance
         self.dt = config.dt
+
+    advance = _advance
 
     def _lanczos(self, amps: np.ndarray) -> _KrylovBasis:
         """Bases of the rows of a (k, dim) stack, built in lockstep: one matvec
@@ -268,11 +279,6 @@ class KrylovPropagator:
         j = int(ok.argmax())
         return self._states(basis, Y[:, :, j:j + 1])[:, 0], t0 + h[j]
 
-    def advance(self, amps: np.ndarray, dt: float) -> np.ndarray:
-        if dt == 0.0:
-            return amps.copy()
-        return next(self.blocks(amps, np.array([0.0, dt])))[..., -1, :]
-
     def blocks(self, amps: np.ndarray, times: np.ndarray):
         """States at every grid time, in blocks of shape (..., n, dim).
 
@@ -327,31 +333,17 @@ class KrylovPropagator:
 
 
 class TaylorPropagator:
-    """Truncated Taylor series for exp(-iHt), with norm-based substepping.
-
+    """Truncated Taylor series for exp(-iHt) over substeps tau with ||H|| tau at
+    most _TAYLOR_THETA (Al-Mohy & Higham, SIAM J. Sci. Comput. 33:488, 2011).
     States are (dim,) or, against a stack, (k, dim); the series of every row
-    runs until the last row has converged.
-    """
+    runs until the last row has converged."""
 
     def __init__(self, H: SparseHamiltonian, config: PropagatorConfig):
         self.matvec, self.dim, self.hnorm = H.matvec, H.dim, H.inf_norm
         self.tolerance = config.tolerance
         self.dt = config.dt
 
-    def advance(self, amps: np.ndarray, dt: float) -> np.ndarray:
-        if dt == 0.0:
-            return amps.copy()
-        needed = self.hnorm * abs(dt) / _TAYLOR_THETA
-        if not needed <= _MAX_TAYLOR_SUBSTEPS:  # a non-finite norm fails here too
-            raise NumericalError(
-                f"taylor step needs more than {_MAX_TAYLOR_SUBSTEPS} substeps",
-                norm=self.hnorm, step=dt)
-        nsub = max(1, math.ceil(needed))
-        tau = dt / nsub
-        cur = np.array(amps, dtype=np.complex128)
-        for _ in range(nsub):
-            cur = self._substep(cur, tau)
-        return cur
+    advance = _advance
 
     def _substep(self, psi: np.ndarray, tau: float) -> np.ndarray:
         acc = psi.copy()
@@ -372,9 +364,11 @@ class TaylorPropagator:
         )
 
     def blocks(self, amps: np.ndarray, times: np.ndarray):
-        """States at every grid time, in blocks of shape (..., n, dim); each sample
-        interval is covered by equal steps no longer than dt, at most
-        MAX_TAYLOR_STEPS of them over the grid."""
+        """States at every grid time, in blocks of shape (..., n, dim).  A sample
+        interval delta takes n = max(ceil(|delta| / dt), ceil(||H|| |delta| /
+        _TAYLOR_THETA)) equal substeps; a grid longer than MAX_TAYLOR_STEPS dt
+        is refused before any stepping, and an interval whose dt-long steps
+        need more than _MAX_TAYLOR_SUBSTEPS substeps each raises NumericalError."""
         if (steps := times[-1] / self.dt) > MAX_TAYLOR_STEPS:
             raise ParameterError(f"a taylor run takes at most {MAX_TAYLOR_STEPS} steps, "
                                  f"got t / dt = {steps:g}")
@@ -383,9 +377,14 @@ class TaylorPropagator:
         block = [cur]
         for k in range(1, len(times)):
             delta = times[k] - times[k - 1]
-            nsteps = max(1, math.ceil(delta / self.dt - 1e-9))
-            for _ in range(nsteps):
-                cur = self.advance(cur, delta / nsteps)
+            nsteps = max(1, math.ceil(abs(delta) / self.dt - 1e-9))
+            if not self.hnorm * abs(delta / nsteps) / _TAYLOR_THETA <= _MAX_TAYLOR_SUBSTEPS:
+                raise NumericalError(  # a non-finite norm fails here too
+                    f"taylor step needs more than {_MAX_TAYLOR_SUBSTEPS} substeps",
+                    norm=self.hnorm, step=delta / nsteps)
+            n = max(nsteps, math.ceil(self.hnorm * abs(delta) / _TAYLOR_THETA))
+            for _ in range(n):
+                cur = self._substep(cur, delta / n)
             block.append(cur)
             if len(block) == rows:
                 yield np.stack(block, axis=-2)

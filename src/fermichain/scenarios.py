@@ -119,7 +119,8 @@ class SweepConfig:
     def __post_init__(self):
         reduction = {key: value for key, value in vars(self.reduction).items() if value is not None}
         doc = {"parameter": self.parameter, "values": self.values, "reduction": reduction}
-        if errors := _store_checked(self, doc, _SWEEP, "sweep"):
+        errors = _store_checked(self, {key: getattr(self, key) for key in _NAMING}, _NAMING)
+        if errors := errors + _store_checked(self, doc, _SWEEP, "sweep"):
             raise ConfigError("invalid sweep config:\n  " + "\n  ".join(errors))
         object.__setattr__(self, "configs", tuple(_swept_configs(self)))
         object.__setattr__(self, "values", tuple(getattr(c, self.parameter) for c in self.configs))
@@ -212,6 +213,8 @@ def _fields(doc, table: dict, label: str, errors: list) -> dict:
             errors.append(str(exc))
         except ValueError as exc:
             errors.append(f"{dot}{key}: {exc}")
+        except RecursionError:  # libyaml reads any depth; a check, or its repr, recurses
+            errors.append(f"{dot}{key}: nests too deeply to read")
     return out
 
 
@@ -311,8 +314,10 @@ _SCENARIO = {
     "propagator": (_section(_PROPAGATOR, "", PropagatorConfig), False),
     "observables": (_tokens, True),
 }
-_SCALARS = {key: rule for key, rule in _SCENARIO.items()
-            if key not in ("initial_state", "propagator")}  # the sections are built checked
+# a config's name (the stem of the files it writes) and description, checked in every config
+_NAMING = {"name": (_file_name, False), "description": (_text, False)}
+_SCALARS = _NAMING | {key: rule for key, rule in _SCENARIO.items()  # the sections are built checked
+                      if key not in ("initial_state", "propagator")}
 
 
 def _arange(start: float, stop: float, step: float) -> list:
@@ -350,12 +355,7 @@ _SWEEP = {
 }
 
 # the top level of a config document; its sections are read by their own tables
-_DOCUMENT = {
-    "name": (_file_name, False),
-    "description": (_text, False),
-    "scenario": (dict, True),
-    "sweep": (dict, False),
-}
+_DOCUMENT = _NAMING | {"scenario": (dict, True), "sweep": (dict, False)}
 
 
 def check_config(config: ScenarioConfig) -> None:
@@ -466,20 +466,22 @@ def _swept_configs(sweep: SweepConfig) -> list[ScenarioConfig]:
     return configs
 
 
+def _read_yaml(file):
+    """The document of a YAML file (a Path or a package resource), parsed by
+    libyaml where PyYAML was built with it."""
+    try:
+        return yaml.load(file.read_text(), Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config {str(file)!r}: {exc}") from None
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"config {str(file)!r} is not valid YAML: {exc}") from None
+    except RecursionError:  # the pure-Python parser recurses per level
+        raise ConfigError(f"config {str(file)!r} nests too deeply to read") from None
+
+
 def load_config(source) -> ScenarioConfig | SweepConfig:
     """Parse a YAML document (path or mapping) into a scenario or sweep config."""
-    if isinstance(source, (str, Path)):
-        name = str(source)
-        try:
-            doc = yaml.safe_load(Path(source).read_text())
-        except (OSError, UnicodeDecodeError) as exc:
-            raise ConfigError(f"cannot read config {name!r}: {exc}") from None
-        except yaml.YAMLError as exc:
-            raise ConfigError(f"config {name!r} is not valid YAML: {exc}") from None
-        except RecursionError:
-            raise ConfigError(f"config {name!r} nests too deeply to read") from None
-    else:
-        doc = source
+    doc = _read_yaml(Path(source)) if isinstance(source, (str, Path)) else source
     if not isinstance(doc, dict) or "scenario" not in doc:
         raise ConfigError("config must be a mapping with a 'scenario' section")
     for section in ("scenario", "sweep"):
@@ -684,7 +686,7 @@ def load_preset(name: str) -> ScenarioConfig | SweepConfig:
     candidate = _preset_dir() / f"{name}.yaml"
     if not candidate.is_file():
         raise ConfigError(f"unknown preset {name!r}; available: {preset_names()}")
-    return load_config(yaml.safe_load(candidate.read_text()))
+    return load_config(_read_yaml(candidate))
 
 
 def resolve_config(name_or_path) -> ScenarioConfig | SweepConfig:

@@ -164,6 +164,8 @@ _VALID_SCENARIO = {
      "initial_state: doublon_site and up_site must differ, got 1 for both"),  # an empty sector
     ({"description": "caf\udce9"}, "cannot read config"),  # a byte that is not UTF-8
     ({"U": "[" * 3000 + "]" * 3000}, "nests too deeply to read"),
+    ({"sweep": "{parameter: U, values: [" + "[" * 3000 + "]" * 3000 + "]}"},
+     "nests too deeply to read"),
 ])
 def test_malformed_config_value_is_config_error(tmp_path, capsys, monkeypatch, override, field):
     def unreachable(*args, **kwargs):

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -156,6 +157,49 @@ def test_time_reversal(method):
     for _ in range(20):
         cur = prop.advance(cur, -config.dt)
     assert np.linalg.norm(cur - v) <= 2 * config.tolerance * 20 * config.dt + 1e-12
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("L, sector", [(4, (1, 1)), (6, (2, 1))])
+def test_advance_is_the_last_state_of_blocks(method, L, sector):
+    basis = product_basis(L, *sector)
+    V = barrier_potential(L, 20.0, "a")
+    H = build_hamiltonian(HubbardParams(L=L, J=1.0, U=3.0, V=V), basis)
+    v = _random_vec(basis.dim, np.random.default_rng(L))
+    prop = _propagator(H, PropagatorConfig(method))
+    for dt in (0.05, 0.03, -0.05, 0.7):
+        *_, last = prop.blocks(v, np.array([0.0, dt]))
+        assert np.array_equal(prop.advance(v, dt), last[-1])
+    same = prop.advance(v, 0.0)
+    assert np.array_equal(same, v) and not np.shares_memory(same, v)
+
+
+def test_taylor_covers_each_interval_with_one_substep_rule(monkeypatch):
+    from fermichain import evolution
+
+    # ||H|| dt / theta = 3.8: dt-long steps, each split again by ||H||, would take
+    # 16, 24 and 40 substeps for the three intervals longer than dt
+    H, rng = _random_sparse(40, seed=3, scale=50.0)
+    v = _random_vec(40, rng)
+    taus = []
+    substep = TaylorPropagator._substep
+
+    def counting(self, psi, tau):
+        taus.append(tau)
+        return substep(self, psi, tau)
+
+    monkeypatch.setattr(TaylorPropagator, "_substep", counting)
+    config = PropagatorConfig("taylor")
+    times = np.array([0.0, 0.03, 0.2, 0.5, 1.0])
+    states = np.concatenate(list(TaylorPropagator(H, config).blocks(v, times)))
+    deltas = np.diff(times)
+    counts = [max(math.ceil(d / config.dt), math.ceil(H.inf_norm * d / evolution._TAYLOR_THETA))
+              for d in deltas]
+    assert counts == [3, 13, 23, 38]
+    assert taus == [d / n for d, n in zip(deltas, counts) for _ in range(n)]
+    oracle = DensePropagator(H)
+    exact = np.array([oracle.advance(v, t) for t in times])
+    assert np.all(np.linalg.norm(states - exact, axis=1) <= config.tolerance * times + 1e-13)
 
 
 def test_long_run_unitarity_and_energy():

@@ -1,4 +1,5 @@
-"""Every shipped preset against the committed regression set in tests/data/.
+"""Every shipped preset, and the benchmark's gated workloads at fixed seeds,
+against the committed regression set in tests/data/.
 
 The propagators promise a state within tolerance * t of the exact one, so a
 density or the norm may move by 2 tolerance t (+ 1e-12 for rounding), energy
@@ -9,7 +10,7 @@ and swept values are inputs, so both must be equal.
 
 import numpy as np
 import pytest
-from make_preset_data import DATA, EVERY, preset_csv
+from make_preset_data import DATA, EVERY, load, names, preset_csv
 
 from fermichain.basis import product_basis
 from fermichain.hamiltonian import (
@@ -19,7 +20,7 @@ from fermichain.hamiltonian import (
     total_spin_squared,
 )
 from fermichain.observables import columns
-from fermichain.scenarios import SweepConfig, load_preset, preset_names
+from fermichain.scenarios import SweepConfig
 
 MOVED = ("differs from tests/data/{}.csv; if the physics output moved on purpose, "
          "say why and rerun tests/make_preset_data.py")
@@ -68,9 +69,9 @@ def _limits(config, header, rows) -> np.ndarray:
     return limits
 
 
-@pytest.mark.parametrize("name", preset_names())
+@pytest.mark.parametrize("name", names())
 def test_preset_matches_its_reference(tmp_path, name):
-    config = load_preset(name)
+    config = load(name)
     path = preset_csv(config, tmp_path / "first")
     header, got = _read(path)
     want_header, want = _read(DATA / f"{name}.csv")

@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+import yaml
 
 from fermichain import evolution, scenarios
 from fermichain.errors import ConfigError, ParameterError
@@ -118,6 +119,31 @@ def test_all_presets_load():
     for name in names:
         config = load_preset(name)
         assert config.name == name
+
+
+# scalars that YAML resolves by their form, as configs write them
+_YAML_SCALARS = ["U: 1e-10", "dt: 1.0e-300", "t: .inf", "x: .nan", "name: 2024", "d: null",
+                 "b: true", "s: '1e-10'", "n: 0x10", "o: 0o17", "e: ''", "f: [1, 2.5, -3]",
+                 "m: {kind: doublon, site: 1}", "r: {start: 0, stop: 20, step: 0.5}"]
+
+
+def test_config_reader_parses_as_the_pure_python_reader(tmp_path):
+    files = [scenarios._preset_dir() / f"{name}.yaml" for name in preset_names()]
+    for k, text in enumerate(_YAML_SCALARS):
+        files.append(tmp_path / f"{k}.yaml")
+        files[-1].write_text(text + "\n")
+    for file in files:
+        got, want = scenarios._read_yaml(file), yaml.safe_load(file.read_text())
+        assert repr(got) == repr(want), file  # repr: NaN is not equal to itself
+
+
+def test_deep_config_is_refused_without_libyaml(tmp_path, monkeypatch):
+    # the pure-Python parser recurses per level and fails while it reads
+    monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    path = tmp_path / "deep.yaml"
+    path.write_text("name: deep\nscenario:\n  U: " + "[" * 1000 + "]" * 1000 + "\n")
+    with pytest.raises(ConfigError, match="deep.yaml' nests too deeply to read"):
+        load_config(path)
 
 
 def test_resolve_config_prefers_files(tmp_path):
@@ -424,6 +450,7 @@ def _unreachable(*args, **kwargs):
     ({"t_max": 1.0, "sample_dt": 1e-7}, "t_max / sample_dt: must be at most 1000000, got 1e+07"),
     ({"L": 7}, "L: barrier runs need even L >= 4, got 7"),
     ({"observables": ("bogus",)}, "observables: unknown observable token 'bogus'"),
+    ({"description": ["x"]}, "description: must be text, got ['x']"),
 ])
 def test_replaced_scenario_is_checked(monkeypatch, changes, message):
     monkeypatch.setattr(scenarios, "product_basis", _unreachable)
@@ -431,6 +458,19 @@ def test_replaced_scenario_is_checked(monkeypatch, changes, message):
     with pytest.raises(ConfigError) as refused:
         run_scenario(dataclasses.replace(config, **changes))
     assert str(refused.value) == message
+
+
+@pytest.mark.parametrize("name", ["../escaped", "a/b", "", ".."])
+def test_made_config_name_must_be_a_plain_file_name(tmp_path, monkeypatch, name):
+    # the name is the stem of every file a run writes, a trajectory sweep's per-value files too
+    monkeypatch.setattr(scenarios, "product_basis", _unreachable)
+    sweep = _mini_sweep()
+    runs = [(run_scenario, load_preset("fig2")), (run_sweep, sweep),
+            (run_sweep, dataclasses.replace(sweep, reduction=Reduction("trajectory")))]
+    for run, config in runs:
+        with pytest.raises(ConfigError, match="name: must be a plain file name"):
+            run(dataclasses.replace(config, name=name), output_dir=tmp_path / "n")
+    assert list(tmp_path.rglob("*")) == []
 
 
 def test_replaced_field_stores_its_checked_value():
