@@ -22,13 +22,10 @@ from .evolution import (
     evolve_trajectory,
 )
 from .hamiltonian import (
-    BarrierOrientation,
     HubbardParams,
     SparseHamiltonian,
     barrier_potential,
-    build_fk_hamiltonian,
     build_hamiltonian,
-    build_single_particle,
     jstar_site,
     total_spin_squared,
 )
@@ -44,7 +41,7 @@ from .scenarios import (
     run_sweep,
 )
 from .states import (
-    StateVector,
+    StateBlock,
     doublon_at,
     doublon_plus_up,
     from_amplitudes,

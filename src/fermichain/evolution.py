@@ -35,8 +35,7 @@ import numpy as np
 
 from .errors import CapacityError, NumericalError, ParameterError
 from .hamiltonian import DENSE_CAP, SparseHamiltonian
-from .observables import StateBlock
-from .states import StateVector
+from .states import StateBlock
 
 METHODS = ("dense_eig", "krylov", "taylor")
 
@@ -430,7 +429,7 @@ def make_propagator(H, config: PropagatorConfig):
 
 def evolve_trajectory(
     H,
-    psi0: StateVector,
+    psi0: StateBlock,
     times,
     config: PropagatorConfig,
     observables: dict,

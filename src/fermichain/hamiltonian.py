@@ -2,13 +2,15 @@
 
 All energies are in units of the hopping amplitude J and times in 1/J
 (hbar = 1); chains are open (hopping sum runs over bonds 1..L-1 only).
+build_hamiltonian is the one assembly, of scenarios and verification
+alike; its (1, 0) sector is the one-particle chain.  A barrier's
+orientation is "a" or "b".
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
 
 import numpy as np
@@ -20,26 +22,7 @@ DENSE_CAP = 4096  # largest dimension handled by dense eigendecompositions
 # (state, stored entry) terms per chunk of an expectation; on a dim-400 stack
 # 2^17, whose chunks hold MB-sized temporaries, ran about 3x slower
 _TERMS_PER_PRODUCT = 1 << 15
-
-
-class BarrierOrientation(Enum):
-    """Which central site carries the full barrier height h.
-
-    A: full height at L/2, half height at L/2+1 (a left-incident particle
-    meets the steep side first).  B is the mirror image.
-    """
-
-    A = "a"
-    B = "b"
-
-    @classmethod
-    def parse(cls, value) -> "BarrierOrientation":
-        if isinstance(value, cls):
-            return value
-        try:
-            return cls(str(value).strip().lower())
-        except ValueError:
-            raise ParameterError(f"orientation must be 'a' or 'b', got {value!r}") from None
+BARRIER_ORIENTATIONS = ("a", "b")  # which central site carries the full height h
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,7 +47,7 @@ class HubbardParams:
             raise ParameterError(f"J={self.J} must be positive")
         if not np.isfinite(self.U):
             raise ParameterError(f"U={self.U} must be finite")
-        V = np.ascontiguousarray(self.V, dtype=np.float64)
+        V = np.array(self.V, dtype=np.float64)  # a copy: the caller's array stays writable
         if V.shape != (self.L,):
             raise ParameterError(f"V has shape {V.shape}, expected ({self.L},)")
         V.setflags(write=False)
@@ -194,34 +177,35 @@ def _csr(dim: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> Spar
     return SparseHamiltonian(indptr=indptr, indices=cols[order], data=vals[..., order])
 
 
-def barrier_potential(L: int, h: float, orientation) -> np.ndarray:
-    """Two-site asymmetric barrier on the central bond of an even chain.
-
-    Orientation A puts height h at site L/2 and h/2 at L/2+1; B swaps them.
-    """
-    orientation = BarrierOrientation.parse(orientation)
+def _barrier_sites(L: int, orientation: str) -> tuple[int, int]:
+    """0-based (full-height, half-height) sites of the barrier on the central
+    bond of an even chain: orientation "a" puts the full height at site L/2
+    (a left-incident particle meets the steep side first), "b" mirrors it."""
+    if orientation not in BARRIER_ORIENTATIONS:
+        raise ParameterError(f"orientation must be 'a' or 'b', got {orientation!r}")
     if L % 2 or L < 4:
         raise ParameterError(f"barrier needs an even chain with L >= 4, got L={L}")
+    return (L // 2 - 1, L // 2) if orientation == "a" else (L // 2, L // 2 - 1)
+
+
+def barrier_potential(L: int, h: float, orientation: str) -> np.ndarray:
+    """Two-site asymmetric barrier: height h at the full-height site, h/2 at
+    the other (see _barrier_sites)."""
+    full, half = _barrier_sites(L, orientation)
     if h < 0:
         raise ParameterError(f"barrier height h={h} must be non-negative")
     V = np.zeros(L)
-    if orientation is BarrierOrientation.A:
-        V[L // 2 - 1] = h
-        V[L // 2] = h / 2
-    else:
-        V[L // 2 - 1] = h / 2
-        V[L // 2] = h
+    V[full] = h
+    V[half] = h / 2
     return V
 
 
-def jstar_site(L: int, h: float, orientation) -> int:
+def jstar_site(L: int, h: float, orientation: str) -> int:
     """Site whose potential equals h/2 (the resonant-trapping site)."""
-    orientation = BarrierOrientation.parse(orientation)
-    if L % 2 or L < 4:
-        raise ParameterError(f"barrier needs an even chain with L >= 4, got L={L}")
+    _, half = _barrier_sites(L, orientation)
     if not h > 0:
         raise ParameterError("j* is undefined for a zero barrier")
-    return L // 2 + 1 if orientation is BarrierOrientation.A else L // 2
+    return half + 1
 
 
 def _species_hops(L: int, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -278,25 +262,6 @@ def build_hamiltonian(params, basis: ProductBasis) -> SparseHamiltonian:
     if not np.isfinite(vals).all():
         raise NumericalError("hamiltonian entries are not finite", dimension=basis.dim)
     return _csr(basis.dim, rows, cols, vals[0] if single else vals)
-
-
-def build_single_particle(L: int, J: float, V) -> np.ndarray:
-    """One-particle chain Hamiltonian: tridiagonal with diagonal V and off-diagonal -J."""
-    V = np.ascontiguousarray(V, dtype=np.float64)
-    if V.shape != (L,):
-        raise ParameterError(f"V has shape {V.shape}, expected ({L},)")
-    H = np.diag(V)
-    off = np.full(L - 1, -float(J))
-    H += np.diag(off, 1) + np.diag(off, -1)
-    return H
-
-
-def build_fk_hamiltonian(L: int, J: float, U: float, h: float, orientation) -> np.ndarray:
-    """Effective one-particle Hamiltonian seen by the mobile species when the
-    other species is pinned at site 1: the barrier potential plus U at site 1."""
-    V = barrier_potential(L, h, orientation)
-    V[0] += U
-    return build_single_particle(L, J, V)
 
 
 def total_spin_squared(basis: ProductBasis) -> SparseHamiltonian:

@@ -32,6 +32,7 @@ from .evolution import (
     plan,
 )
 from .hamiltonian import (
+    BARRIER_ORIENTATIONS,
     HubbardParams,
     barrier_potential,
     build_hamiltonian,
@@ -46,7 +47,7 @@ from .observables import (
 )
 from .states import ENTRIES, check_entries, from_entries
 
-ORIENTATIONS = ("a", "b", "both")
+ORIENTATIONS = (*BARRIER_ORIENTATIONS, "both")
 SWEEP_PARAMETERS = ("U", "h", "L")
 REDUCTIONS = ("time_average", "trap_time", "trajectory")
 MAX_POINTS = 1_000_000  # samples of one time grid, values of one range sweep
@@ -514,7 +515,7 @@ def _time_grid(t_max: float, sample_dt: float) -> np.ndarray:
 
 
 def _orientations(config: ScenarioConfig) -> list[str]:
-    return ["a", "b"] if config.orientation == "both" else [config.orientation]
+    return list(BARRIER_ORIENTATIONS) if config.orientation == "both" else [config.orientation]
 
 
 def _stacks(runs: list[tuple[ScenarioConfig, str]]):
@@ -657,11 +658,15 @@ def _format(value) -> str:
 
 
 def write_rows_csv(path, header, rows) -> None:
+    """Write a CSV table; a path that cannot be written is a ConfigError naming it."""
     lines = [",".join(header)]
     if rows:
         line = ",".join(_format(x) for x in rows[0])
         lines.extend(line % tuple(row) for row in rows)
-    Path(path).write_text("\n".join(lines) + "\n")
+    try:
+        Path(path).write_text("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {str(path)!r}: {exc.strerror or exc}") from None
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:

@@ -1,6 +1,9 @@
-"""Initial states of the tunneling experiments.  Every state is a list of
-entries (up sites, down sites, amplitude), sites 1-based and in any order;
-check_entries holds the rules, from_entries builds one on a basis.
+"""States over a ProductBasis, and the initial states of the tunneling
+experiments.  A StateBlock holds one state (dim,) or a block of them;
+every constructor here returns a one-state block whose amplitudes are
+read-only.  Every initial state is a list of entries (up sites, down
+sites, amplitude), sites 1-based and in any order; check_entries holds the
+rules, from_entries builds one on a basis.
 
 Singlet and triplet labels refer to the spinor ordering fixed in the basis
 module: |up_i down_j> means c+_{i,up} c+_{j,down} |0>, so
@@ -13,36 +16,56 @@ because |down_i up_j> = -|{j},{i}> after reordering the operators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .basis import ProductBasis, mirror_mask, reorder_sign, site_bit
 from .errors import ParameterError
 
-
-@dataclass(frozen=True, eq=False)
-class StateVector:
-    """Unit-norm complex amplitude vector over a ProductBasis."""
-
-    basis: ProductBasis | None
-    amplitudes: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return len(self.amplitudes)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def overlap(self, other: "StateVector") -> complex:
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
+SPINS = ("up", "down")
 
 
-def _finish(basis: ProductBasis | None, amps: np.ndarray) -> StateVector:
+class StateBlock:
+    """Consecutive states over one basis, one per row of an (n, dim) array, or
+    the n states of each of the k runs of a stack, (k, n, dim); one state
+    (dim,) reads as a block without the n axis.
+
+    Observable callables map a block to n values, or to (k, n).  What several
+    columns read, the occupation probabilities and the per-site densities, is
+    computed once per block and shared.
+    """
+
+    def __init__(self, basis: ProductBasis | None, amplitudes: np.ndarray):
+        self.basis = basis
+        self.amplitudes = amplitudes
+
+    @cached_property
+    def probabilities(self) -> np.ndarray:
+        """|psi|^2 of each state, shaped (..., n, dim_up, dim_down)."""
+        a = self.amplitudes
+        return (a.real ** 2 + a.imag ** 2).reshape(
+            a.shape[:-1] + (self.basis.up.dim, self.basis.down.dim))
+
+    @cached_property
+    def _densities(self) -> dict:
+        p = self.probabilities
+        up = p.sum(axis=-1) @ self.basis.up.occupations
+        down = p.sum(axis=-2) @ self.basis.down.occupations
+        return {None: up + down, "up": up, "down": down}
+
+    def density(self, spin: str | None = None) -> np.ndarray:
+        """Per-site expected occupations, (..., n, L): both species, or one spin."""
+        if spin is not None and spin not in SPINS:
+            raise ParameterError(f"spin must be in {SPINS} or None, got {spin!r}")
+        return self._densities[spin]
+
+
+def _finish(basis: ProductBasis, amps: np.ndarray) -> StateBlock:
+    """One state with read-only amplitudes."""
     amps = np.ascontiguousarray(amps, dtype=np.complex128)
     amps.setflags(write=False)
-    return StateVector(basis=basis, amplitudes=amps)
+    return StateBlock(basis, amps)
 
 
 NORM_TOLERANCE = 1e-6  # allowed distance of a user-supplied state's norm from 1
@@ -57,7 +80,7 @@ def _norm(amps) -> float:
     return norm
 
 
-def from_amplitudes(basis: ProductBasis, amplitudes) -> StateVector:
+def from_amplitudes(basis: ProductBasis, amplitudes) -> StateBlock:
     """Wrap a user-supplied amplitude vector; must be normalized within NORM_TOLERANCE."""
     amps = np.asarray(amplitudes, dtype=np.complex128)
     if amps.shape != (basis.dim,):
@@ -86,7 +109,7 @@ def check_entries(entries) -> float:
     return _norm([amp for _, _, amp in entries])
 
 
-def from_entries(basis: ProductBasis, entries) -> StateVector:
+def from_entries(basis: ProductBasis, entries) -> StateBlock:
     """The state of entries (up sites, down sites, amplitude) on basis, checked
     by check_entries and scaled to norm 1; a site off the chain or an entry
     outside the basis's sector raises ParameterError."""
@@ -112,32 +135,32 @@ ENTRIES = {
 }
 
 
-def doublon_at(basis: ProductBasis, site: int) -> StateVector:
+def doublon_at(basis: ProductBasis, site: int) -> StateBlock:
     """Both species on one site."""
     return from_entries(basis, ENTRIES["doublon"](site))
 
 
-def single_particle_at(basis: ProductBasis, site: int) -> StateVector:
+def single_particle_at(basis: ProductBasis, site: int) -> StateBlock:
     """One spin-up particle on one site (sector (1, 0))."""
     return from_entries(basis, ENTRIES["single_particle"](site))
 
 
-def singlet_pair(basis: ProductBasis, i: int, j: int) -> StateVector:
+def singlet_pair(basis: ProductBasis, i: int, j: int) -> StateBlock:
     """Spin singlet on sites i, j; S^2 eigenvalue 0."""
     return from_entries(basis, ENTRIES["singlet"](i, j))
 
 
-def triplet_pair(basis: ProductBasis, i: int, j: int) -> StateVector:
+def triplet_pair(basis: ProductBasis, i: int, j: int) -> StateBlock:
     """S_z = 0 spin triplet on sites i, j; S^2 eigenvalue 2."""
     return from_entries(basis, ENTRIES["triplet"](i, j))
 
 
-def doublon_plus_up(basis: ProductBasis, doublon_site: int, up_site: int) -> StateVector:
+def doublon_plus_up(basis: ProductBasis, doublon_site: int, up_site: int) -> StateBlock:
     """A doublon plus one extra spin-up spectator (sector (2, 1))."""
     return from_entries(basis, ENTRIES["doublon_plus_up"](doublon_site, up_site))
 
 
-def mirror_state(basis: ProductBasis, psi: StateVector) -> StateVector:
+def mirror_state(basis: ProductBasis, psi: StateBlock) -> StateBlock:
     """Unitary parity (reflection about the chain center) of a state.
 
     Each configuration maps to its mirror image; reflecting a species reverses

@@ -1,10 +1,11 @@
 """Executable checks of the tunneling-symmetry results.
 
-Everything here runs against the dense eigendecomposition oracle: the
-single-particle propagator mirror identity, the density-based tunneling
-symmetry gap (zero for noninteracting and triplet runs, nonzero for the
-interacting singlet), and the frozen-species reduction of the two-body
-problem to an effective one-particle barrier.
+Everything here runs on the production assembly, build_hamiltonian, and
+the dense eigendecomposition propagator, DensePropagator: the
+single-particle propagator mirror identity (on the (1, 0) sector), the
+density-based tunneling symmetry gap (zero for noninteracting and triplet
+runs, nonzero for the interacting singlet), and the frozen-species
+reduction of the two-body problem to an effective one-particle barrier.
 """
 
 from __future__ import annotations
@@ -16,17 +17,9 @@ import numpy as np
 from .basis import product_basis
 from .errors import ParameterError
 from .evolution import DensePropagator
-from .hamiltonian import (
-    BarrierOrientation,
-    HubbardParams,
-    build_fk_hamiltonian,
-    build_hamiltonian,
-    build_single_particle,
-    barrier_potential,
-)
-from .observables import StateBlock
+from .hamiltonian import BARRIER_ORIENTATIONS, HubbardParams, barrier_potential, build_hamiltonian
 from .states import (
-    StateVector,
+    StateBlock,
     doublon_at,
     from_entries,
     mirror_state,
@@ -73,14 +66,14 @@ def propagator_mirror_residual(
         raise ParameterError(f"a={a} not in region A = [1, {l_a}]")
     if not l_a + l_b + 1 <= c <= L:
         raise ParameterError(f"c={c} not in region C = [{l_a + l_b + 1}, {L}]")
-    evals, evecs = np.linalg.eigh(build_single_particle(L, J, V))
-    phases = np.exp(-1j * t * evals)
-    amp = (evecs[c - 1] * phases) @ evecs[a - 1]
-    amp_mirror = (evecs[L - c] * phases) @ evecs[L - a]
+    prop = DensePropagator(build_hamiltonian(HubbardParams(L, J, 0.0, V), product_basis(L, 1, 0)))
+    phases = np.exp(-1j * t * prop.evals)
+    amp = (prop.evecs[c - 1] * phases) @ prop.evecs[a - 1]
+    amp_mirror = (prop.evecs[L - c] * phases) @ prop.evecs[L - a]
     return float(abs(amp - amp_mirror))
 
 
-def tunneling_symmetry_gap(params: HubbardParams, psi0: StateVector, times) -> float:
+def tunneling_symmetry_gap(params: HubbardParams, psi0: StateBlock, times) -> float:
     """max_t | <n_C>(t) starting from psi0 - <n_A>(t) starting from mirror(psi0) |.
 
     Both runs use the same potential, whose two-site barrier B is centered on
@@ -90,7 +83,7 @@ def tunneling_symmetry_gap(params: HubbardParams, psi0: StateVector, times) -> f
     basis = psi0.basis
     if basis.L != params.L:
         raise ParameterError(f"state has L={basis.L}, params have L={params.L}")
-    weight_outside = float(StateBlock(basis, psi0.amplitudes).density()[l_a:].sum())
+    weight_outside = float(psi0.density()[l_a:].sum())
     if weight_outside > 1e-12:
         raise ParameterError(f"initial state leaks {weight_outside} outside region A")
 
@@ -115,14 +108,15 @@ def fk_equivalence_residual(L: int, J: float, U: float, h: float, orientation, t
     one-particle problem sees the barrier plus U at site 1.
     """
     V = barrier_potential(L, h, orientation)
-    params = HubbardParams(L=L, J=J, U=U, V=V, j_down=0.0)
     basis = product_basis(L, 1, 1)
-    H = build_hamiltonian(params, basis)
+    H = build_hamiltonian(HubbardParams(L=L, J=J, U=U, V=V, j_down=0.0), basis)
     psi = DensePropagator(H).advance(doublon_at(basis, 1).amplitudes, t)
     n_up = StateBlock(basis, psi).density("up")
 
-    evals, evecs = np.linalg.eigh(build_fk_hamiltonian(L, J, U, h, orientation))
-    phi = evecs @ (np.exp(-1j * t * evals) * evecs[0])
+    V[0] += U
+    single = product_basis(L, 1, 0)
+    H = build_hamiltonian(HubbardParams(L=L, J=J, U=0.0, V=V), single)
+    phi = DensePropagator(H).advance(single_particle_at(single, 1).amplitudes, t)
     return float(np.max(np.abs(n_up - np.abs(phi) ** 2)))
 
 
@@ -137,7 +131,7 @@ class CheckResult:
     detail: str
 
 
-def _superposition_in_a(basis, l_a: int, rng) -> StateVector:
+def _superposition_in_a(basis, l_a: int, rng) -> StateBlock:
     coeffs = rng.normal(size=l_a) + 1j * rng.normal(size=l_a)
     coeffs /= np.linalg.norm(coeffs)
     return from_entries(basis, [((s,), (), c) for s, c in enumerate(coeffs, 1)])
@@ -170,7 +164,7 @@ def run_symmetry_suite() -> list[CheckResult]:
     worst = 0.0
     for L in (4, 6, 8, 12):
         for h in (5.0, 10.0, 20.0):
-            V = barrier_potential(L, h, BarrierOrientation.A)
+            V = barrier_potential(L, h, "a")
             l_a = (L - 2) // 2
             single = product_basis(L, 1, 0)
             params1 = HubbardParams(L=L, J=1.0, U=0.0, V=V)
@@ -188,7 +182,7 @@ def run_symmetry_suite() -> list[CheckResult]:
 
     times = np.arange(0.0, 50.0 + 1e-9, 0.25)
     basis6 = product_basis(6, 1, 1)
-    V6 = barrier_potential(6, 10.0, BarrierOrientation.A)
+    V6 = barrier_potential(6, 10.0, "a")
     worst = 0.0
     for U in (0.5, 2.0, 10.0):
         params = HubbardParams(L=6, J=1.0, U=U, V=V6)
@@ -215,7 +209,7 @@ def run_fk_suite() -> list[CheckResult]:
     worst = 0.0
     for L in (4, 6):
         for U in (0.0, 3.0, 10.0):
-            for orientation in BarrierOrientation:
+            for orientation in BARRIER_ORIENTATIONS:
                 for t in (5.0, 20.0):
                     worst = max(worst, fk_equivalence_residual(L, 1.0, U, 20.0, orientation, t))
     results.append(CheckResult(

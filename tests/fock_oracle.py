@@ -86,6 +86,13 @@ def restricted_hamiltonian(L: int, j_up: float, j_down: float, U: float, V, basi
     return E.T @ full_hamiltonian(L, j_up, j_down, U, V) @ E
 
 
+def single_particle_hamiltonian(L: int, J: float, V) -> np.ndarray:
+    """One-particle chain Hamiltonian, written out: tridiagonal with diagonal V
+    and off-diagonal -J."""
+    off = np.full(L - 1, -float(J))
+    return np.diag(np.asarray(V, dtype=np.float64)) + np.diag(off, 1) + np.diag(off, -1)
+
+
 def csr_from_dense(matrix: np.ndarray) -> SparseHamiltonian:
     """The package's CSR form of a dense matrix, zero entries dropped."""
     rows, cols = np.nonzero(matrix)

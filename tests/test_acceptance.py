@@ -22,7 +22,6 @@ from fermichain.evolution import (
 )
 from fermichain.observables import time_average, trap_time
 from fermichain.scenarios import Reduction, load_preset, run_scenario, run_sweep, scenario_from_dict
-from fermichain.states import StateVector
 from fermichain.verification import (
     SINGLET_GAP_FLOOR,
     fk_equivalence_residual,

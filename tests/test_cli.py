@@ -278,6 +278,23 @@ def test_output_directory_that_cannot_be_made_is_config_error(tmp_path, capsys, 
     assert len(err.splitlines()) == 1 and not list(tmp_path.rglob("*.csv"))
 
 
+@pytest.mark.parametrize("argv, blocked", [
+    (["simulate", "fig2", "--t-max", "0.5"], "fig2.csv"),
+    (["sweep", "fig4", "--values", "0,1", "--t-max", "1"], "fig4.csv"),
+    (["sweep", "{config}"], "traj_U=1.csv"),  # the second value's trajectory file
+], ids=["simulate", "sweep", "trajectory-sweep"])
+def test_csv_that_cannot_be_written_is_config_error(tmp_path, capsys, argv, blocked):
+    config = _write_config(tmp_path / "traj.yaml", _VALID_SCENARIO, name="traj",
+                           sweep="{parameter: U, values: [0, 1], reduction: {kind: trajectory}}")
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)  # a directory where the CSV goes
+    argv = [arg.format(config=config) for arg in argv]
+    assert main([*argv, "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot write {str(out / blocked)!r}")
+    assert len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("fields, tolerance", [
     ({"sample_dt": "1.0e-7", "t_max": "0.001"}, 1e-10),
     ({"sample_dt": "1.0e-5", "t_max": "0.01", "propagator": "{tolerance: 1.0e-12}"}, 1e-12),

@@ -29,7 +29,6 @@ from fermichain.hamiltonian import (
 )
 from fermichain.observables import StateBlock, observable_functions
 from fermichain.states import (
-    StateVector,
     doublon_at,
     single_particle_at,
     triplet_pair,
@@ -584,7 +583,7 @@ def test_krylov_rejects_non_finite_operator():
     with pytest.raises(NumericalError):
         KrylovPropagator(H, PropagatorConfig()).advance(v, 0.05)
     with pytest.raises(NumericalError):
-        evolve_trajectory(H, StateVector(None, v), [0.0, 0.05, 0.1], PropagatorConfig(), {})
+        evolve_trajectory(H, StateBlock(None, v), [0.0, 0.05, 0.1], PropagatorConfig(), {})
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,9 @@ import pytest
 from fermichain.basis import product_basis
 from fermichain.errors import NumericalError, ParameterError
 from fermichain.hamiltonian import (
-    BarrierOrientation,
     HubbardParams,
     barrier_potential,
-    build_fk_hamiltonian,
     build_hamiltonian,
-    build_single_particle,
     jstar_site,
     total_spin_squared,
 )
@@ -31,10 +28,18 @@ def test_barrier_shapes():
         barrier_potential(4, 1.0, "c")
 
 
+@pytest.mark.parametrize("orientation", ["A", " a ", "B", "both", None])
+def test_orientation_is_exactly_a_or_b(orientation):
+    with pytest.raises(ParameterError, match="orientation must be 'a' or 'b'"):
+        barrier_potential(4, 10.0, orientation)
+    with pytest.raises(ParameterError, match="orientation must be 'a' or 'b'"):
+        jstar_site(4, 10.0, orientation)
+
+
 def test_jstar_site():
     assert jstar_site(4, 20.0, "a") == 3
     assert jstar_site(4, 20.0, "b") == 2
-    assert jstar_site(20, 20.0, BarrierOrientation.A) == 11
+    assert jstar_site(20, 20.0, "a") == 11
     with pytest.raises(ParameterError):
         jstar_site(4, 0.0, "a")
 
@@ -143,12 +148,25 @@ def test_dimension_mismatch_rejected():
         build_hamiltonian(params, basis)
 
 
+def _one_particle(L, V):
+    """The one-particle chain: the (1, 0) sector of the production assembly."""
+    params = HubbardParams(L=L, J=1.0, U=0.0, V=np.asarray(V, dtype=np.float64))
+    return build_hamiltonian(params, product_basis(L, 1, 0)).to_dense()
+
+
+def _fk_matrix(L, U, h, orientation):
+    """What the mobile species sees with the other pinned at site 1: the barrier plus U there."""
+    V = barrier_potential(L, h, orientation)
+    V[0] += U
+    return _one_particle(L, V)
+
+
 def test_single_particle_examples():
-    assert build_single_particle(2, 1.0, [0, 0]).tolist() == [[0, -1], [-1, 0]]
-    H = build_single_particle(4, 1.0, [0, 10, 5, 0])
+    assert _one_particle(2, [0, 0]).tolist() == [[0, -1], [-1, 0]]
+    H = _one_particle(4, [0, 10, 5, 0])
     assert np.array_equal(np.diag(H), [0, 10, 5, 0])
     assert np.array_equal(np.diag(H, 1), [-1, -1, -1])
-    evals = np.linalg.eigvalsh(build_single_particle(3, 1.0, [0, 0, 0]))
+    evals = np.linalg.eigvalsh(_one_particle(3, [0, 0, 0]))
     assert np.allclose(evals, [-np.sqrt(2), 0, np.sqrt(2)], atol=1e-12)
 
 
@@ -157,14 +175,14 @@ def test_sector_reduces_to_single_particle():
     V = barrier_potential(6, 10.0, "a")
     basis = product_basis(6, 1, 0)
     H = build_hamiltonian(HubbardParams(L=6, J=1.0, U=5.0, V=V), basis)
-    assert np.array_equal(H.to_dense(), build_single_particle(6, 1.0, V))
+    assert np.array_equal(H.to_dense(), fock_oracle.single_particle_hamiltonian(6, 1.0, V))
 
 
 def test_fk_hamiltonian_examples():
-    assert np.array_equal(np.diag(build_fk_hamiltonian(4, 1.0, 3.0, 20.0, "a")), [3, 20, 10, 0])
-    assert np.array_equal(np.diag(build_fk_hamiltonian(4, 1.0, 3.0, 20.0, "b")), [3, 10, 20, 0])
-    bare = build_single_particle(4, 1.0, barrier_potential(4, 20.0, "a"))
-    assert np.array_equal(build_fk_hamiltonian(4, 1.0, 0.0, 20.0, "a"), bare)
+    assert np.array_equal(np.diag(_fk_matrix(4, 3.0, 20.0, "a")), [3, 20, 10, 0])
+    assert np.array_equal(np.diag(_fk_matrix(4, 3.0, 20.0, "b")), [3, 10, 20, 0])
+    bare = _one_particle(4, barrier_potential(4, 20.0, "a"))
+    assert np.array_equal(_fk_matrix(4, 0.0, 20.0, "a"), bare)
 
 
 def test_frozen_down_block_equals_fk_matrix():
@@ -177,7 +195,7 @@ def test_frozen_down_block_equals_fk_matrix():
     dense = H.to_dense()
     block_idx = [basis.index(1 << (j - 1), 1) for j in range(1, L + 1)]
     block = dense[np.ix_(block_idx, block_idx)]
-    assert np.max(np.abs(block - build_fk_hamiltonian(L, 1.0, U, h, "a"))) <= 1e-12
+    assert np.max(np.abs(block - _fk_matrix(L, U, h, "a"))) <= 1e-12
 
 
 @pytest.mark.parametrize("L", [1, 2, 3])
@@ -267,3 +285,12 @@ def test_params_validation():
         HubbardParams(L=4, J=1.0, U=np.inf, V=np.zeros(4))
     with pytest.raises(ParameterError):
         HubbardParams(L=4, J=1.0, U=1.0, V=np.zeros(3))
+
+
+def test_params_copy_the_potential():
+    V = barrier_potential(4, 20.0, "a")
+    params = HubbardParams(L=4, J=1.0, U=1.0, V=V)
+    V[0] = 1.0  # the caller's array stays writable
+    assert params.V.tolist() == [0.0, 20.0, 10.0, 0.0]
+    with pytest.raises(ValueError, match="read-only"):
+        params.V[0] = 1.0

@@ -31,7 +31,7 @@ def _random_state(basis, seed):
 def test_doublon_examples():
     basis = product_basis(4, 1, 1)
     psi = doublon_at(basis, 1)
-    assert abs(psi.norm() - 1.0) <= 1e-15
+    assert abs(np.linalg.norm(psi.amplitudes) - 1.0) <= 1e-15
     assert psi.amplitudes[basis.index(0b0001, 0b0001)] == 1.0
     assert np.count_nonzero(psi.amplitudes) == 1
 
@@ -47,11 +47,11 @@ def test_pair_states():
     s2 = total_spin_squared(basis)
     singlet = singlet_pair(basis, 1, 2)
     triplet = triplet_pair(basis, 1, 2)
-    assert abs(singlet.norm() - 1.0) <= 1e-15
-    assert abs(triplet.norm() - 1.0) <= 1e-15
+    assert abs(np.linalg.norm(singlet.amplitudes) - 1.0) <= 1e-15
+    assert abs(np.linalg.norm(triplet.amplitudes) - 1.0) <= 1e-15
     got = s2.expectations(np.array([singlet.amplitudes, triplet.amplitudes]))
     assert np.all(np.abs(got - [0.0, 2.0]) <= 1e-12)
-    assert abs(singlet.overlap(triplet)) <= 1e-15
+    assert abs(np.vdot(singlet.amplitudes, triplet.amplitudes)) <= 1e-15
     with pytest.raises(ParameterError):
         singlet_pair(basis, 2, 2)
     with pytest.raises(ParameterError):
@@ -176,3 +176,17 @@ def test_mirror_mask_reflects_arrays():
     assert mirror_mask(7, masks).tolist() == [mirror_mask(7, int(m)) for m in masks]
     with pytest.raises(ParameterError):
         mirror_mask(3, np.array([0b0111, 0b1000]))
+
+
+def test_every_constructor_returns_one_read_only_state():
+    basis = product_basis(4, 1, 1)
+    psi = doublon_at(basis, 2)
+    states = [psi, from_entries(basis, ENTRIES["singlet"](1, 2)), singlet_pair(basis, 1, 2),
+              triplet_pair(basis, 1, 2), mirror_state(basis, psi),
+              from_amplitudes(basis, psi.amplitudes), doublon_plus_up(product_basis(4, 2, 1), 1, 2),
+              single_particle_at(product_basis(4, 1, 0), 1)]
+    for state in states:
+        assert isinstance(state, StateBlock) and state.amplitudes.shape == (state.basis.dim,)
+        assert not state.amplitudes.flags.writeable
+    assert psi.density().tolist() == [0.0, 2.0, 0.0, 0.0]
+    assert psi.density("up").tolist() == [0.0, 1.0, 0.0, 0.0]

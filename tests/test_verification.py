@@ -3,7 +3,7 @@ import pytest
 
 from fermichain.basis import product_basis
 from fermichain.errors import ParameterError
-from fermichain.hamiltonian import HubbardParams, barrier_potential
+from fermichain.hamiltonian import HubbardParams, barrier_potential, build_hamiltonian
 from fermichain.states import doublon_at, singlet_pair, triplet_pair
 from fermichain.verification import (
     SINGLET_GAP_FLOOR,
@@ -51,6 +51,23 @@ def test_mirror_residual_region_validation():
         propagator_mirror_residual(6, 1.0, bad, 1.0, 1, 6)
 
 
+def test_mirror_identity_reads_the_production_assembly(monkeypatch):
+    # one bond's hopping scaled by 1.001 in build_hamiltonian breaks the mirror
+    # identity; a check that built its own chain would not see it
+    from fermichain import verification
+
+    def skewed(params, basis):
+        dense = build_hamiltonian(params, basis).to_dense()
+        dense[0, 1] *= 1.001
+        dense[1, 0] *= 1.001
+        return dense
+
+    V = barrier_potential(6, 10.0, "a")  # a = 1 and c = 5: not a transpose of each other
+    assert propagator_mirror_residual(6, 1.0, V, 17.3, 1, 5) <= 1e-10
+    monkeypatch.setattr(verification, "build_hamiltonian", skewed)
+    assert propagator_mirror_residual(6, 1.0, V, 17.3, 1, 5) > 1e-6
+
+
 def test_symmetry_gap_noninteracting_doublon():
     times = np.arange(0.0, 30.0 + 1e-9, 0.25)
     basis = product_basis(4, 1, 1)
@@ -81,10 +98,14 @@ def test_fk_residual_examples():
 
 
 def test_fk_effective_potentials_are_not_mirror_images():
-    from fermichain.hamiltonian import build_fk_hamiltonian
-
-    diag_a = np.diag(build_fk_hamiltonian(4, 1.0, 3.0, 20.0, "a"))
-    diag_b = np.diag(build_fk_hamiltonian(4, 1.0, 3.0, 20.0, "b"))
+    # the one-particle chains seen by the mobile species, the barrier plus U at site 1
+    diags = []
+    for orientation in ("a", "b"):
+        V = barrier_potential(4, 20.0, orientation)
+        V[0] += 3.0
+        H = build_hamiltonian(HubbardParams(L=4, J=1.0, U=0.0, V=V), product_basis(4, 1, 0))
+        diags.append(np.diag(H.to_dense()))
+    diag_a, diag_b = diags
     assert not np.allclose(diag_a, diag_b[::-1])
 
 
