@@ -40,17 +40,7 @@ from .scenarios import (
     run_scenario,
     run_sweep,
 )
-from .states import (
-    StateBlock,
-    doublon_at,
-    doublon_plus_up,
-    from_amplitudes,
-    from_entries,
-    mirror_state,
-    singlet_pair,
-    single_particle_at,
-    triplet_pair,
-)
+from .states import StateBlock, from_amplitudes, from_entries, mirror_state, named_state
 from .verification import (
     fk_equivalence_residual,
     propagator_mirror_residual,

@@ -28,6 +28,7 @@ the stack split all read it.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -64,6 +65,12 @@ class PropagatorConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ParameterError(f"method must be one of {METHODS}, got {self.method!r}")
+        for name, kind, what in (("dt", numbers.Real, "a real number"),
+                                 ("tolerance", numbers.Real, "a real number"),
+                                 ("krylov_dim", numbers.Integral, "an integer")):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ParameterError(f"{name}={value!r} must be {what}")
         for name in ("dt", "tolerance"):
             value = getattr(self, name)
             if not 0 < value < math.inf:

@@ -9,9 +9,11 @@ U, h or L values and reduces each run to one row.
 from __future__ import annotations
 
 import dataclasses
+import errno
 import inspect
 import json
 import math
+import os
 from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
@@ -575,16 +577,23 @@ def _run_configs(configs: list[ScenarioConfig]):
         yield Trajectory(times=trajs[0].times, columns=columns)
 
 
-def _output_dir(output_dir) -> Path | None:
-    """output_dir, created before anything runs; one that cannot be is a ConfigError."""
+def _output_dir(output_dir, files) -> Path | None:
+    """output_dir, created before anything runs, with each of the files the run
+    will write there checked; a directory that cannot be made or a file that
+    cannot be written is a ConfigError, as write_rows_csv words it."""
     if output_dir is None:
         return None
+    out = Path(output_dir)
     try:
-        Path(output_dir).mkdir(parents=True, exist_ok=True)
+        out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"output directory {str(output_dir)!r} cannot be created: "
                           f"{exc.strerror or exc}") from None
-    return Path(output_dir)
+    for path in (out / name for name in files):
+        if path.is_dir() or not os.access(path if path.exists() else out, os.W_OK):
+            reason = os.strerror(errno.EISDIR if path.is_dir() else errno.EACCES)
+            raise ConfigError(f"cannot write {str(path)!r}: {reason}")
+    return out
 
 
 def run_scenario(config: ScenarioConfig, output_dir=None):
@@ -594,7 +603,7 @@ def run_scenario(config: ScenarioConfig, output_dir=None):
     whose columns carry _a/_b suffixes.  A CSV named after the config is
     written when the caller gives an output directory.
     """
-    out = _output_dir(output_dir)
+    out = _output_dir(output_dir, [f"{config.name}.csv"])
     (traj,) = _run_configs([config])
     path = None
     if out is not None:
@@ -623,10 +632,12 @@ def run_sweep(sweep: SweepConfig, output_dir=None):
     Each value's trajectory is reduced, or written, as soon as its stack has
     run, so one stack is alive at a time.
     """
-    out = _output_dir(output_dir)
+    trajectory = sweep.reduction.kind == "trajectory"
+    out = _output_dir(output_dir, [f"{sweep.name}.csv"] + [
+        _trajectory_file(sweep.name, sweep.parameter, v) for v in sweep.values if trajectory])
     results = []
     for value, traj in zip(sweep.values, _run_configs(sweep.configs)):
-        if sweep.reduction.kind != "trajectory":
+        if not trajectory:
             results.append(_reduce(sweep, traj))
             continue
         path = None

@@ -3,7 +3,8 @@ experiments.  A StateBlock holds one state (dim,) or a block of them;
 every constructor here returns a one-state block whose amplitudes are
 read-only.  Every initial state is a list of entries (up sites, down
 sites, amplitude), sites 1-based and in any order; check_entries holds the
-rules, from_entries builds one on a basis.
+rules, from_entries builds one on a basis, and named_state builds a kind of
+ENTRIES (doublon, singlet, ...) from its site fields, as a config names it.
 
 Singlet and triplet labels refer to the spinor ordering fixed in the basis
 module: |up_i down_j> means c+_{i,up} c+_{j,down} |0>, so
@@ -126,38 +127,21 @@ _PAIR = 1.0 / np.sqrt(2.0)  # each amplitude of a two-site spin pair
 
 # kind -> its entries, from its site fields in this order
 ENTRIES = {
-    "doublon": lambda site: (((site,), (site,), 1.0),),
-    "singlet": lambda i, j: (((i,), (j,), _PAIR), ((j,), (i,), _PAIR)),
-    "triplet": lambda i, j: (((i,), (j,), _PAIR), ((j,), (i,), -_PAIR)),
-    "doublon_plus_up": lambda doublon_site, up_site: (
+    "doublon": lambda site: (((site,), (site,), 1.0),),  # both species on one site
+    "singlet": lambda i, j: (((i,), (j,), _PAIR), ((j,), (i,), _PAIR)),  # S^2 eigenvalue 0
+    "triplet": lambda i, j: (((i,), (j,), _PAIR), ((j,), (i,), -_PAIR)),  # S_z = 0, S^2 = 2
+    "doublon_plus_up": lambda doublon_site, up_site: (  # a spin-up spectator: sector (2, 1)
         ((doublon_site, up_site), (doublon_site,), 1.0),),
-    "single_particle": lambda site: (((site,), (), 1.0),),
+    "single_particle": lambda site: (((site,), (), 1.0),),  # one spin up: sector (1, 0)
 }
 
 
-def doublon_at(basis: ProductBasis, site: int) -> StateBlock:
-    """Both species on one site."""
-    return from_entries(basis, ENTRIES["doublon"](site))
-
-
-def single_particle_at(basis: ProductBasis, site: int) -> StateBlock:
-    """One spin-up particle on one site (sector (1, 0))."""
-    return from_entries(basis, ENTRIES["single_particle"](site))
-
-
-def singlet_pair(basis: ProductBasis, i: int, j: int) -> StateBlock:
-    """Spin singlet on sites i, j; S^2 eigenvalue 0."""
-    return from_entries(basis, ENTRIES["singlet"](i, j))
-
-
-def triplet_pair(basis: ProductBasis, i: int, j: int) -> StateBlock:
-    """S_z = 0 spin triplet on sites i, j; S^2 eigenvalue 2."""
-    return from_entries(basis, ENTRIES["triplet"](i, j))
-
-
-def doublon_plus_up(basis: ProductBasis, doublon_site: int, up_site: int) -> StateBlock:
-    """A doublon plus one extra spin-up spectator (sector (2, 1))."""
-    return from_entries(basis, ENTRIES["doublon_plus_up"](doublon_site, up_site))
+def named_state(basis: ProductBasis, kind: str, *sites, **fields) -> StateBlock:
+    """The state of a named kind on basis, from its site fields as a config
+    names them: named_state(basis, "singlet", 1, 2) is {kind: singlet, i: 1, j: 2}."""
+    if kind not in ENTRIES:
+        raise ParameterError(f"unknown state kind {kind!r}; known: {sorted(ENTRIES)}")
+    return from_entries(basis, ENTRIES[kind](*sites, **fields))
 
 
 def mirror_state(basis: ProductBasis, psi: StateBlock) -> StateBlock:

@@ -18,15 +18,7 @@ from .basis import product_basis
 from .errors import ParameterError
 from .evolution import DensePropagator
 from .hamiltonian import BARRIER_ORIENTATIONS, HubbardParams, barrier_potential, build_hamiltonian
-from .states import (
-    StateBlock,
-    doublon_at,
-    from_entries,
-    mirror_state,
-    single_particle_at,
-    singlet_pair,
-    triplet_pair,
-)
+from .states import StateBlock, from_entries, mirror_state, named_state
 
 # Largest tunneling-symmetry gap of the interacting singlet run (L=6, U=0.5J,
 # h=10J, t <= 50/J): 0.0230 measured once with the dense oracle on the 0.05/J
@@ -110,13 +102,13 @@ def fk_equivalence_residual(L: int, J: float, U: float, h: float, orientation, t
     V = barrier_potential(L, h, orientation)
     basis = product_basis(L, 1, 1)
     H = build_hamiltonian(HubbardParams(L=L, J=J, U=U, V=V, j_down=0.0), basis)
-    psi = DensePropagator(H).advance(doublon_at(basis, 1).amplitudes, t)
+    psi = DensePropagator(H).advance(named_state(basis, "doublon", 1).amplitudes, t)
     n_up = StateBlock(basis, psi).density("up")
 
     V[0] += U
     single = product_basis(L, 1, 0)
     H = build_hamiltonian(HubbardParams(L=L, J=J, U=0.0, V=V), single)
-    phi = DensePropagator(H).advance(single_particle_at(single, 1).amplitudes, t)
+    phi = DensePropagator(H).advance(named_state(single, "single_particle", 1).amplitudes, t)
     return float(np.max(np.abs(n_up - np.abs(phi) ** 2)))
 
 
@@ -168,12 +160,10 @@ def run_symmetry_suite() -> list[CheckResult]:
             l_a = (L - 2) // 2
             single = product_basis(L, 1, 0)
             params1 = HubbardParams(L=L, J=1.0, U=0.0, V=V)
-            worst = max(worst, tunneling_symmetry_gap(params1, single_particle_at(single, 1),
-                                                      times))
-            worst = max(worst, tunneling_symmetry_gap(
-                params1, _superposition_in_a(single, l_a, rng), times))
             pair = product_basis(L, 1, 1)
-            worst = max(worst, tunneling_symmetry_gap(params1, doublon_at(pair, 1), times))
+            for psi0 in (named_state(single, "single_particle", 1),
+                         _superposition_in_a(single, l_a, rng), named_state(pair, "doublon", 1)):
+                worst = max(worst, tunneling_symmetry_gap(params1, psi0, times))
     results.append(CheckResult(
         name="noninteracting symmetry (single particles, superpositions, doublons)",
         passed=worst <= 1e-9,
@@ -183,10 +173,11 @@ def run_symmetry_suite() -> list[CheckResult]:
     times = np.arange(0.0, 50.0 + 1e-9, 0.25)
     basis6 = product_basis(6, 1, 1)
     V6 = barrier_potential(6, 10.0, "a")
+    triplet = named_state(basis6, "triplet", 1, 2)
     worst = 0.0
     for U in (0.5, 2.0, 10.0):
         params = HubbardParams(L=6, J=1.0, U=U, V=V6)
-        worst = max(worst, tunneling_symmetry_gap(params, triplet_pair(basis6, 1, 2), times))
+        worst = max(worst, tunneling_symmetry_gap(params, triplet, times))
     results.append(CheckResult(
         name="triplet symmetry (U in {0.5, 2, 10} J)",
         passed=worst <= 1e-9,
@@ -194,7 +185,7 @@ def run_symmetry_suite() -> list[CheckResult]:
     ))
 
     params = HubbardParams(L=6, J=1.0, U=0.5, V=V6)
-    gap = tunneling_symmetry_gap(params, singlet_pair(basis6, 1, 2), times)
+    gap = tunneling_symmetry_gap(params, named_state(basis6, "singlet", 1, 2), times)
     results.append(CheckResult(
         name="singlet asymmetry (U=0.5J)",
         passed=gap > SINGLET_GAP_FLOOR,

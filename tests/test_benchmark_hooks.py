@@ -12,7 +12,7 @@ import numpy as np
 from fermichain.basis import product_basis
 from fermichain.evolution import METHODS, PropagatorConfig, make_propagator
 from fermichain.hamiltonian import HubbardParams, barrier_potential, build_hamiltonian
-from fermichain.states import doublon_at
+from fermichain.states import named_state
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -46,7 +46,7 @@ def test_traced_advance_returns_the_states_of_the_unwrapped_call(monkeypatch):
     basis = product_basis(4, 1, 1)
     H = build_hamiltonian(HubbardParams(L=4, J=1.0, U=10.0, V=barrier_potential(4, 20.0, "a")),
                           basis)
-    psi0 = doublon_at(basis, 1).amplitudes
+    psi0 = named_state(basis, "doublon", 1).amplitudes
     # krylov_dim 8 < dim 16: a Krylov space that spanned the sector would take the exact path
     props = [make_propagator(H, PropagatorConfig(method, krylov_dim=8)) for method in METHODS]
     assert sorted(type(p).__name__ for p in props) == sorted(c.__name__ for c in tracer.PROPAGATORS)

@@ -283,16 +283,20 @@ def test_output_directory_that_cannot_be_made_is_config_error(tmp_path, capsys, 
     (["sweep", "fig4", "--values", "0,1", "--t-max", "1"], "fig4.csv"),
     (["sweep", "{config}"], "traj_U=1.csv"),  # the second value's trajectory file
 ], ids=["simulate", "sweep", "trajectory-sweep"])
-def test_csv_that_cannot_be_written_is_config_error(tmp_path, capsys, argv, blocked):
+def test_csv_that_cannot_be_written_is_config_error(tmp_path, capsys, monkeypatch, argv, blocked):
+    def unreachable(*args, **kwargs):
+        pytest.fail("a run with an unwritable output reached the Hamiltonian build")
+
     config = _write_config(tmp_path / "traj.yaml", _VALID_SCENARIO, name="traj",
                            sweep="{parameter: U, values: [0, 1], reduction: {kind: trajectory}}")
+    monkeypatch.setattr(scenarios, "build_hamiltonian", unreachable)
     out = tmp_path / "out"
     (out / blocked).mkdir(parents=True)  # a directory where the CSV goes
     argv = [arg.format(config=config) for arg in argv]
     assert main([*argv, "--output", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"config error: cannot write {str(out / blocked)!r}")
-    assert len(err.splitlines()) == 1
+    assert err == f"config error: cannot write {str(out / blocked)!r}: Is a directory\n"
+    assert not [path for path in out.rglob("*") if path.is_file()]
 
 
 @pytest.mark.parametrize("fields, tolerance", [
@@ -496,6 +500,17 @@ def test_verify_fk_suite(capsys):
     assert main(["verify", "--suite", "fk"]) == 0
     out = capsys.readouterr().out
     assert "[PASS]" in out
+
+
+def test_verify_symmetry_suite(capsys):
+    assert main(["verify", "--suite", "symmetry"]) == 0
+    out = capsys.readouterr().out
+    assert [line.split(":")[0] for line in out.splitlines() if line.startswith("[PASS]")] == [
+        "[PASS] propagator mirror identity (100 random barriers)",
+        "[PASS] noninteracting symmetry (single particles, superpositions, doublons)",
+        "[PASS] triplet symmetry (U in {0.5, 2, 10} J)",
+        "[PASS] singlet asymmetry (U=0.5J)",
+    ]
 
 
 def test_verify_failure_exit_code(monkeypatch, capsys):

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -28,11 +29,7 @@ from fermichain.hamiltonian import (
     jstar_site,
 )
 from fermichain.observables import StateBlock, observable_functions
-from fermichain.states import (
-    doublon_at,
-    single_particle_at,
-    triplet_pair,
-)
+from fermichain.states import named_state
 
 from fock_oracle import csr_from_dense
 
@@ -70,7 +67,7 @@ def _dense_states(H, psi0, times):
 def test_dense_identity_at_t0():
     basis = product_basis(4, 1, 1)
     H = build_hamiltonian(HubbardParams(L=4, J=1.0, U=3.0, V=np.zeros(4)), basis)
-    psi = doublon_at(basis, 2)
+    psi = named_state(basis, "doublon", 2)
     out = _dense_states(H, psi, [0.0])
     assert np.allclose(out[0], psi.amplitudes, atol=1e-15)
 
@@ -78,7 +75,7 @@ def test_dense_identity_at_t0():
 def test_two_site_rabi_oscillation():
     basis = product_basis(2, 1, 0)
     H = build_hamiltonian(HubbardParams(L=2, J=1.0, U=0.0, V=np.zeros(2)), basis)
-    psi0 = single_particle_at(basis, 1)
+    psi0 = named_state(basis, "single_particle", 1)
     times = np.linspace(0, 7, 29)
     n_2 = observable_functions(["n_2"], basis)["n_2"]
     density = n_2(StateBlock(basis, _dense_states(H, psi0, times)))
@@ -91,7 +88,7 @@ def test_two_site_doublon_oscillation_closed_form():
     U = 4.0
     basis = product_basis(2, 1, 1)
     H = build_hamiltonian(HubbardParams(L=2, J=1.0, U=U, V=np.zeros(2)), basis)
-    psi0 = doublon_at(basis, 1)
+    psi0 = named_state(basis, "doublon", 1)
     omega = np.sqrt(U**2 + 16.0)
     assert omega == np.sqrt(32.0)
 
@@ -220,7 +217,7 @@ def test_trajectory_conserved_columns():
     basis = product_basis(6, 1, 1)
     V = np.array([0.0, 0.0, 10.0, 5.0, 0.0, 0.0])
     H = build_hamiltonian(HubbardParams(L=6, J=1.0, U=0.5, V=V), basis)
-    psi0 = triplet_pair(basis, 1, 2)
+    psi0 = named_state(basis, "triplet", 1, 2)
     observables = observable_functions(["norm", "energy", "s_squared"], basis, H=H)
     times = np.arange(0.0, 10.0 + 1e-9, 0.1)
     traj = evolve_trajectory(H, psi0, times, PropagatorConfig(), observables)
@@ -232,7 +229,7 @@ def test_trajectory_conserved_columns():
 def test_trajectory_grid_validation():
     basis = product_basis(2, 1, 0)
     H = build_hamiltonian(HubbardParams(L=2, J=1.0, U=0.0, V=np.zeros(2)), basis)
-    psi0 = single_particle_at(basis, 1)
+    psi0 = named_state(basis, "single_particle", 1)
     config = PropagatorConfig()
     with pytest.raises(ParameterError):
         evolve_trajectory(H, psi0, [1.0, 2.0], config, {})
@@ -246,7 +243,7 @@ def test_trajectory_grid_validation():
 def test_blocks_start_at_psi0(method):
     basis = product_basis(2, 1, 0)
     H = build_hamiltonian(HubbardParams(L=2, J=1.0, U=0.0, V=np.zeros(2)), basis)
-    psi0 = single_particle_at(basis, 1)
+    psi0 = named_state(basis, "single_particle", 1)
     states = _grid_states(H, psi0, np.array([0.0, 0.5, 1.0]), PropagatorConfig(method))
     assert states.shape == (3, basis.dim)
     assert np.allclose(states[0], psi0.amplitudes)
@@ -285,10 +282,10 @@ def test_taylor_run_of_too_many_steps_is_refused_before_stepping():
     code = (
         "import numpy as np\n"
         "from fermichain import (HubbardParams, PropagatorConfig, build_hamiltonian,\n"
-        "                        doublon_at, evolve_trajectory, product_basis)\n"
+        "                        evolve_trajectory, named_state, product_basis)\n"
         "basis = product_basis(4, 1, 1)\n"
         "H = build_hamiltonian(HubbardParams(L=4, J=1.0, U=0.0, V=np.zeros(4)), basis)\n"
-        "evolve_trajectory(H, doublon_at(basis, 1), [0.0, 0.05],\n"
+        "evolve_trajectory(H, named_state(basis, 'doublon', 1), [0.0, 0.05],\n"
         "                  PropagatorConfig(method='taylor', dt=1e-300), {})\n"
     )
     src = str(Path(evolution.__file__).parents[1])
@@ -319,6 +316,42 @@ def test_config_validation():
         PropagatorConfig(tolerance=-1.0)
     with pytest.raises(ParameterError):
         PropagatorConfig(krylov_dim=1)
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"krylov_dim": 2.5}, "krylov_dim=2.5 must be an integer"),
+    ({"krylov_dim": 30.0}, "krylov_dim=30.0 must be an integer"),
+    ({"krylov_dim": True}, "krylov_dim=True must be an integer"),
+    ({"krylov_dim": "30"}, "krylov_dim='30' must be an integer"),
+    ({"dt": "0.1"}, "dt='0.1' must be a real number"),
+    ({"dt": None}, "dt=None must be a real number"),
+    ({"tolerance": 1e-10j}, "tolerance=1e-10j must be a real number"),
+    ({"tolerance": False}, "tolerance=False must be a real number"),
+])
+def test_config_refuses_values_the_run_cannot_use(fields, message):
+    with pytest.raises(ParameterError, match=re.escape(message)):
+        PropagatorConfig(**fields)
+
+
+def test_config_takes_numpy_numbers():
+    config = PropagatorConfig(dt=np.float32(0.1), tolerance=np.float64(1e-9),
+                              krylov_dim=np.int64(12))
+    assert config.krylov_dim == 12
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_one_sample_grid_is_the_initial_state(method):
+    # krylov_dim 8 below the sector's 36 runs krylov, not dense_eig
+    basis = product_basis(6, 1, 1)
+    H = build_hamiltonian(HubbardParams(L=6, J=1.0, U=2.0, V=barrier_potential(6, 10.0, "a")),
+                          basis)
+    config = PropagatorConfig(method, krylov_dim=8)
+    assert plan(basis.dim, 0, config)[0] == method
+    fns = observable_functions(["n_1", "norm"], basis, H=H)
+    traj = evolve_trajectory(H, named_state(basis, "doublon", 1), [0.0], config, fns)
+    assert {name: col.shape for name, col in traj.columns.items()} == {"n_1": (1,), "norm": (1,)}
+    assert abs(traj.columns["n_1"][0] - 2.0) <= 1e-12
+    assert abs(traj.columns["norm"][0] - 1.0) <= 1e-12
 
 
 @pytest.fixture
@@ -357,7 +390,7 @@ def test_trajectory_blocks_cover_the_grid(method, monkeypatch):
     basis, H = _barrier_sector(6, "b")
     monkeypatch.setattr(evolution, "_BLOCK_ELEMENTS", 3 * basis.dim)  # three states per block
     times = np.concatenate([[0.0], np.cumsum(np.linspace(0.02, 0.4, 16))])  # uneven grid
-    err, tol = _trajectory_error(H, doublon_at(basis, 2), times, method)
+    err, tol = _trajectory_error(H, named_state(basis, "doublon", 2), times, method)
     assert np.all(err <= tol * times + 1e-13)
 
 
@@ -368,7 +401,7 @@ def test_krylov_trajectory_matches_dense_oracle_with_few_builds(orientation, cou
     basis, H = _barrier_sector(20, orientation)
     times = 0.05 * np.arange(301)
     count_matvecs[0] = 0
-    err, tol = _trajectory_error(H, doublon_at(basis, 3), times)
+    err, tol = _trajectory_error(H, named_state(basis, "doublon", 3), times)
     assert count_matvecs[0] <= 1200
     assert np.all(err <= tol * times + 1e-13)
 
@@ -376,7 +409,7 @@ def test_krylov_trajectory_matches_dense_oracle_with_few_builds(orientation, cou
 def test_krylov_exact_sector_needs_one_build(count_matvecs):
     basis, H = _barrier_sector(4, "a")  # dim 16 <= krylov_dim
     times = 0.05 * np.arange(101)
-    err, tol = _trajectory_error(H, doublon_at(basis, 1), times)
+    err, tol = _trajectory_error(H, named_state(basis, "doublon", 1), times)
     assert count_matvecs[0] == basis.dim  # one Lanczos build, one matvec per basis vector
     assert np.all(err <= tol * times + 1e-13)
 
@@ -384,7 +417,7 @@ def test_krylov_exact_sector_needs_one_build(count_matvecs):
 @pytest.mark.parametrize("krylov_dim", [16, 30])
 def test_krylov_config_that_spans_its_sector_takes_the_exact_path(krylov_dim, count_matvecs):
     basis, H = _barrier_sector(4, "a")  # dim 16 <= krylov_dim
-    psi0 = doublon_at(basis, 1)
+    psi0 = named_state(basis, "doublon", 1)
     times = 0.05 * np.arange(101)
     config = PropagatorConfig(krylov_dim=krylov_dim)
     prop = make_propagator(H, config)
@@ -400,7 +433,7 @@ def test_krylov_config_below_its_sector_builds_lanczos_bases(count_matvecs):
     basis, H = _barrier_sector(4, "a")
     config = PropagatorConfig(krylov_dim=basis.dim - 1)
     assert isinstance(make_propagator(H, config), KrylovPropagator)
-    evolve_trajectory(H, doublon_at(basis, 1), 0.05 * np.arange(101), config, {})
+    evolve_trajectory(H, named_state(basis, "doublon", 1), 0.05 * np.arange(101), config, {})
     assert count_matvecs[0] >= basis.dim - 1
 
 
@@ -468,7 +501,7 @@ def test_dense_blocks_read_anchored_phases_at_their_own_grid_times(monkeypatch):
     stack = build_hamiltonian(params, basis)
     monkeypatch.setattr(evolution, "_BLOCK_ELEMENTS", 2 * 37 * basis.dim)  # 37 samples a block
     times = 0.05 * np.arange(801)
-    psi0 = np.broadcast_to(doublon_at(basis, 1).amplitudes, (2, basis.dim))
+    psi0 = np.broadcast_to(named_state(basis, "doublon", 1).amplitudes, (2, basis.dim))
     prop = DensePropagator(stack)
     blocks = list(prop.blocks(psi0, times))
     assert [b.shape[-2] for b in blocks[:2]] == [37, 37]
@@ -492,7 +525,7 @@ def test_krylov_coarse_grid_bisects(monkeypatch):
 
     monkeypatch.setattr(KrylovPropagator, "_lanczos", building)
     times = np.array([0.0, 5.0, 10.0, 15.0])
-    psi0 = doublon_at(basis, 3)
+    psi0 = named_state(basis, "doublon", 3)
     err, tol = _trajectory_error(H, psi0, times)
     assert np.all(err <= tol * times + 1e-13)
     assert len(starts) == 20
@@ -535,7 +568,7 @@ def test_krylov_trap_stack_build_count_and_oracle(site, builds, krylov_bases):
     # samples until one fails its estimate: 18, 20 and 23 builds when each basis
     # served a single window
     basis, params, stack = _trap_stack()
-    psi0 = doublon_at(basis, site)
+    psi0 = named_state(basis, "doublon", site)
     times = 0.05 * np.arange(301)
     config = PropagatorConfig()
     states = _grid_states(stack, psi0, times, config)
@@ -553,7 +586,7 @@ def test_krylov_reused_basis_that_fails_is_rebuilt_not_bisected(krylov_bases):
     # restarts from the last state with a new basis instead of bisecting
     basis, H = _barrier_sector(20, "a")
     times = 0.6 * np.arange(11)
-    err, tol = _trajectory_error(H, doublon_at(basis, 3), times)
+    err, tol = _trajectory_error(H, named_state(basis, "doublon", 3), times)
     assert all(reads[0] for reads in krylov_bases)  # every fresh basis reached its first sample
     assert sum(not ok for reads in krylov_bases for ok in reads[1:]) >= 1
     assert np.all(err <= tol * times + 1e-13)
@@ -561,7 +594,7 @@ def test_krylov_reused_basis_that_fails_is_rebuilt_not_bisected(krylov_bases):
 
 def test_energy_and_s_squared_columns_make_no_matvec(count_matvecs):
     basis, params, stack = _trap_stack()
-    psi0 = doublon_at(basis, 4)
+    psi0 = named_state(basis, "doublon", 4)
     times = 0.05 * np.arange(61)
     fns = observable_functions(["energy", "s_squared"], basis, H=stack)
     count_matvecs[0] = 0
@@ -601,7 +634,7 @@ def test_stack_rows_match_single_runs_and_the_oracle(method, L):
               for U, o in _STACK_ROWS]
     stack = build_hamiltonian(params, basis)
     assert stack.shape == (len(params), basis.dim, basis.dim)
-    psi0 = doublon_at(basis, 1)
+    psi0 = named_state(basis, "doublon", 1)
     times = np.concatenate([[0.0], np.cumsum(np.linspace(0.05, 0.3, 12))])
     config = PropagatorConfig(method=method)
     jstars = [jstar_site(L, 20.0, o) for _, o in _STACK_ROWS]
@@ -634,7 +667,7 @@ def test_stack_row_in_an_invariant_space_stays_exact(count_matvecs):
     params = [HubbardParams(L=L, J=1.0, U=10.0, V=V, j_up=0.0, j_down=0.0),
               HubbardParams(L=L, J=1.0, U=10.0, V=V)]
     stack = build_hamiltonian(params, basis)
-    psi0 = doublon_at(basis, 3)
+    psi0 = named_state(basis, "doublon", 3)
     times = 0.05 * np.arange(101)
     config = PropagatorConfig(krylov_dim=12)  # below dim 64: the moving row has beta > 0
     count_matvecs[0] = 0

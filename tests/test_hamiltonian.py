@@ -10,7 +10,7 @@ from fermichain.hamiltonian import (
     jstar_site,
     total_spin_squared,
 )
-from fermichain.states import doublon_at, doublon_plus_up, singlet_pair, triplet_pair
+from fermichain.states import named_state
 
 import fock_oracle
 from fock_oracle import csr_from_dense
@@ -224,7 +224,8 @@ def test_matches_full_fock_oracle_l4_with_asymmetric_hopping():
 def test_spin_squared_eigenstates():
     basis = product_basis(6, 1, 1)
     s2 = total_spin_squared(basis)
-    states = [singlet_pair(basis, 1, 2), triplet_pair(basis, 1, 2), doublon_at(basis, 1)]
+    states = [named_state(basis, "singlet", 1, 2), named_state(basis, "triplet", 1, 2),
+              named_state(basis, "doublon", 1)]
     got = s2.expectations(np.array([psi.amplitudes for psi in states]))
     assert np.all(np.abs(got - [0.0, 2.0, 0.0]) <= 1e-12)
 
@@ -254,7 +255,7 @@ def test_spin_squared_matches_full_fock_oracle(n_up):
 
 def test_spin_squared_above_the_dense_cap():
     basis = product_basis(30, 2, 1)  # dim 13050
-    psi = doublon_plus_up(basis, 1, 30).amplitudes
+    psi = named_state(basis, "doublon_plus_up", 1, 30).amplitudes
     s2 = total_spin_squared(basis)
     assert s2.dim == basis.dim
     assert np.linalg.norm(s2.matvec(psi) - 0.75 * psi) <= 1e-12

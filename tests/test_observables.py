@@ -17,7 +17,7 @@ from fermichain.observables import (
     time_average,
     trap_time,
 )
-from fermichain.states import doublon_at, mirror_state, singlet_pair
+from fermichain.states import mirror_state, named_state
 
 import fock_oracle
 
@@ -37,7 +37,8 @@ def _densities(prop, basis, psi0, times, spin=None):
 
 def test_doublon_densities():
     basis = product_basis(4, 1, 1)
-    got = _measure(["n_all", "n_up_1", "doublon_count", "n_total"], doublon_at(basis, 1))
+    got = _measure(["n_all", "n_up_1", "doublon_count", "n_total"],
+                   named_state(basis, "doublon", 1))
     assert got["n_1"] == 2.0
     assert all(got[f"n_{j}"] == 0.0 for j in (2, 3, 4))
     assert got["n_up_1"] == 1.0
@@ -49,7 +50,7 @@ def test_doublon_densities():
 
 def test_singlet_densities():
     basis = product_basis(4, 1, 1)
-    got = _measure(["n_1", "n_2", "doublon_count"], singlet_pair(basis, 1, 2))
+    got = _measure(["n_1", "n_2", "doublon_count"], named_state(basis, "singlet", 1, 2))
     assert abs(got["n_1"] - 1.0) <= 1e-15
     assert abs(got["n_2"] - 1.0) <= 1e-15
     assert abs(got["doublon_count"]) <= 1e-15
@@ -72,11 +73,11 @@ def test_number_conservation_along_run():
 
 def test_n_after_examples():
     basis = product_basis(6, 1, 1)
-    psi = doublon_at(basis, 1)
+    psi = named_state(basis, "doublon", 1)
     assert _measure(["n_after"], psi)["n_after"] == 0.0
     assert _measure(["n_after"], mirror_state(basis, psi))["n_after"] == 2.0
 
-    got = _measure(["n_after", "n_4"], doublon_at(product_basis(4, 1, 1), 3))
+    got = _measure(["n_after", "n_4"], named_state(product_basis(4, 1, 1), "doublon", 3))
     assert got["n_after"] == got["n_4"]
 
     with pytest.raises(ParameterError):
@@ -87,7 +88,7 @@ def test_mirror_covariance_of_densities():
     # <n_j> under (V, psi0) equals <n_{L+1-j}> under (mirrored V, mirrored psi0)
     L = 6
     basis = product_basis(L, 1, 1)
-    psi0 = singlet_pair(basis, 1, 2)
+    psi0 = named_state(basis, "singlet", 1, 2)
     V = barrier_potential(L, 10.0, "a")
     H_fwd = build_hamiltonian(HubbardParams(L=L, J=1.0, U=2.0, V=V), basis)
     H_mir = build_hamiltonian(HubbardParams(L=L, J=1.0, U=2.0, V=V[::-1].copy()), basis)

@@ -196,6 +196,12 @@ def test_csv_columns_format_like_their_first_row(tmp_path):
     assert lines[1:] == [f"{k},{k},x,{float(v):.17g}" for k, v in enumerate(floats)]
 
 
+def test_csv_write_that_fails_is_config_error(tmp_path):
+    # a path that turns unwritable after the output directory was checked
+    with pytest.raises(ConfigError, match=f"cannot write {str(tmp_path)!r}: Is a directory"):
+        write_rows_csv(tmp_path, ["t"], [[0.0]])
+
+
 def test_single_orientation_has_no_suffix(tmp_path):
     config = scenario_from_dict(_scenario_doc(orientation="a"), name="demo")
     traj, _ = run_scenario(config, output_dir=tmp_path)

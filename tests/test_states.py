@@ -11,14 +11,10 @@ from fermichain.observables import StateBlock
 from fermichain.states import (
     ENTRIES,
     check_entries,
-    doublon_at,
-    doublon_plus_up,
     from_amplitudes,
     from_entries,
     mirror_state,
-    singlet_pair,
-    single_particle_at,
-    triplet_pair,
+    named_state,
 )
 
 
@@ -30,7 +26,7 @@ def _random_state(basis, seed):
 
 def test_doublon_examples():
     basis = product_basis(4, 1, 1)
-    psi = doublon_at(basis, 1)
+    psi = named_state(basis, "doublon", 1)
     assert abs(np.linalg.norm(psi.amplitudes) - 1.0) <= 1e-15
     assert psi.amplitudes[basis.index(0b0001, 0b0001)] == 1.0
     assert np.count_nonzero(psi.amplitudes) == 1
@@ -39,36 +35,36 @@ def test_doublon_examples():
     assert abs(H.expectations(psi.amplitudes[None])[0] - 10.0) <= 1e-12
 
     mirrored = mirror_state(basis, psi)
-    assert np.allclose(mirrored.amplitudes, doublon_at(basis, 4).amplitudes)
+    assert np.allclose(mirrored.amplitudes, named_state(basis, "doublon", 4).amplitudes)
 
 
 def test_pair_states():
     basis = product_basis(6, 1, 1)
     s2 = total_spin_squared(basis)
-    singlet = singlet_pair(basis, 1, 2)
-    triplet = triplet_pair(basis, 1, 2)
+    singlet = named_state(basis, "singlet", 1, 2)
+    triplet = named_state(basis, "triplet", 1, 2)
     assert abs(np.linalg.norm(singlet.amplitudes) - 1.0) <= 1e-15
     assert abs(np.linalg.norm(triplet.amplitudes) - 1.0) <= 1e-15
     got = s2.expectations(np.array([singlet.amplitudes, triplet.amplitudes]))
     assert np.all(np.abs(got - [0.0, 2.0]) <= 1e-12)
     assert abs(np.vdot(singlet.amplitudes, triplet.amplitudes)) <= 1e-15
     with pytest.raises(ParameterError):
-        singlet_pair(basis, 2, 2)
+        named_state(basis, "singlet", 2, 2)
     with pytest.raises(ParameterError):
-        singlet_pair(product_basis(6, 2, 1), 1, 2)
+        named_state(product_basis(6, 2, 1), "singlet", 1, 2)
 
 
 def test_doublon_plus_up():
     basis = product_basis(4, 2, 1)
     assert basis.dim == 24
-    psi = doublon_plus_up(basis, 1, 4)
+    psi = named_state(basis, "doublon_plus_up", 1, 4)
     assert np.count_nonzero(psi.amplitudes) == 1
     H = build_hamiltonian(HubbardParams(L=4, J=1.0, U=10.0, V=np.zeros(4)), basis)
     assert abs(H.expectations(psi.amplitudes[None])[0] - 10.0) <= 1e-12
     with pytest.raises(ParameterError):
-        doublon_plus_up(basis, 2, 2)
+        named_state(basis, "doublon_plus_up", 2, 2)
     with pytest.raises(ParameterError):
-        doublon_plus_up(product_basis(4, 1, 1), 1, 4)
+        named_state(product_basis(4, 1, 1), "doublon_plus_up", 1, 4)
 
 
 def test_mirror_is_involution_on_random_states():
@@ -123,10 +119,10 @@ def test_from_amplitudes_validation():
 
 def test_single_particle_at():
     basis = product_basis(5, 1, 0)
-    psi = single_particle_at(basis, 3)
+    psi = named_state(basis, "single_particle", 3)
     assert psi.amplitudes[basis.index(0b00100, 0)] == 1.0
     with pytest.raises(ParameterError):
-        single_particle_at(product_basis(5, 1, 1), 3)
+        named_state(product_basis(5, 1, 1), "single_particle", 3)
 
 
 @pytest.mark.parametrize("entries, message", [
@@ -164,11 +160,16 @@ def test_from_entries_places_each_amplitude_on_its_configuration():
 
 def test_named_states_are_their_entry_lists():
     basis = product_basis(6, 1, 1)
-    assert np.array_equal(singlet_pair(basis, 2, 5).amplitudes,
+    assert np.array_equal(named_state(basis, "singlet", 2, 5).amplitudes,
                           from_entries(basis, ENTRIES["singlet"](2, 5)).amplitudes)
     spectator = product_basis(6, 2, 1)
-    psi = doublon_plus_up(spectator, 4, 2)
+    psi = named_state(spectator, "doublon_plus_up", doublon_site=4, up_site=2)
     assert psi.amplitudes[spectator.index(0b001010, 0b001000)] == 1.0
+    assert np.array_equal(named_state(spectator, "doublon_plus_up", 4, up_site=2).amplitudes,
+                          psi.amplitudes)
+    with pytest.raises(ParameterError, match=re.escape(f"unknown state kind 'quartet'; "
+                                                       f"known: {sorted(ENTRIES)}")):
+        named_state(basis, "quartet", 1, 2)
 
 
 def test_mirror_mask_reflects_arrays():
@@ -180,11 +181,12 @@ def test_mirror_mask_reflects_arrays():
 
 def test_every_constructor_returns_one_read_only_state():
     basis = product_basis(4, 1, 1)
-    psi = doublon_at(basis, 2)
-    states = [psi, from_entries(basis, ENTRIES["singlet"](1, 2)), singlet_pair(basis, 1, 2),
-              triplet_pair(basis, 1, 2), mirror_state(basis, psi),
-              from_amplitudes(basis, psi.amplitudes), doublon_plus_up(product_basis(4, 2, 1), 1, 2),
-              single_particle_at(product_basis(4, 1, 0), 1)]
+    psi = named_state(basis, "doublon", 2)
+    states = [psi, from_entries(basis, ENTRIES["singlet"](1, 2)),
+              named_state(basis, "singlet", 1, 2), named_state(basis, "triplet", 1, 2),
+              mirror_state(basis, psi), from_amplitudes(basis, psi.amplitudes),
+              named_state(product_basis(4, 2, 1), "doublon_plus_up", 1, 2),
+              named_state(product_basis(4, 1, 0), "single_particle", 1)]
     for state in states:
         assert isinstance(state, StateBlock) and state.amplitudes.shape == (state.basis.dim,)
         assert not state.amplitudes.flags.writeable

@@ -4,7 +4,7 @@ import pytest
 from fermichain.basis import product_basis
 from fermichain.errors import ParameterError
 from fermichain.hamiltonian import HubbardParams, barrier_potential, build_hamiltonian
-from fermichain.states import doublon_at, singlet_pair, triplet_pair
+from fermichain.states import named_state
 from fermichain.verification import (
     SINGLET_GAP_FLOOR,
     fk_equivalence_residual,
@@ -72,15 +72,16 @@ def test_symmetry_gap_noninteracting_doublon():
     times = np.arange(0.0, 30.0 + 1e-9, 0.25)
     basis = product_basis(4, 1, 1)
     params = HubbardParams(L=4, J=1.0, U=0.0, V=barrier_potential(4, 10.0, "a"))
-    assert tunneling_symmetry_gap(params, doublon_at(basis, 1), times) <= 1e-9
+    assert tunneling_symmetry_gap(params, named_state(basis, "doublon", 1), times) <= 1e-9
 
 
 def test_symmetry_gap_triplet_vs_singlet():
     times = np.arange(0.0, 50.0 + 1e-9, 0.25)
     basis = product_basis(6, 1, 1)
     params = HubbardParams(L=6, J=1.0, U=0.5, V=barrier_potential(6, 10.0, "a"))
-    assert tunneling_symmetry_gap(params, triplet_pair(basis, 1, 2), times) <= 1e-9
-    assert tunneling_symmetry_gap(params, singlet_pair(basis, 1, 2), times) > SINGLET_GAP_FLOOR
+    assert tunneling_symmetry_gap(params, named_state(basis, "triplet", 1, 2), times) <= 1e-9
+    singlet = named_state(basis, "singlet", 1, 2)
+    assert tunneling_symmetry_gap(params, singlet, times) > SINGLET_GAP_FLOOR
 
 
 def test_symmetry_gap_rejects_leaking_state():
@@ -88,7 +89,7 @@ def test_symmetry_gap_rejects_leaking_state():
     basis = product_basis(6, 1, 1)
     params = HubbardParams(L=6, J=1.0, U=0.0, V=barrier_potential(6, 10.0, "a"))
     with pytest.raises(ParameterError):
-        tunneling_symmetry_gap(params, doublon_at(basis, 3), times)  # inside barrier
+        tunneling_symmetry_gap(params, named_state(basis, "doublon", 3), times)  # inside barrier
 
 
 def test_fk_residual_examples():
