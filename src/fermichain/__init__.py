@@ -8,13 +8,7 @@ by a dense eigendecomposition oracle, a Lanczos/Krylov stepper, or a
 truncated Taylor series.
 """
 
-from .basis import (
-    ProductBasis,
-    SpinSectorBasis,
-    enumerate_sector,
-    mirror_mask,
-    product_basis,
-)
+from .basis import ProductBasis, SpinSectorBasis, enumerate_sector, product_basis
 from .errors import CapacityError, ConfigError, NumericalError, ParameterError
 from .evolution import (
     PropagatorConfig,
@@ -40,7 +34,7 @@ from .scenarios import (
     run_scenario,
     run_sweep,
 )
-from .states import StateBlock, from_amplitudes, from_entries, mirror_state, named_state
+from .states import StateBlock, from_amplitudes, from_entries, named_state
 from .verification import (
     fk_equivalence_residual,
     propagator_mirror_residual,

@@ -10,8 +10,8 @@ ascending site order, then all spin-down ones:
 
 This spinor ordering is the fixed convention of the whole package.  It never
 enters nearest-neighbor hopping within one species (the opposite-spin block
-is crossed an even number of times), but singlet/triplet constructors and
-the mirror reflection do depend on it.
+is crossed an even number of times), but the singlet and triplet states of
+the states module do depend on it.
 """
 
 from __future__ import annotations
@@ -132,21 +132,3 @@ class ProductBasis:
 def product_basis(L: int, n_up: int, n_down: int) -> ProductBasis:
     return ProductBasis(up=enumerate_sector(L, n_up), down=enumerate_sector(L, n_down))
 
-
-def mirror_mask(L: int, mask):
-    """Reflect a mask, or an array of masks, about the chain center: site j
-    maps to site L+1-j."""
-    masks = np.asarray(mask, dtype=np.int64)
-    if np.any(masks >> L):
-        raise ParameterError(f"mask {mask} has bits beyond site {L}")
-    sites = np.arange(L, dtype=np.int64)
-    out = (((masks[..., None] >> sites) & 1) << sites[::-1]).sum(axis=-1)
-    return int(out) if out.ndim == 0 else out
-
-
-def reorder_sign(k: int) -> int:
-    """Sign picked up when a product of k fermionic operators is reversed.
-
-    Reversal needs k(k-1)/2 adjacent transpositions, one sign flip each.
-    """
-    return -1 if (k * (k - 1) // 2) & 1 else 1

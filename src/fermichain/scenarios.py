@@ -418,8 +418,8 @@ def scenario_from_dict(doc: dict, name: str = "scenario", description: str = "")
 
 
 def _matches(name: str, column: str) -> bool:
-    """Whether a trap-time reduction of `column` reads trajectory column `name`."""
-    return name == column or name.startswith(column + "_")
+    """Whether a trap-time reduction of `column` reads `name`: itself or its _a/_b column."""
+    return name in (column, f"{column}_a", f"{column}_b")
 
 
 def _trajectory_file(sweep: str, parameter: str, value) -> str:

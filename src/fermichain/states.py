@@ -4,7 +4,8 @@ every constructor here returns a one-state block whose amplitudes are
 read-only.  Every initial state is a list of entries (up sites, down
 sites, amplitude), sites 1-based and in any order; check_entries holds the
 rules, from_entries builds one on a basis, and named_state builds a kind of
-ENTRIES (doublon, singlet, ...) from its site fields, as a config names it.
+ENTRIES (doublon, singlet, ...) from its site fields, as a config names it;
+its mirror image is the same kind at sites L+1-j, up to a global sign.
 
 Singlet and triplet labels refer to the spinor ordering fixed in the basis
 module: |up_i down_j> means c+_{i,up} c+_{j,down} |0>, so
@@ -17,11 +18,13 @@ because |down_i up_j> = -|{j},{i}> after reordering the operators.
 
 from __future__ import annotations
 
+import inspect
 from functools import cached_property
+from numbers import Integral
 
 import numpy as np
 
-from .basis import ProductBasis, mirror_mask, reorder_sign, site_bit
+from .basis import ProductBasis, site_bit
 from .errors import ParameterError
 
 SPINS = ("up", "down")
@@ -92,11 +95,14 @@ def from_amplitudes(basis: ProductBasis, amplitudes) -> StateBlock:
 def check_entries(entries) -> float:
     """The norm of entries (up sites, down sites, amplitude) that make a state,
     on any chain: no site twice in one species, one particle-number sector, no
-    configuration twice and a norm within NORM_TOLERANCE of 1.  Raises
-    ParameterError naming the first entry that breaks a rule."""
+    configuration twice, integer sites (not bools) and a norm within
+    NORM_TOLERANCE of 1.  Raises ParameterError naming the first entry that
+    breaks a rule."""
     seen = {}
     for k, (up, down, _) in enumerate(entries):
         for species, sites in (("up", up), ("down", down)):
+            if bad := [s for s in sites if isinstance(s, bool) or not isinstance(s, Integral)]:
+                raise ParameterError(f"entries[{k}].{species} site {bad[0]!r} is not an integer")
             if len(set(sites)) != len(sites):
                 raise ParameterError(f"entries[{k}].{species} repeats a site: {list(sites)}")
         sector, first = (len(up), len(down)), tuple(map(len, entries[0][:2]))
@@ -138,23 +144,15 @@ ENTRIES = {
 
 def named_state(basis: ProductBasis, kind: str, *sites, **fields) -> StateBlock:
     """The state of a named kind on basis, from its site fields as a config
-    names them: named_state(basis, "singlet", 1, 2) is {kind: singlet, i: 1, j: 2}."""
+    names them: named_state(basis, "singlet", 1, 2) is {kind: singlet, i: 1, j: 2}.
+    A missing, extra or misnamed field raises ParameterError naming the kind's fields."""
     if kind not in ENTRIES:
         raise ParameterError(f"unknown state kind {kind!r}; known: {sorted(ENTRIES)}")
-    return from_entries(basis, ENTRIES[kind](*sites, **fields))
+    signature = inspect.signature(ENTRIES[kind])
+    try:
+        bound = signature.bind(*sites, **fields)
+    except TypeError as exc:
+        raise ParameterError(f"a {kind} takes the fields {list(signature.parameters)}: "
+                             f"{exc}") from None
+    return from_entries(basis, ENTRIES[kind](*bound.args, **bound.kwargs))
 
-
-def mirror_state(basis: ProductBasis, psi: StateBlock) -> StateBlock:
-    """Unitary parity (reflection about the chain center) of a state.
-
-    Each configuration maps to its mirror image; reflecting a species reverses
-    its creation-operator order, so each mask of k particles contributes
-    reorder_sign(k).  The total sign is constant on a fixed sector, making
-    this an involution with global phase +1.
-    """
-    if psi.basis is not basis:
-        raise ParameterError("state does not live on the given basis")
-    up, down = (s.index(mirror_mask(basis.L, s.masks)) for s in (basis.up, basis.down))
-    out = np.empty((basis.up.dim, basis.down.dim), dtype=np.complex128)
-    out[np.ix_(up, down)] = psi.amplitudes.reshape(out.shape)
-    return _finish(basis, reorder_sign(basis.up.N) * reorder_sign(basis.down.N) * out.ravel())

@@ -4,21 +4,23 @@ Everything here runs on the production assembly, build_hamiltonian, and
 the dense eigendecomposition propagator, DensePropagator: the
 single-particle propagator mirror identity (on the (1, 0) sector), the
 density-based tunneling symmetry gap (zero for noninteracting and triplet
-runs, nonzero for the interacting singlet), and the frozen-species
-reduction of the two-body problem to an effective one-particle barrier.
+runs, nonzero for the interacting singlet; orientations a and b run as one
+stack, as in the presets), and the frozen-species reduction of the two-body
+problem to an effective one-particle barrier.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .basis import product_basis
 from .errors import ParameterError
-from .evolution import DensePropagator
+from .evolution import DensePropagator, PropagatorConfig, evolve_trajectory
 from .hamiltonian import BARRIER_ORIENTATIONS, HubbardParams, barrier_potential, build_hamiltonian
-from .states import StateBlock, from_entries, mirror_state, named_state
+from .observables import observable_functions
+from .states import StateBlock, from_entries, named_state
 
 # Largest tunneling-symmetry gap of the interacting singlet run (L=6, U=0.5J,
 # h=10J, t <= 50/J): 0.0230 measured once with the dense oracle on the 0.05/J
@@ -66,29 +68,20 @@ def propagator_mirror_residual(
 
 
 def tunneling_symmetry_gap(params: HubbardParams, psi0: StateBlock, times) -> float:
-    """max_t | <n_C>(t) starting from psi0 - <n_A>(t) starting from mirror(psi0) |.
-
-    Both runs use the same potential, whose two-site barrier B is centered on
-    the chain; psi0 must be supported in region A.
+    """max_t | <n_C>(t) under V - <n_C>(t) under V reversed |, both from psi0,
+    which must be supported in region A; by parity, the gap between <n_C> from
+    psi0 and <n_A> from the mirrored psi0 under V.  The orientations run as one
+    stack through evolve_trajectory, as the presets run them, and n_after reads
+    region C of the two-site barrier centered on the chain.
     """
-    l_a, l_b = _regions(params.L, None, None)
-    basis = psi0.basis
-    if basis.L != params.L:
-        raise ParameterError(f"state has L={basis.L}, params have L={params.L}")
+    l_a, _ = _regions(params.L, None, None)
+    H = build_hamiltonian([params, replace(params, V=params.V[::-1])], psi0.basis)  # checks L
     weight_outside = float(psi0.density()[l_a:].sum())
     if weight_outside > 1e-12:
         raise ParameterError(f"initial state leaks {weight_outside} outside region A")
-
-    prop = DensePropagator(build_hamiltonian(params, basis))
-    times = np.asarray(times, dtype=np.float64)
-    fwd = prop.blocks(psi0.amplitudes, times)
-    bwd = prop.blocks(mirror_state(basis, psi0).amplitudes, times)
-    gap = 0.0
-    for a, b in zip(fwd, bwd):
-        n_c = StateBlock(basis, a).density()[:, l_a + l_b:].sum(axis=1)
-        n_a = StateBlock(basis, b).density()[:, :l_a].sum(axis=1)
-        gap = max(gap, float(np.max(np.abs(n_c - n_a))))
-    return gap
+    n_c = evolve_trajectory(H, psi0, times, PropagatorConfig(method="dense_eig"),
+                            observable_functions(["n_after"], psi0.basis)).columns["n_after"]
+    return float(np.max(np.abs(n_c[0] - n_c[1])))
 
 
 def fk_equivalence_residual(L: int, J: float, U: float, h: float, orientation, t: float) -> float:

@@ -3,13 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fermichain.basis import (
-    enumerate_sector,
-    mirror_mask,
-    popcount,
-    product_basis,
-    reorder_sign,
-)
+from fermichain.basis import enumerate_sector, popcount, product_basis
 from fermichain.errors import ParameterError
 
 
@@ -45,22 +39,3 @@ def test_product_basis_dimensions():
     g = basis.index(0b000011, 0b000111)
     assert basis.config(g) == (0b000011, 0b000111)
 
-
-def test_mirror_examples():
-    assert mirror_mask(4, 0b0001) == 0b1000
-    assert mirror_mask(6, 0b000011) == 0b110000
-    assert mirror_mask(4, 0b0110) == 0b0110
-
-
-def test_mirror_involution():
-    rng = np.random.default_rng(11)
-    for L in range(1, 13):
-        for mask in rng.integers(0, 1 << L, size=50):
-            mask = int(mask)
-            assert mirror_mask(L, mirror_mask(L, mask)) == mask
-            assert popcount(mirror_mask(L, mask)) == popcount(mask)
-
-
-def test_reorder_sign_is_reversal_parity():
-    # reversing k operators costs k(k-1)/2 transpositions
-    assert [reorder_sign(k) for k in range(6)] == [1, 1, -1, -1, 1, 1]

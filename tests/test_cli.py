@@ -166,6 +166,9 @@ _VALID_SCENARIO = {
     ({"U": "[" * 3000 + "]" * 3000}, "nests too deeply to read"),
     ({"sweep": "{parameter: U, values: [" + "[" * 3000 + "]" * 3000 + "]}"},
      "nests too deeply to read"),
+    ({"observables": "[n_up_all]",
+      "sweep": "{parameter: U, values: [0, 1], reduction: {kind: trap_time, column: n_up}}"},
+     "sweep.reduction.column: 'n_up' matches no trajectory column"),  # n_up_1 is not n_up's
 ])
 def test_malformed_config_value_is_config_error(tmp_path, capsys, monkeypatch, override, field):
     def unreachable(*args, **kwargs):

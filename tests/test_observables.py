@@ -17,7 +17,7 @@ from fermichain.observables import (
     time_average,
     trap_time,
 )
-from fermichain.states import mirror_state, named_state
+from fermichain.states import named_state
 
 import fock_oracle
 
@@ -73,9 +73,8 @@ def test_number_conservation_along_run():
 
 def test_n_after_examples():
     basis = product_basis(6, 1, 1)
-    psi = named_state(basis, "doublon", 1)
-    assert _measure(["n_after"], psi)["n_after"] == 0.0
-    assert _measure(["n_after"], mirror_state(basis, psi))["n_after"] == 2.0
+    assert _measure(["n_after"], named_state(basis, "doublon", 1))["n_after"] == 0.0
+    assert _measure(["n_after"], named_state(basis, "doublon", 6))["n_after"] == 2.0
 
     got = _measure(["n_after", "n_4"], named_state(product_basis(4, 1, 1), "doublon", 3))
     assert got["n_after"] == got["n_4"]
@@ -85,16 +84,18 @@ def test_n_after_examples():
 
 
 def test_mirror_covariance_of_densities():
-    # <n_j> under (V, psi0) equals <n_{L+1-j}> under (mirrored V, mirrored psi0)
+    # <n_j> under (V, psi0) equals <n_{L+1-j}> under (mirrored V, mirrored psi0);
+    # the mirror image of singlet(1, 2) is singlet(L, L-1), up to a global sign
     L = 6
     basis = product_basis(L, 1, 1)
     psi0 = named_state(basis, "singlet", 1, 2)
+    mirrored = named_state(basis, "singlet", L, L - 1)
     V = barrier_potential(L, 10.0, "a")
     H_fwd = build_hamiltonian(HubbardParams(L=L, J=1.0, U=2.0, V=V), basis)
     H_mir = build_hamiltonian(HubbardParams(L=L, J=1.0, U=2.0, V=V[::-1].copy()), basis)
     times = (0.0, 3.0, 11.0, 27.0)
     a = _densities(DensePropagator(H_fwd), basis, psi0.amplitudes, times)
-    b = _densities(DensePropagator(H_mir), basis, mirror_state(basis, psi0).amplitudes, times)
+    b = _densities(DensePropagator(H_mir), basis, mirrored.amplitudes, times)
     assert np.max(np.abs(a - b[:, ::-1])) <= 1e-10
 
 

@@ -3,9 +3,8 @@ import re
 import numpy as np
 import pytest
 
-from fermichain.basis import mirror_mask, product_basis
+from fermichain.basis import product_basis
 from fermichain.errors import ParameterError
-from fermichain.evolution import DensePropagator
 from fermichain.hamiltonian import HubbardParams, build_hamiltonian, total_spin_squared
 from fermichain.observables import StateBlock
 from fermichain.states import (
@@ -13,15 +12,8 @@ from fermichain.states import (
     check_entries,
     from_amplitudes,
     from_entries,
-    mirror_state,
     named_state,
 )
-
-
-def _random_state(basis, seed):
-    rng = np.random.default_rng(seed)
-    amps = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
-    return from_amplitudes(basis, amps / np.linalg.norm(amps))
 
 
 def test_doublon_examples():
@@ -33,9 +25,6 @@ def test_doublon_examples():
 
     H = build_hamiltonian(HubbardParams(L=4, J=1.0, U=10.0, V=np.zeros(4)), basis)
     assert abs(H.expectations(psi.amplitudes[None])[0] - 10.0) <= 1e-12
-
-    mirrored = mirror_state(basis, psi)
-    assert np.allclose(mirrored.amplitudes, named_state(basis, "doublon", 4).amplitudes)
 
 
 def test_pair_states():
@@ -65,48 +54,6 @@ def test_doublon_plus_up():
         named_state(basis, "doublon_plus_up", 2, 2)
     with pytest.raises(ParameterError):
         named_state(product_basis(4, 1, 1), "doublon_plus_up", 1, 4)
-
-
-def test_mirror_is_involution_on_random_states():
-    for n_up, n_down, seed in [(1, 1, 0), (2, 1, 1), (2, 2, 2), (3, 2, 3)]:
-        basis = product_basis(5, n_up, n_down)
-        psi = _random_state(basis, seed)
-        back = mirror_state(basis, mirror_state(basis, psi))
-        assert np.max(np.abs(back.amplitudes - psi.amplitudes)) <= 1e-14
-
-
-def test_single_particle_mirror_reverses_amplitudes():
-    L = 7
-    basis = product_basis(L, 1, 0)
-    rng = np.random.default_rng(4)
-    coeffs = rng.normal(size=L) + 1j * rng.normal(size=L)
-    coeffs /= np.linalg.norm(coeffs)
-    amps = np.zeros(basis.dim, dtype=complex)
-    for site in range(1, L + 1):
-        amps[basis.index(1 << (site - 1), 0)] = coeffs[site - 1]
-    mirrored = mirror_state(basis, from_amplitudes(basis, amps))
-    for site in range(1, L + 1):
-        assert mirrored.amplitudes[basis.index(1 << (site - 1), 0)] == coeffs[L - site]
-
-
-def test_mirror_occupations_reflect():
-    basis = product_basis(6, 2, 1)
-    psi = _random_state(basis, 9)
-    mirrored = mirror_state(basis, psi)
-    profiles = StateBlock(basis, np.array([psi.amplitudes, mirrored.amplitudes])).density()
-    assert np.allclose(profiles[1], profiles[0][::-1], atol=1e-14)
-
-
-def test_mirror_commutes_with_symmetric_hamiltonian():
-    basis = product_basis(4, 1, 1)
-    V = np.array([0.0, 7.0, 7.0, 0.0])  # reflection-symmetric barrier
-    H = build_hamiltonian(HubbardParams(L=4, J=1.0, U=2.5, V=V), basis)
-    psi = _random_state(basis, 5)
-    prop = DensePropagator(H)
-    t = 13.0
-    lhs = mirror_state(basis, from_amplitudes(basis, prop.advance(psi.amplitudes, t)))
-    rhs = prop.advance(mirror_state(basis, psi).amplitudes, t)
-    assert np.linalg.norm(lhs.amplitudes - rhs) <= 1e-10
 
 
 def test_from_amplitudes_validation():
@@ -172,11 +119,35 @@ def test_named_states_are_their_entry_lists():
         named_state(basis, "quartet", 1, 2)
 
 
-def test_mirror_mask_reflects_arrays():
-    masks = product_basis(7, 3, 0).up.masks
-    assert mirror_mask(7, masks).tolist() == [mirror_mask(7, int(m)) for m in masks]
-    with pytest.raises(ParameterError):
-        mirror_mask(3, np.array([0b0111, 0b1000]))
+@pytest.mark.parametrize("site, species", [(2.0, "up"), (True, "up"), ("2", "up"),
+                                           (np.float64(2.0), "up"), (np.bool_(True), "down")],
+                         ids=["float", "bool", "str", "numpy-float", "numpy-bool"])
+def test_check_entries_refuses_sites_that_are_not_integers(site, species):
+    up, down = ((site,), (3,)) if species == "up" else ((3,), (site,))
+    with pytest.raises(ParameterError,
+                       match=re.escape(f"entries[0].{species} site {site!r} is not an integer")):
+        check_entries([(up, down, 1.0)])
+
+
+def test_named_state_refuses_sites_that_are_not_integers():
+    basis = product_basis(4, 1, 1)
+    for site in (2.0, True):
+        with pytest.raises(ParameterError, match=re.escape(f"entries[0].up site {site!r} is not")):
+            named_state(basis, "doublon", site)
+    assert named_state(basis, "doublon", np.int64(2)).density().tolist() == [0.0, 2.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("sites, fields, reason", [
+    ((1,), {}, "missing a required argument: 'j'"),
+    ((1, 2, 3), {}, "too many positional arguments"),
+    ((1,), {"k": 2}, "missing a required argument: 'j'"),
+    ((1, 2), {"i": 1}, "multiple values for argument 'i'"),
+])
+def test_named_state_binds_the_fields_of_its_kind(sites, fields, reason):
+    basis = product_basis(4, 1, 1)
+    with pytest.raises(ParameterError,
+                       match=re.escape(f"a singlet takes the fields ['i', 'j']: {reason}")):
+        named_state(basis, "singlet", *sites, **fields)
 
 
 def test_every_constructor_returns_one_read_only_state():
@@ -184,7 +155,7 @@ def test_every_constructor_returns_one_read_only_state():
     psi = named_state(basis, "doublon", 2)
     states = [psi, from_entries(basis, ENTRIES["singlet"](1, 2)),
               named_state(basis, "singlet", 1, 2), named_state(basis, "triplet", 1, 2),
-              mirror_state(basis, psi), from_amplitudes(basis, psi.amplitudes),
+              from_amplitudes(basis, psi.amplitudes),
               named_state(product_basis(4, 2, 1), "doublon_plus_up", 1, 2),
               named_state(product_basis(4, 1, 0), "single_particle", 1)]
     for state in states:

@@ -84,6 +84,23 @@ def test_symmetry_gap_triplet_vs_singlet():
     assert tunneling_symmetry_gap(params, singlet, times) > SINGLET_GAP_FLOOR
 
 
+def test_symmetry_gap_reads_each_row_of_its_stack(monkeypatch):
+    # an assembly that gives every run of a stack run 0's parameters runs
+    # orientation a twice; the singlet gap must then vanish
+    from fermichain import verification
+
+    def first_row_only(params, basis):
+        stack = [params] if isinstance(params, HubbardParams) else list(params)
+        return build_hamiltonian([stack[0]] * len(stack), basis)
+
+    times = np.arange(0.0, 50.0 + 1e-9, 0.25)
+    basis = product_basis(6, 1, 1)
+    params = HubbardParams(L=6, J=1.0, U=0.5, V=barrier_potential(6, 10.0, "a"))
+    singlet = named_state(basis, "singlet", 1, 2)
+    monkeypatch.setattr(verification, "build_hamiltonian", first_row_only)
+    assert tunneling_symmetry_gap(params, singlet, times) <= SINGLET_GAP_FLOOR
+
+
 def test_symmetry_gap_rejects_leaking_state():
     times = [0.0, 1.0]
     basis = product_basis(6, 1, 1)
