@@ -11,7 +11,8 @@ ascending site order, then all spin-down ones:
 This spinor ordering is the fixed convention of the whole package.  It never
 enters nearest-neighbor hopping within one species (the opposite-spin block
 is crossed an even number of times), but the singlet and triplet states of
-the states module do depend on it.
+the states module do depend on it.  Other modules read the layout only
+through site_bit, the occupations and doublon_counts tables and index.
 """
 
 from __future__ import annotations
@@ -28,24 +29,8 @@ from .errors import ParameterError
 MAX_SITES = 62  # masks must fit a signed 64-bit word with headroom
 
 
-def popcount(mask: int) -> int:
-    """Number of occupied sites in a scalar mask."""
-    return int(mask).bit_count()
-
-
-def popcount_array(masks: np.ndarray) -> np.ndarray:
-    """Elementwise popcount for an array of non-negative masks."""
-    return np.bitwise_count(masks).astype(np.int64)
-
-
 def site_bit(site: int) -> int:
     return 1 << (site - 1)
-
-
-def occupation_matrix(masks: np.ndarray, L: int) -> np.ndarray:
-    """(dim, L) float matrix of per-site occupations, sites in ascending order."""
-    shifts = np.arange(L, dtype=np.int64)
-    return ((masks[:, None] >> shifts) & 1).astype(np.float64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,7 +57,8 @@ class SpinSectorBasis:
 
     @cached_property
     def occupations(self) -> np.ndarray:
-        occ = occupation_matrix(self.masks, self.L)
+        """(dim, L) float occupation of every site, sites in ascending order."""
+        occ = ((self.masks[:, None] >> np.arange(self.L)) & 1).astype(np.float64)
         occ.setflags(write=False)
         return occ
 
@@ -112,18 +98,14 @@ class ProductBasis:
     def dim(self) -> int:
         return self.up.dim * self.down.dim
 
-    def index(self, up_mask: int, down_mask: int) -> int:
-        return self.up.index(up_mask) * self.down.dim + self.down.index(down_mask)
-
-    def config(self, g: int) -> tuple[int, int]:
-        """Masks (up, down) of the global index g."""
-        iu, idn = divmod(g, self.down.dim)
-        return int(self.up.masks[iu]), int(self.down.masks[idn])
+    def index(self, up_masks, down_masks):
+        """Global index of (up_mask, down_mask), elementwise over arrays of masks."""
+        return self.up.index(up_masks) * self.down.dim + self.down.index(down_masks)
 
     @cached_property
     def doublon_counts(self) -> np.ndarray:
         """(dim,) number of doubly occupied sites per configuration."""
-        counts = popcount_array(self.up.masks[:, None] & self.down.masks[None, :])
+        counts = np.bitwise_count(self.up.masks[:, None] & self.down.masks[None, :])
         counts = counts.astype(np.float64).ravel()
         counts.setflags(write=False)
         return counts

@@ -13,6 +13,7 @@ from .errors import NumericalError, ParameterError
 from .scenarios import (
     ScenarioConfig,
     SweepConfig,
+    load_preset,
     preset_names,
     resolve_config,
     run_scenario,
@@ -95,8 +96,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_list_presets(args) -> int:
-    from .scenarios import load_preset
-
     for name in preset_names():
         config = load_preset(name)
         kind = "sweep" if isinstance(config, SweepConfig) else "scenario"

@@ -103,11 +103,6 @@ def _norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(x, x).real)
 
 
-def _rows_of(amps, dim: int) -> np.ndarray:
-    """A (k, dim) complex copy of one state (k = 1) or of a stack of states."""
-    return np.array(amps, dtype=np.complex128).reshape(-1, dim)
-
-
 def _lattice(times: np.ndarray) -> tuple[float, int]:
     """(h, m) such that times[:m] == h * arange(m) exactly, where m is len(times),
     or one less when only the last sample is off the lattice (clipped short, as
@@ -303,7 +298,7 @@ class KrylovPropagator:
         without windows.
         """
         shape = np.shape(amps)[:-1]
-        cur = _rows_of(amps, self.dim)
+        cur = np.array(amps, dtype=np.complex128).reshape(-1, self.dim)  # a (k, dim) copy
         rows = _block_rows(cur.size)
         head = cur[:, None]  # the t = 0 state rides with the first block
         window = self.dt

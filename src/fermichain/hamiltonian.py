@@ -3,8 +3,9 @@
 All energies are in units of the hopping amplitude J and times in 1/J
 (hbar = 1); chains are open (hopping sum runs over bonds 1..L-1 only).
 build_hamiltonian is the one assembly, of scenarios and verification
-alike; its (1, 0) sector is the one-particle chain.  A barrier's
-orientation is "a" or "b".
+alike; its (1, 0) sector is the one-particle chain.  H and S^2 read the
+basis's occupations, doublon_counts and index; neither decodes a mask.  A
+barrier's orientation is "a" or "b".
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .basis import ProductBasis, enumerate_sector
+from .basis import ProductBasis, SpinSectorBasis, product_basis, site_bit
 from .errors import NumericalError, ParameterError
 
 DENSE_CAP = 4096  # largest dimension handled by dense eigendecompositions
@@ -208,14 +209,14 @@ def jstar_site(L: int, h: float, orientation: str) -> int:
     return half + 1
 
 
-def _species_hops(L: int, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _species_hops(sector: SpinSectorBasis) -> tuple[np.ndarray, np.ndarray]:
     """All nearest-neighbor moves within one species: (source, target) index pairs."""
     src, dst = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
-    for j in range(L - 1):
-        pair = np.int64(3) << j
-        idx = np.flatnonzero(np.bitwise_count(masks & pair) == 1)
+    occ = sector.occupations
+    for j in range(1, sector.L):
+        idx = np.flatnonzero(occ[:, j - 1] != occ[:, j])  # exactly one of sites j, j+1 occupied
         src.append(idx)
-        dst.append(np.searchsorted(masks, masks[idx] ^ pair))
+        dst.append(sector.index(sector.masks[idx] ^ (site_bit(j) | site_bit(j + 1))))
     return np.concatenate(src), np.concatenate(dst)
 
 
@@ -223,9 +224,9 @@ def build_hamiltonian(params, basis: ProductBasis) -> SparseHamiltonian:
     """Assemble the chain Hamiltonian on a fixed (N_up, N_down) sector.
 
     Terms: -hop_up (-hop_down) nearest-neighbor hops within the up (down)
-    species, open boundaries; on the diagonal U per doubly occupied site plus
-    the potential V dotted with the total site occupations, accumulated
-    site-ascending so identical inputs give bit-identical arrays.  params is
+    species, open boundaries; on the diagonal U times basis.doublon_counts plus
+    V dotted with the up and down occupations, accumulated site-ascending
+    so identical inputs give bit-identical arrays.  params is
     one HubbardParams, or a sequence of them for a stack: the pattern is
     assembled once, the values once per entry.
     """
@@ -236,20 +237,17 @@ def build_hamiltonian(params, basis: ProductBasis) -> SparseHamiltonian:
     for p in stack:
         if p.L != basis.L:
             raise ParameterError(f"basis has L={basis.L}, params have L={p.L}")
-    L = basis.L
-    up, down = basis.up.masks, basis.down.masks
-    du, dd = len(up), len(down)
-    U = np.array([float(p.U) for p in stack])[:, None, None]
+    du, dd = basis.up.dim, basis.down.dim
+    occ_u, occ_d = basis.up.occupations, basis.down.occupations
+    U = np.array([float(p.U) for p in stack])[:, None]
     V = np.array([p.V for p in stack])
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite entry raises below
-        diag = U * np.bitwise_count(up[:, None] & down[None, :]).astype(np.float64)
-        for j in range(L):
-            bu = ((up >> j) & 1).astype(np.float64)
-            bd = ((down >> j) & 1).astype(np.float64)
-            diag += V[:, j, None, None] * (bu[:, None] + bd[None, :])
+        diag = (U * basis.doublon_counts).reshape(len(stack), du, dd)
+        for j in range(basis.L):
+            diag += V[:, j, None, None] * (occ_u[:, j, None] + occ_d[None, :, j])
 
-    su, tu = _species_hops(L, up)
-    sd, td = _species_hops(L, down)
+    su, tu = _species_hops(basis.up)
+    sd, td = _species_hops(basis.down)
     ru, rd = np.arange(du, dtype=np.int64), np.arange(dd, dtype=np.int64)
     g = np.arange(basis.dim, dtype=np.int64)
     rows = np.concatenate([g, (su[:, None] * dd + rd).ravel(), (ru[:, None] * dd + sd).ravel()])
@@ -277,19 +275,19 @@ def total_spin_squared(basis: ProductBasis) -> SparseHamiltonian:
     sz = 0.5 * (n_up - n_down)
     rows, cols, signs = [np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0, np.int64)]
     if n_down >= 1 and n_up < L:
-        up_t, down_t = enumerate_sector(L, n_up + 1).masks, enumerate_sector(L, n_down - 1).masks
-        mu, md = basis.up.masks, basis.down.masks
+        target = product_basis(L, n_up + 1, n_down - 1)
+        occ_u, occ_d = basis.up.occupations, basis.down.occupations
+        # occupied sites below each site, per configuration
+        below_u, below_d = ((np.cumsum(o, axis=1) - o).astype(np.int64) for o in (occ_u, occ_d))
         for j in range(L):
-            bit = np.int64(1) << j
-            iu, idn = np.flatnonzero((mu & bit) == 0), np.flatnonzero(md & bit)
-            rows.append((np.searchsorted(up_t, mu[iu] | bit)[:, None] * len(down_t)
-                         + np.searchsorted(down_t, md[idn] ^ bit)).ravel())
+            iu, idn = np.flatnonzero(occ_u[:, j] == 0), np.flatnonzero(occ_d[:, j])
+            bit = site_bit(j + 1)
+            rows.append(target.index(basis.up.masks[iu, None] | bit,
+                                     basis.down.masks[idn] ^ bit).ravel())
             cols.append((iu[:, None] * basis.down.dim + idn).ravel())
             # c_{j,down} passes every up operator and the downs below j, then
             # c+_{j,up} passes the ups below j
-            ups_below = np.bitwise_count(mu[iu] & (bit - 1)).astype(np.int64)
-            downs_below = np.bitwise_count(md[idn] & (bit - 1)).astype(np.int64)
-            signs.append((1 - 2 * ((n_up + ups_below[:, None] + downs_below) & 1)).ravel())
+            signs.append((1 - 2 * ((n_up + below_u[iu, j, None] + below_d[idn, j]) & 1)).ravel())
     rows, cols, signs = (np.concatenate(a) for a in (rows, cols, signs))
 
     # every pair of S^+ entries in one row r adds S+_{r,a} S+_{r,b} to entry (a, b):

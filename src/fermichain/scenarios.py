@@ -417,6 +417,15 @@ def scenario_from_dict(doc: dict, name: str = "scenario", description: str = "")
     return ScenarioConfig(name=name, description=description, **fields)
 
 
+def _trajectory_columns(config: ScenarioConfig) -> list[str]:
+    """The columns of a scenario's trajectory: its observables' columns, or with
+    orientation 'both' each of them once with suffix _a and once with _b."""
+    names = list(columns(config.observables, config.L))
+    if config.orientation != "both":
+        return names
+    return [f"{name}_{o}" for o in _orientations(config) for name in names]
+
+
 def _matches(name: str, column: str) -> bool:
     """Whether a trap-time reduction of `column` reads `name`: itself or its _a/_b column."""
     return name in (column, f"{column}_a", f"{column}_b")
@@ -441,6 +450,7 @@ def _swept_configs(sweep: SweepConfig) -> list[ScenarioConfig]:
             rule = (f"at most t_max = {base.t_max:g}" if red.T > base.t_max else
                     f"a sample time (a multiple of sample_dt = {base.sample_dt:g}, or t_max)")
             errors.append(f"sweep.reduction.T: must be {rule}, got {red.T:g}")
+    tables = {}  # each set of trajectory columns -> the first value that has it
     for value in sweep.values:
         try:
             config = dataclasses.replace(base, **{sweep.parameter: value})
@@ -448,14 +458,18 @@ def _swept_configs(sweep: SweepConfig) -> list[ScenarioConfig]:
             errors.append(f"sweep.values: {exc}")
             continue
         configs.append(config)
+        names = _trajectory_columns(config)
+        tables.setdefault(tuple(names), getattr(config, sweep.parameter))
         if red.kind == "trap_time":
-            names = list(columns(config.observables, config.L))
-            if config.orientation == "both":  # run_scenario's names for the a and b runs
-                names = [f"{name}_{o}" for o in _orientations(config) for name in names]
             unread = (f"sweep.reduction.column: {red.column!r} matches no trajectory "
                       f"column at L={config.L} (have {names})")
             if unread not in errors and not any(_matches(n, red.column) for n in names):
                 errors.append(unread)
+    if red.kind == "time_average" and len(tables) > 1:
+        (a, at), (b, bt) = list(tables.items())[:2]
+        errors.append(f"sweep.values: a time_average table needs the same columns for every "
+                      f"value; {sweep.parameter}={at} has {list(a)}, {sweep.parameter}={bt} "
+                      f"has {list(b)}")
     values = [getattr(config, sweep.parameter) for config in configs]
     if len(set(values)) < len(values):
         errors.append("sweep.values: values must be distinct")
@@ -567,14 +581,10 @@ def _run_configs(configs: list[ScenarioConfig]):
     runs = [(config, o) for config in configs for o in _orientations(config)]
     done = (traj for basis, stack in _stacks(runs) for traj in _run_stack(basis, stack))
     for config in configs:
-        orientations = _orientations(config)
-        trajs = [next(done) for _ in orientations]
-        if len(trajs) == 1:
-            yield trajs[0]
-            continue
-        columns = {f"{name}_{o}": col for o, traj in zip(orientations, trajs)
-                   for name, col in traj.columns.items()}
-        yield Trajectory(times=trajs[0].times, columns=columns)
+        trajs = [next(done) for _ in _orientations(config)]
+        cols = (col for traj in trajs for col in traj.columns.values())
+        yield Trajectory(times=trajs[0].times,
+                         columns=dict(zip(_trajectory_columns(config), cols, strict=True)))
 
 
 def _output_dir(output_dir, files) -> Path | None:

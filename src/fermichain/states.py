@@ -125,7 +125,7 @@ def from_entries(basis: ProductBasis, entries) -> StateBlock:
         raise ParameterError(f"site {off[0]} outside chain [1, {basis.L}]")
     up, down = np.array([[sum(map(site_bit, e[0])), sum(map(site_bit, e[1]))] for e in entries]).T
     amps = np.zeros(basis.dim, dtype=np.complex128)
-    amps[basis.up.index(up) * basis.down.dim + basis.down.index(down)] = [e[2] for e in entries]
+    amps[basis.index(up, down)] = [e[2] for e in entries]
     return _finish(basis, amps / norm)
 
 

@@ -169,6 +169,10 @@ _VALID_SCENARIO = {
     ({"observables": "[n_up_all]",
       "sweep": "{parameter: U, values: [0, 1], reduction: {kind: trap_time, column: n_up}}"},
      "sweep.reduction.column: 'n_up' matches no trajectory column"),  # n_up_1 is not n_up's
+    ({"U": "1.0", "h": "0.0", "observables": "[n_all]",
+      "sweep": "{parameter: L, values: [4, 6], reduction: {kind: time_average}}"},
+     "sweep.values: a time_average table needs the same columns for every value; "
+     "L=4 has ['n_1', 'n_2', 'n_3', 'n_4'], L=6 has ['n_1'"),  # rows of 5 and 7 values
 ])
 def test_malformed_config_value_is_config_error(tmp_path, capsys, monkeypatch, override, field):
     def unreachable(*args, **kwargs):

@@ -47,6 +47,9 @@ values = st.recursive(
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(keys, inner, max_size=4),
     max_leaves=10,
 )
+# observable tokens: each site, all sites (one column per site), and the whole-chain ones
+tokens = st.sampled_from(["n_L", "n_1", "n_9", "n_h2", "n_all", "n_up_all", "n_down_all",
+                          "n_after", "doublon_count", "energy", "s_squared"])
 numbers = st.sampled_from([0, 1, 2, 4, 6, 0.5, 10.0, 20.0, -1.0, "1e-3", 1e12, 1e-3])
 
 
@@ -72,6 +75,8 @@ def documents(draw, lengths=None):
     """A mutated scenario or sweep document; with `lengths`, half the scenarios
     and the swept value lists also draw L from it."""
     scenario = mutated(draw, VALID_SCENARIO, SCENARIO_KEYS)
+    if draw(st.booleans()):
+        scenario["observables"] = draw(st.lists(tokens, min_size=1, max_size=3))
     if lengths is not None and draw(st.booleans()):
         scenario["L"] = draw(lengths)
     doc = {"name": "prop", "scenario": rarely(draw, values, scenario)}
@@ -123,6 +128,10 @@ def _small(config) -> bool:
 
 @hypothesis.settings(derandomize=True, max_examples=400, deadline=None)
 @hypothesis.given(documents())
+@hypothesis.example({  # n_all has L columns: a table over L = 4 and 6 cannot hold both
+    "name": "prop",
+    "scenario": dict(VALID_SCENARIO, U=1.0, h=0.0, t_max=1.0, observables=["n_all"]),
+    "sweep": {"parameter": "L", "values": [4, 6], "reduction": {"kind": "time_average"}}})
 def test_config_that_loads_also_runs(doc):
     try:
         config = load_config(doc)
@@ -132,7 +141,8 @@ def test_config_that_loads_also_runs(doc):
         return
     try:
         if isinstance(config, SweepConfig):
-            run_sweep(config)
+            header, rows, _ = run_sweep(config)
+            assert all(len(row) == len(header) for row in rows)
         else:
             run_scenario(config)
     except NumericalError:  # a run may fail numerically (exit 2); a ParameterError may not

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fermichain.basis import popcount, product_basis
+from fermichain.basis import product_basis
 from fermichain.errors import ParameterError
 from fermichain.evolution import DensePropagator
 from fermichain.hamiltonian import (
@@ -104,9 +104,10 @@ def _loop_reference(basis, amps, H, s2):
     up, down = np.zeros(basis.L), np.zeros(basis.L)
     doublons = 0.0
     for g, a in enumerate(amps):
-        mu, md = basis.config(g)
+        iu, idn = divmod(g, basis.down.dim)
+        mu, md = int(basis.up.masks[iu]), int(basis.down.masks[idn])
         p = abs(a) ** 2
-        doublons += p * popcount(mu & md)
+        doublons += p * (mu & md).bit_count()
         for j in range(basis.L):
             up[j] += p * (mu >> j & 1)
             down[j] += p * (md >> j & 1)

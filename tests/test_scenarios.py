@@ -526,6 +526,19 @@ def test_time_average_window_on_the_sample_grid_runs(T, t_max):
     assert header == ["U", "avg_n_L_a", "avg_n_L_b"] and len(rows) == 2
 
 
+def test_time_average_over_columns_that_change_with_the_value_is_config_error(monkeypatch):
+    # n_all has one column per site: a table over L = 4 and 6 would have rows of 9 and 13 values
+    monkeypatch.setattr(scenarios, "product_basis", _unreachable)
+    doc = {"name": "lengths", "scenario": _scenario_doc(observables=["n_all"]),
+           "sweep": {"parameter": "L", "values": [4, 6, 8]}}
+    with pytest.raises(ConfigError) as refused:
+        load_config(doc)
+    assert str(refused.value).splitlines()[1:] == [
+        "  sweep.values: a time_average table needs the same columns for every value; "
+        f"L=4 has {[f'n_{j}_{o}' for o in 'ab' for j in range(1, 5)]}, "
+        f"L=6 has {[f'n_{j}_{o}' for o in 'ab' for j in range(1, 7)]}"]
+
+
 @pytest.mark.parametrize("cls, table", [
     (ScenarioConfig, scenarios._SCENARIO), (SweepConfig, scenarios._SWEEP),
     (Reduction, scenarios._REDUCTION), (evolution.PropagatorConfig, scenarios._PROPAGATOR),
