@@ -64,17 +64,15 @@ class PropagatorConfig:
 
     def __post_init__(self):
         if self.method not in METHODS:
-            raise ParameterError(f"method must be one of {METHODS}, got {self.method!r}")
+            raise ParameterError(f"method: must be one of {list(METHODS)}, got {self.method!r}")
         for name, kind, what in (("dt", numbers.Real, "a real number"),
                                  ("tolerance", numbers.Real, "a real number"),
                                  ("krylov_dim", numbers.Integral, "an integer")):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, kind):
                 raise ParameterError(f"{name}={value!r} must be {what}")
-        for name in ("dt", "tolerance"):
-            value = getattr(self, name)
-            if not 0 < value < math.inf:
-                raise ParameterError(f"{name}={value} must be positive and finite")
+            if kind is numbers.Real and not 0 < value < math.inf:
+                raise ParameterError(f"{name}: must be positive and finite, got {value!r}")
         if self.krylov_dim < 2:
             raise ParameterError(f"krylov_dim={self.krylov_dim} must be at least 2")
 
@@ -438,7 +436,7 @@ def evolve_trajectory(
 ) -> Trajectory:
     """Sample named observables along the evolution of psi0.
 
-    times must increase strictly from 0.  The configured propagator lands on
+    times must be finite and increase strictly from 0.  The configured propagator lands on
     every grid time (no interpolation of observables) and hands the states
     out in blocks of consecutive samples; each observable is a callable that
     maps a StateBlock of n states to n values (see
@@ -452,6 +450,8 @@ def evolve_trajectory(
     times = np.asarray(times, dtype=np.float64)
     if times.ndim != 1 or len(times) == 0:
         raise ParameterError("times must be a non-empty 1-d grid")
+    if not np.isfinite(times).all():
+        raise ParameterError(f"time grid must be finite, got {times[~np.isfinite(times)][0]}")
     if abs(times[0]) > 1e-12:
         raise ParameterError(f"time grid must start at 0, got {times[0]}")
     if len(times) > 1 and not np.all(np.diff(times) > 0):

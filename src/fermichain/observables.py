@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 import re
 
 import numpy as np
@@ -102,8 +103,8 @@ def observable_functions(
     Each callable maps a block of n consecutive states to an array of n
     values (of (k, n) for a stack); the density columns of one block share
     one density computation.  H is required when an energy column is
-    requested, jstar when an n_h2 column is: one site, or one per run of a
-    stack, whose H then holds each run's values.  The S^2 matrix depends
+    requested, jstar when an n_h2 column is: one site in [1, L], or one per
+    run of a stack, whose H then holds each run's values.  The S^2 matrix depends
     only on the basis and is built once on demand.
     """
     s2 = None
@@ -112,8 +113,14 @@ def observable_functions(
         if kind == "n_site":
             fns[name] = _site_column(site, spin)
         elif kind == "n_h2":
-            if np.ndim(jstar):
-                fns[name] = _row_site_column(np.asarray(jstar, dtype=np.int64))
+            sites = np.asarray(jstar, dtype=object)
+            if sites.ndim > 1 or not sites.size or not all(
+                    isinstance(j, numbers.Integral) and not isinstance(j, bool)
+                    and 1 <= j <= basis.L for j in sites.flat):
+                raise ParameterError(f"jstar must be a site in [1, {basis.L}], or one per run "
+                                     f"of a stack, got {jstar!r}")
+            if sites.ndim:
+                fns[name] = _row_site_column(sites.astype(np.int64))
             else:
                 fns[name] = _site_column(jstar, None)
         elif kind == "energy":

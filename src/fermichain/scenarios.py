@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import errno
+import functools
 import inspect
 import json
 import math
@@ -27,7 +28,6 @@ from .basis import MAX_SITES, ProductBasis, product_basis
 from .errors import CapacityError, ConfigError, ParameterError
 from .evolution import (
     MAX_TAYLOR_STEPS,
-    METHODS,
     PropagatorConfig,
     Trajectory,
     evolve_trajectory,
@@ -57,85 +57,11 @@ MEMORY_BUDGET = 4 << 30  # bytes one stack may need; a sector that needs more is
 
 
 # ---------------------------------------------------------------------------
-# configuration objects
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class InitialState:
-    """A kind of INITIAL_STATES with the fields the user wrote and its entries
-    (up sites, down sites, amplitude), as states.from_entries builds them;
-    site labels are 1-based."""
-
-    kind: str
-    fields: dict
-    entries: tuple
-
-    def sector(self) -> tuple[int, int]:
-        up, down, _ = self.entries[0]
-        return len(up), len(down)
-
-
-@dataclass(frozen=True)
-class ScenarioConfig:
-    """An evolution run (or an a/b orientation pair) with sampled observables, checked when made."""
-
-    L: int
-    U: float
-    h: float
-    initial_state: InitialState
-    t_max: float
-    observables: tuple[str, ...]
-    name: str = "scenario"
-    orientation: str = "both"
-    J: float = 1.0
-    sample_dt: float = 0.05
-    propagator: PropagatorConfig = PropagatorConfig()
-    description: str = ""
-
-    def __post_init__(self):
-        if errors := _store_checked(self, {key: getattr(self, key) for key in _SCALARS}, _SCALARS):
-            raise ConfigError("; ".join(errors))
-        check_config(self)
-
-
-@dataclass(frozen=True)
-class Reduction:
-    kind: str
-    T: float | None = None
-    threshold: float = 0.01
-    column: str = TRAP_COLUMN
-
-
-@dataclass(frozen=True)
-class SweepConfig:
-    """A base scenario repeated over values of one parameter, checked when made by its
-    _SWEEP rules and by _swept_configs, which makes configs: each value's scenario."""
-
-    name: str
-    parameter: str
-    values: tuple
-    base: ScenarioConfig
-    reduction: Reduction = Reduction("time_average")
-    description: str = ""
-    configs: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        reduction = {key: value for key, value in vars(self.reduction).items() if value is not None}
-        doc = {"parameter": self.parameter, "values": self.values, "reduction": reduction}
-        errors = _store_checked(self, {key: getattr(self, key) for key in _NAMING}, _NAMING)
-        if errors := errors + _store_checked(self, doc, _SWEEP, "sweep"):
-            raise ConfigError("invalid sweep config:\n  " + "\n  ".join(errors))
-        object.__setattr__(self, "configs", tuple(_swept_configs(self)))
-        object.__setattr__(self, "values", tuple(getattr(c, self.parameter) for c in self.configs))
-
-
-# ---------------------------------------------------------------------------
-# config parsing: one field table per section
+# configuration: each config field names its rule, run whenever a config is made
 #
-# A table maps key -> (check, required).  A check turns a raw YAML value into
-# the field's value or raises ValueError; a check that reads a nested section
-# raises ConfigError with lines that already name their fields.  An absent
-# optional key keeps the dataclass default.
+# A rule turns a value, as YAML or code gives it, into the field's value or
+# raises ValueError; a section's rule takes the object the section builds, or
+# reads a mapping into one and raises ConfigError naming the section's fields.
 # ---------------------------------------------------------------------------
 
 def _real(value) -> float:
@@ -194,8 +120,11 @@ def _tokens(value) -> tuple[str, ...]:
     return tuple(str(token) for token in value)
 
 
+_TOP_LEVEL = ("name", "description", "scenario", "sweep")  # a field so named is labelled alone
+
+
 def _fields(doc, table: dict, label: str, errors: list) -> dict:
-    """The checked values of the keys of doc; problems are appended to errors."""
+    """The checked values of the keys of doc read with table; problems are appended to errors."""
     at = f"{label}: " if label else ""
     if not isinstance(doc, dict):
         errors.append(f"{at}must be a mapping, got {doc!r}")
@@ -203,45 +132,73 @@ def _fields(doc, table: dict, label: str, errors: list) -> dict:
     unknown = sorted(str(key) for key in doc if key not in table)
     if unknown:
         errors.append(f"{at}unexpected keys {unknown}")
-    dot = f"{label}." if label else ""
     out = {}
     for key, (check, required) in table.items():
+        name = f"{label}.{key}" if label and key not in _TOP_LEVEL else key
         if key not in doc:
             if required:
-                errors.append(f"{dot}{key}: missing")
+                errors.append(f"{name}: missing")
             continue
         try:
             out[key] = check(doc[key])
         except ConfigError as exc:
             errors.append(str(exc))
         except ValueError as exc:
-            errors.append(f"{dot}{key}: {exc}")
+            errors.append(f"{name}: {exc}")
         except RecursionError:  # libyaml reads any depth; a check, or its repr, recurses
-            errors.append(f"{dot}{key}: nests too deeply to read")
+            errors.append(f"{name}: nests too deeply to read")
     return out
 
 
-def _store_checked(config, doc: dict, table: dict, label: str = "") -> list[str]:
-    """Store in config what table's rules return for doc's fields; returns the problems found."""
+def _read(doc, table: dict, label: str, build, header: str = "", error=ConfigError):
+    """build(**fields) of the mapping doc read with table; its problems raise one error,
+    a line each under header if one is given."""
     errors: list[str] = []
-    for key, value in _fields(doc, table, label, errors).items():
+    fields = _fields(doc, table, label, errors)
+    if errors:
+        raise error(f"{header}:\n  " + "\n  ".join(errors) if header else "; ".join(errors))
+    return build(**fields)
+
+
+def _rule(check, default=dataclasses.MISSING):
+    """A config field read by check; a field without a default is required."""
+    return field(default=default, metadata={"rule": check})
+
+
+@functools.cache
+def _rules(cls) -> dict:
+    """The table of a config class: key -> (check, required) of each init field."""
+    return {f.name: (f.metadata["rule"], f.default is dataclasses.MISSING)
+            for f in dataclasses.fields(cls) if f.init}
+
+
+def _load(cls, doc, label: str, header: str = "", **given):
+    """A cls made from the given fields and the mapping doc, whose keys are the other fields."""
+    table = {key: rule for key, rule in _rules(cls).items() if key not in given}
+    return _read(doc, table, label, functools.partial(cls, **given), header)
+
+
+def _check_fields(config, label: str = "", header: str = "") -> None:
+    """Store in config what the rule of each of its fields returns, or raise ConfigError."""
+    table = _rules(type(config))
+    for key, value in _read({key: getattr(config, key) for key in table}, table, label, dict,
+                            header).items():
         object.__setattr__(config, key, value)
-    return errors
 
 
-def _section(table: dict, label: str, build):
-    """A check that reads a nested mapping with its own table into build(**fields).
+@dataclass(frozen=True)
+class InitialState:
+    """A kind of INITIAL_STATES with the fields the user wrote and its entries
+    (up sites, down sites, amplitude), as states.from_entries builds them;
+    site labels are 1-based."""
 
-    Its errors name their fields as label.key; without a label the enclosing
-    table names them after the section's key ("propagator: dt: ...").
-    """
-    def check(doc):
-        errors: list[str] = []
-        fields = _fields(doc, table, label, errors)
-        if errors:
-            raise (ConfigError if label else ValueError)("; ".join(errors))
-        return build(**fields)
-    return check
+    kind: str
+    fields: dict
+    entries: tuple
+
+    def sector(self) -> tuple[int, int]:
+        up, down, _ = self.entries[0]
+        return len(up), len(down)
 
 
 def _custom_entry(k: int, e) -> tuple:
@@ -288,39 +245,31 @@ INITIAL_STATES["custom"] = ({"path": (_custom_entries, True)}, lambda entries: e
 
 
 def _initial_state(doc) -> InitialState:
+    if isinstance(doc, InitialState):
+        return doc
     if not isinstance(doc, dict):
         raise ValueError(f"must be a mapping with a 'kind' key, got {doc!r}")
     kind = _one_of(*INITIAL_STATES)(doc.get("kind"))
     rest = {key: value for key, value in doc.items() if key != "kind"}
     table, entries = INITIAL_STATES[kind]
-    return _section(table, "initial_state",
-                    lambda **fields: InitialState(kind, fields, entries(*fields.values())))(rest)
+    return _read(rest, table, "initial_state",
+                 lambda **fields: InitialState(kind, fields, entries(*fields.values())))
 
 
+# a propagator section as YAML gives it; PropagatorConfig states which values it takes
 _PROPAGATOR = {
-    "method": (_one_of(*METHODS), False),
-    "dt": (_positive, False),
-    "tolerance": (_positive, False),
+    "method": (lambda method: method, False),
+    "dt": (_real, False),
+    "tolerance": (_real, False),
     "krylov_dim": (_integer, False),
 }
 
 
-_SCENARIO = {
-    "L": (_integer, True),
-    "U": (_real, True),
-    "h": (_real, True),
-    "J": (_positive, False),
-    "orientation": (_one_of(*ORIENTATIONS), False),
-    "initial_state": (_initial_state, True),
-    "t_max": (_positive, True),
-    "sample_dt": (_positive, False),
-    "propagator": (_section(_PROPAGATOR, "", PropagatorConfig), False),
-    "observables": (_tokens, True),
-}
-# a config's name (the stem of the files it writes) and description, checked in every config
-_NAMING = {"name": (_file_name, False), "description": (_text, False)}
-_SCALARS = _NAMING | {key: rule for key, rule in _SCENARIO.items()  # the sections are built checked
-                      if key not in ("initial_state", "propagator")}
+def _propagator(doc) -> PropagatorConfig:
+    if isinstance(doc, PropagatorConfig):
+        return doc
+    # a ValueError, which the scenario's table names after the key: "propagator: dt: ..."
+    return _read(doc, _PROPAGATOR, "", PropagatorConfig, error=ValueError)
 
 
 def _arange(start: float, stop: float, step: float) -> list:
@@ -338,27 +287,73 @@ _RANGE = {"start": (_real, True), "stop": (_real, True), "step": (_positive, Tru
 def _values(spec) -> list:
     """Swept values before each is checked as its scenario field."""
     if isinstance(spec, dict):
-        return _section(_RANGE, "sweep.values", _arange)(spec)
+        return _read(spec, _RANGE, "sweep.values", _arange)
     if not isinstance(spec, (list, tuple)) or not spec:
         raise ValueError(f"must hold at least one value (a list or a range), got {spec!r}")
     return spec
 
 
-_REDUCTION = {
-    "kind": (_one_of(*REDUCTIONS), True),
-    "T": (_positive, False),
-    "threshold": (_positive, False),
-    "column": (str, False),
-}
+@dataclass(frozen=True)
+class ScenarioConfig:
+    """An evolution run (or an a/b orientation pair) with sampled observables, checked when made."""
 
-_SWEEP = {
-    "parameter": (_one_of(*SWEEP_PARAMETERS), True),
-    "values": (_values, True),
-    "reduction": (_section(_REDUCTION, "sweep.reduction", Reduction), False),
-}
+    L: int = _rule(_integer)
+    U: float = _rule(_real)
+    h: float = _rule(_real)
+    initial_state: InitialState = _rule(_initial_state)
+    t_max: float = _rule(_positive)
+    observables: tuple[str, ...] = _rule(_tokens)
+    name: str = _rule(_file_name, "scenario")
+    orientation: str = _rule(_one_of(*ORIENTATIONS), "both")
+    J: float = _rule(_positive, 1.0)
+    sample_dt: float = _rule(_positive, 0.05)
+    propagator: PropagatorConfig = _rule(_propagator, PropagatorConfig())
+    description: str = _rule(_text, "")
 
-# the top level of a config document; its sections are read by their own tables
-_DOCUMENT = _NAMING | {"scenario": (dict, True), "sweep": (dict, False)}
+    def __post_init__(self):
+        _check_fields(self)
+        check_config(self)
+
+
+@dataclass(frozen=True)
+class Reduction:
+    kind: str = _rule(_one_of(*REDUCTIONS))
+    T: float | None = _rule(_positive, None)  # None: over the whole run
+    threshold: float = _rule(_positive, 0.01)
+    column: str = _rule(str, TRAP_COLUMN)
+
+
+def _reduction(value) -> Reduction:
+    """A Reduction, unchecked until a sweep reads it, read as its fields (T None is unset),
+    or a mapping read into one."""
+    if isinstance(value, Reduction):
+        value = {key: v for key, v in vars(value).items() if v is not None}
+    return _load(Reduction, value, "sweep.reduction")
+
+
+def _scenario(value) -> ScenarioConfig:
+    if not isinstance(value, ScenarioConfig):
+        raise ValueError(f"must be a ScenarioConfig, got {value!r}")
+    return value
+
+
+@dataclass(frozen=True)
+class SweepConfig:
+    """A base scenario repeated over values of one parameter, checked when made by the
+    rules of its fields and by _swept_configs, which makes configs: each value's scenario."""
+
+    name: str = _rule(_file_name)
+    parameter: str = _rule(_one_of(*SWEEP_PARAMETERS))
+    values: tuple = _rule(_values)
+    base: ScenarioConfig = _rule(_scenario)
+    reduction: Reduction = _rule(_reduction, Reduction("time_average"))
+    description: str = _rule(_text, "")
+    configs: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        _check_fields(self, "sweep", "invalid sweep config")
+        object.__setattr__(self, "configs", tuple(_swept_configs(self)))
+        object.__setattr__(self, "values", tuple(getattr(c, self.parameter) for c in self.configs))
 
 
 def check_config(config: ScenarioConfig) -> None:
@@ -410,11 +405,8 @@ def check_config(config: ScenarioConfig) -> None:
 
 
 def scenario_from_dict(doc: dict, name: str = "scenario", description: str = "") -> ScenarioConfig:
-    errors: list[str] = []
-    fields = _fields(doc, _SCENARIO, "", errors)
-    if errors:
-        raise ConfigError("invalid scenario config:\n  " + "\n  ".join(errors))
-    return ScenarioConfig(name=name, description=description, **fields)
+    return _load(ScenarioConfig, doc, "", "invalid scenario config", name=name,
+                 description=description)
 
 
 def _trajectory_columns(config: ScenarioConfig) -> list[str]:
@@ -504,18 +496,13 @@ def load_config(source) -> ScenarioConfig | SweepConfig:
     for section in ("scenario", "sweep"):
         if section in doc and not isinstance(doc[section], dict):
             raise ConfigError(f"config section {section!r} must be a mapping")
-    errors: list[str] = []
-    fields = _fields(doc, _DOCUMENT, "", errors)
-    if errors:
-        raise ConfigError("; ".join(errors))
-    name, description = fields.get("name", "run"), fields.get("description", "")
-    base = scenario_from_dict(fields["scenario"], name=name, description=description)
-    if "sweep" not in fields:
+    if unknown := sorted(str(key) for key in doc if key not in _TOP_LEVEL):
+        raise ConfigError(f"unexpected keys {unknown}")
+    base = scenario_from_dict(doc["scenario"], doc.get("name", "run"), doc.get("description", ""))
+    if "sweep" not in doc:
         return base
-    sweep = _fields(fields["sweep"], _SWEEP, "sweep", errors)
-    if errors:
-        raise ConfigError("invalid sweep config:\n  " + "\n  ".join(errors))
-    return SweepConfig(name=name, base=base, description=description, **sweep)
+    return _load(SweepConfig, doc["sweep"], "sweep", "invalid sweep config",
+                 name=base.name, description=base.description, base=base)
 
 
 # ---------------------------------------------------------------------------

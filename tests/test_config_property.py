@@ -1,7 +1,9 @@
 """Properties: any config mapping parses to a config or raises ConfigError, never
-any other exception, and builds no basis while it does; a config that parses
-has a run plan; and a config that parses runs without a ParameterError."""
+any other exception, and builds no basis while it does; so does a config made in
+code with any value in one field; a config that parses has a run plan; and a
+config that parses runs without a ParameterError."""
 
+import dataclasses
 import math
 from unittest import mock
 
@@ -116,6 +118,26 @@ def test_load_config_gives_config_or_config_error(doc):
                    * len(scenarios.columns(c.observables, c.L)))
         method, rows, _ = plan(dim, sampled, c.propagator)
         assert rows >= 1 and method in METHODS
+
+
+# a scenario, and a two-value sweep of it
+MADE = [load_config({"name": "prop", "scenario": VALID_SCENARIO}),
+        load_config({"name": "prop", "scenario": VALID_SCENARIO,
+                     "sweep": {"parameter": "U", "values": [0, 1]}})]
+
+
+@hypothesis.settings(derandomize=True, max_examples=100, deadline=None)
+@hypothesis.given(st.sampled_from(MADE), st.data())
+def test_replaced_field_gives_config_or_config_error(config, data):
+    name = data.draw(st.sampled_from([f.name for f in dataclasses.fields(config) if f.init]))
+    value = data.draw(values)
+    with (mock.patch.object(scenarios, "product_basis", _unreachable),
+          mock.patch.object(basis, "enumerate_sector", _unreachable)):
+        try:
+            replaced = dataclasses.replace(config, **{name: value})
+        except ConfigError:
+            return
+    assert type(replaced) is type(config)
 
 
 def _small(config) -> bool:

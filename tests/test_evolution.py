@@ -354,6 +354,19 @@ def test_one_sample_grid_is_the_initial_state(method):
     assert abs(traj.columns["norm"][0] - 1.0) <= 1e-12
 
 
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("times", [[math.nan], [0.0, math.inf], [0.0, 0.5, -math.inf]])
+def test_time_grid_that_is_not_finite_is_refused(method, times):
+    # a NaN first time passed the start-at-0 check, an inf last time the increasing one
+    basis = product_basis(4, 1, 1)
+    H = build_hamiltonian(HubbardParams(L=4, J=1.0, U=0.0, V=np.zeros(4)), basis)
+    config = PropagatorConfig(method, krylov_dim=8)
+    assert plan(basis.dim, 0, config)[0] == method
+    fns = observable_functions(["n_1"], basis)
+    with pytest.raises(ParameterError, match="time grid must be finite"):
+        evolve_trajectory(H, named_state(basis, "doublon", 4), times, config, fns)
+
+
 @pytest.fixture
 def count_matvecs(monkeypatch):
     """Counts SparseHamiltonian matvecs made while the test runs."""

@@ -173,6 +173,13 @@ def test_block_observables_match_full_fock_oracle(n_up, n_down):
         assert np.max(np.abs(columns[name] - want)) <= 1e-12, name
 
 
+@pytest.mark.parametrize("jstar", [0, -1, 5, 2.5, True, "4", [1, 0], [[1, 4]], []])
+def test_jstar_off_the_chain_is_refused(jstar):
+    # on L = 4, jstar 0 read site 4 and -1 site 3; 5 and 2.5 raised a bare IndexError
+    with pytest.raises(ParameterError, match=r"jstar must be a site in \[1, 4\]"):
+        observable_functions(["n_h2"], product_basis(4, 1, 1), jstar=jstar)
+
+
 def test_time_average_examples():
     times = np.linspace(0, 2.0, 201)
     assert abs(time_average(times, np.full_like(times, 3.25), 2.0) - 3.25) <= 1e-14
