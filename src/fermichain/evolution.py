@@ -438,10 +438,10 @@ def evolve_trajectory(
 
     times must be finite and increase strictly from 0.  The configured propagator lands on
     every grid time (no interpolation of observables) and hands the states
-    out in blocks of consecutive samples; each observable is a callable that
-    maps a StateBlock of n states to n values (see
-    observables.observable_functions).  At most one block of states is held
-    at a time.
+    out in blocks of consecutive samples.  observables maps a tuple of column
+    names to a callable that maps a block of amplitudes (..., n, dim) to their
+    values (..., n, len(names)), as observables.observable_functions binds
+    them.  At most one block of states is held at a time.
 
     For a stack of k Hamiltonians (a SparseHamiltonian with (k, nnz) values)
     psi0 starts every run; the runs propagate together, and the result holds
@@ -460,14 +460,15 @@ def evolve_trajectory(
     batch = H.shape[:-2]
     prop = make_propagator(H, config)
     amps = np.broadcast_to(psi0.amplitudes, batch + H.shape[-1:])
-    columns = {name: np.empty(batch + (len(times),)) for name in observables}
+    columns = {name: np.empty(batch + (len(times),)) for names in observables for name in names}
 
     start = 0
     for block in prop.blocks(amps, times):
         stop = start + block.shape[-2]
-        states_block = StateBlock(psi0.basis, block)
-        for name, fn in observables.items():
-            columns[name][..., start:stop] = fn(states_block)
+        for names, fn in observables.items():
+            values = fn(block)
+            for i, name in enumerate(names):
+                columns[name][..., start:stop] = values[..., i]
         start = stop
 
     return Trajectory(times=times, columns=columns)

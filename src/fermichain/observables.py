@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import numbers
 import re
 
@@ -10,54 +11,11 @@ import numpy as np
 from .basis import ProductBasis
 from .errors import ParameterError
 from .hamiltonian import SparseHamiltonian, total_spin_squared
-from .states import StateBlock
 
 TRAP_COLUMN = "n_h2"  # the column a trap-time reduction reads unless told otherwise
 
 # a site density: n_<j>, n_L, n_all, with _up or _down after the n for one spin
 _SITE_TOKEN = re.compile(r"n(?:_(up|down))?_(\d+|L|all)")
-
-
-def _site_column(site: int, spin: str | None):
-    def column(block: StateBlock) -> np.ndarray:
-        return block.density(spin)[..., site - 1]
-    return column
-
-
-def _row_site_column(sites: np.ndarray):
-    """Total density at sites[r] in run r of a stack."""
-    runs = np.arange(len(sites))
-
-    def column(block: StateBlock) -> np.ndarray:
-        return block.density()[runs, :, sites - 1]
-    return column
-
-
-def _n_total(block: StateBlock) -> np.ndarray:
-    return block.density().sum(axis=-1)
-
-
-def _after_barrier(block: StateBlock) -> np.ndarray:
-    return block.density()[..., block.basis.L // 2 + 1:].sum(axis=-1)
-
-
-def _doublons(block: StateBlock) -> np.ndarray:
-    p = block.probabilities
-    return p.reshape(p.shape[:-2] + (-1,)) @ block.basis.doublon_counts
-
-
-def _norm(block: StateBlock) -> np.ndarray:
-    return np.linalg.norm(block.amplitudes, axis=-1)
-
-
-def _expectation_column(op: SparseHamiltonian):
-    def column(block: StateBlock) -> np.ndarray:
-        return op.expectations(block.amplitudes)
-    return column
-
-
-_UNBOUND = {"n_after": _after_barrier, "n_total": _n_total,
-            "norm": _norm, "doublon_count": _doublons}
 
 
 def columns(tokens, L: int, barrier: bool = True) -> dict[str, tuple]:
@@ -77,7 +35,8 @@ def columns(tokens, L: int, barrier: bool = True) -> dict[str, tuple]:
             if not 1 <= j <= L:
                 raise ParameterError(f"token {token!r}: site {j} outside chain [1, {L}]")
             found = {token: ("n_site", j, m[1])}
-        elif token in (*_UNBOUND, "n_h2", "energy", "s_squared"):
+        elif token in ("n_after", "n_total", "norm", "doublon_count", "n_h2", "energy",
+                       "s_squared"):
             if token == "n_after" and L % 2:
                 raise ParameterError(f"n_after needs an even chain, got L={L}")
             if token == "n_h2" and not barrier:
@@ -97,43 +56,73 @@ def observable_functions(
     H: SparseHamiltonian | None = None,
     jstar=None,
 ) -> dict:
-    """Bind the columns of observable tokens (see columns) to callables over a
-    StateBlock, keyed by column name.
+    """Bind the columns of observable tokens (see columns) to one callable,
+    returned as {tuple of the column names, in token order: callable}.
 
-    Each callable maps a block of n consecutive states to an array of n
-    values (of (k, n) for a stack); the density columns of one block share
-    one density computation.  H is required when an energy column is
-    requested, jstar when an n_h2 column is: one site in [1, L], or one per
-    run of a stack, whose H then holds each run's values.  The S^2 matrix depends
-    only on the basis and is built once on demand.
+    The callable maps a block of amplitudes (..., n, dim), as a propagator's
+    blocks yield it, to the values (..., n, c) of the c columns.  Every
+    column but energy and s_squared is diagonal in the occupation basis,
+    |psi|^2 . d for one weight vector d over configurations; those weights
+    form one table D, (dim, d), and the block's diagonal columns are one
+    product |psi|^2 @ D (norm is the square root of the column of ones).
+    energy and s_squared are H's and S^2's expectations.  H is required when
+    an energy column is requested, jstar when an n_h2 column is: one site in
+    [1, L], or one per run of a stack H, when D is (k, dim, d).  The S^2
+    matrix depends only on the basis and is built only when requested.
     """
-    s2 = None
-    fns = {}
-    for name, (kind, site, spin) in columns(tokens, basis.L, barrier=jstar is not None).items():
+    cols = columns(tokens, basis.L, barrier=jstar is not None)
+
+    @functools.cache
+    def occupations(spin):
+        """(dim, L) occupation of every site in every configuration: both species, or one."""
+        up = basis.up.occupations[:, None, :] if spin != "down" else 0.0
+        down = basis.down.occupations[None, :, :] if spin != "up" else 0.0
+        return np.broadcast_to(up + down, (basis.up.dim, basis.down.dim, basis.L)
+                               ).reshape(basis.dim, basis.L)
+
+    diagonal, weights, roots, operators = [], [], [], []
+    for i, (kind, site, spin) in enumerate(cols.values()):
+        if kind in ("energy", "s_squared"):
+            if kind == "energy" and H is None:
+                raise ParameterError("energy observable requires the Hamiltonian")
+            operators.append((i, H if kind == "energy" else total_spin_squared(basis)))
+            continue
+        diagonal.append(i)
         if kind == "n_site":
-            fns[name] = _site_column(site, spin)
-        elif kind == "n_h2":
+            weights.append(occupations(spin)[:, site - 1])
+        elif kind == "n_h2":  # (dim,), or (k, dim) with one site per run
             sites = np.asarray(jstar, dtype=object)
             if sites.ndim > 1 or not sites.size or not all(
                     isinstance(j, numbers.Integral) and not isinstance(j, bool)
                     and 1 <= j <= basis.L for j in sites.flat):
                 raise ParameterError(f"jstar must be a site in [1, {basis.L}], or one per run "
                                      f"of a stack, got {jstar!r}")
-            if sites.ndim:
-                fns[name] = _row_site_column(sites.astype(np.int64))
-            else:
-                fns[name] = _site_column(jstar, None)
-        elif kind == "energy":
-            if H is None:
-                raise ParameterError("energy observable requires the Hamiltonian")
-            fns[name] = _expectation_column(H)
-        elif kind == "s_squared":
-            if s2 is None:
-                s2 = total_spin_squared(basis)
-            fns[name] = _expectation_column(s2)
-        else:
-            fns[name] = _UNBOUND[kind]
-    return fns
+            if sites.ndim and (runs := np.shape(H)[:-2]) != sites.shape:
+                raise ParameterError(f"a jstar list needs one site per run of a stack: got "
+                                     f"{len(sites)} for {f'{runs[0]} runs' if runs else 'no stack'}")
+            weights.append(np.moveaxis(occupations(None)[:, sites.astype(np.int64) - 1], 0, -1))
+        elif kind == "n_after":
+            weights.append(occupations(None)[:, basis.L // 2 + 1:].sum(axis=-1))
+        elif kind == "n_total":
+            weights.append(occupations(None).sum(axis=-1))
+        elif kind == "doublon_count":
+            weights.append(basis.doublon_counts)
+        else:  # norm
+            roots.append(i)
+            weights.append(np.ones(basis.dim))
+    table = np.empty(max((w.shape for w in weights), key=len, default=()) + (len(weights),))
+    for c, w in enumerate(weights):
+        table[..., c] = w
+
+    def values(amplitudes: np.ndarray) -> np.ndarray:
+        out = np.empty(amplitudes.shape[:-1] + (len(cols),))
+        if diagonal:
+            out[..., diagonal] = (amplitudes.real ** 2 + amplitudes.imag ** 2) @ table
+            out[..., roots] = np.sqrt(out[..., roots])
+        for i, op in operators:
+            out[..., i] = op.expectations(amplitudes)
+        return out
+    return {tuple(cols): values}
 
 
 def time_average(times, values, T: float):

@@ -14,6 +14,7 @@ import functools
 import inspect
 import json
 import math
+import numbers
 import os
 from collections import Counter
 from dataclasses import dataclass, field
@@ -244,8 +245,33 @@ INITIAL_STATES = {kind: ({name: (_integer, True) for name in inspect.signature(f
 INITIAL_STATES["custom"] = ({"path": (_custom_entries, True)}, lambda entries: entries)
 
 
+def _entries_problem(state: InitialState) -> str | None:
+    """What check_entries refuses in a state's entries, in the words of its fields."""
+    try:
+        check_entries(state.entries)
+    except ParameterError as exc:  # a named kind's entries break a rule only where two fields meet
+        values = list(state.fields.values())
+        same = [key for key, value in state.fields.items() if values.count(value) > 1]
+        return (f"{' and '.join(same)} must differ, got {state.fields[same[0]]} for both" if same
+                else f"the {state.kind} {exc}")
+    return None
+
+
 def _initial_state(doc) -> InitialState:
-    if isinstance(doc, InitialState):
+    if isinstance(doc, InitialState):  # made in code: its entries are checked before use
+        entries = doc.entries
+        if not isinstance(entries, tuple) or not entries:
+            raise ValueError(f"entries must be a non-empty tuple, got {entries!r}")
+        for k, e in enumerate(entries):
+            if not (isinstance(e, tuple) and len(e) == 3
+                    and all(isinstance(sites, tuple) for sites in e[:2])
+                    and isinstance(e[2], numbers.Number)):
+                raise ValueError(f"entries[{k}] must be (up sites, down sites, amplitude) "
+                                 f"with the sites as tuples, got {e!r}")
+        if not isinstance(doc.fields, dict):
+            raise ValueError(f"fields must be a mapping, got {doc.fields!r}")
+        if problem := _entries_problem(doc):
+            raise ValueError(problem)
         return doc
     if not isinstance(doc, dict):
         raise ValueError(f"must be a mapping with a 'kind' key, got {doc!r}")
@@ -386,15 +412,8 @@ def check_config(config: ScenarioConfig) -> None:
                 errors.append(f"L: the {sector} sector of L={L} has dimension {dim}; a stack "
                               f"of it needs {need / 2**30:.1f} GiB, more than the budget of "
                               f"{MEMORY_BUDGET / 2**30:g} GiB")
-    state = config.initial_state
-    try:
-        check_entries(state.entries)
-    except ParameterError as exc:  # a named kind's entries break a rule only where two fields meet
-        values = list(state.fields.values())
-        same = [key for key, value in state.fields.items() if values.count(value) > 1]
-        errors.append(f"initial_state: {' and '.join(same)} must differ, got "
-                      f"{state.fields[same[0]]} for both" if same
-                      else f"initial_state: the {state.kind} {exc}")
+    if problem := _entries_problem(config.initial_state):
+        errors.append(f"initial_state: {problem}")
     if (points := config.t_max / config.sample_dt) > MAX_POINTS:
         errors.append(f"t_max / sample_dt: must be at most {MAX_POINTS}, got {points:g}")
     if prop.method == "taylor" and (steps := config.t_max / prop.dt) > MAX_TAYLOR_STEPS:

@@ -19,7 +19,6 @@ because |down_i up_j> = -|{j},{i}> after reordering the operators.
 from __future__ import annotations
 
 import inspect
-from functools import cached_property
 from numbers import Integral
 
 import numpy as np
@@ -27,42 +26,14 @@ import numpy as np
 from .basis import ProductBasis, site_bit
 from .errors import ParameterError
 
-SPINS = ("up", "down")
-
-
 class StateBlock:
     """Consecutive states over one basis, one per row of an (n, dim) array, or
     the n states of each of the k runs of a stack, (k, n, dim); one state
-    (dim,) reads as a block without the n axis.
-
-    Observable callables map a block to n values, or to (k, n).  What several
-    columns read, the occupation probabilities and the per-site densities, is
-    computed once per block and shared.
-    """
+    (dim,) reads as a block without the n axis."""
 
     def __init__(self, basis: ProductBasis | None, amplitudes: np.ndarray):
         self.basis = basis
         self.amplitudes = amplitudes
-
-    @cached_property
-    def probabilities(self) -> np.ndarray:
-        """|psi|^2 of each state, shaped (..., n, dim_up, dim_down)."""
-        a = self.amplitudes
-        return (a.real ** 2 + a.imag ** 2).reshape(
-            a.shape[:-1] + (self.basis.up.dim, self.basis.down.dim))
-
-    @cached_property
-    def _densities(self) -> dict:
-        p = self.probabilities
-        up = p.sum(axis=-1) @ self.basis.up.occupations
-        down = p.sum(axis=-2) @ self.basis.down.occupations
-        return {None: up + down, "up": up, "down": down}
-
-    def density(self, spin: str | None = None) -> np.ndarray:
-        """Per-site expected occupations, (..., n, L): both species, or one spin."""
-        if spin is not None and spin not in SPINS:
-            raise ParameterError(f"spin must be in {SPINS} or None, got {spin!r}")
-        return self._densities[spin]
 
 
 def _finish(basis: ProductBasis, amps: np.ndarray) -> StateBlock:

@@ -76,7 +76,8 @@ def tunneling_symmetry_gap(params: HubbardParams, psi0: StateBlock, times) -> fl
     """
     l_a, _ = _regions(params.L, None, None)
     H = build_hamiltonian([params, replace(params, V=params.V[::-1])], psi0.basis)  # checks L
-    weight_outside = float(psi0.density()[l_a:].sum())
+    (_, density), = observable_functions(["n_all"], psi0.basis).items()
+    weight_outside = float(density(psi0.amplitudes)[l_a:].sum())
     if weight_outside > 1e-12:
         raise ParameterError(f"initial state leaks {weight_outside} outside region A")
     n_c = evolve_trajectory(H, psi0, times, PropagatorConfig(method="dense_eig"),
@@ -95,14 +96,22 @@ def fk_equivalence_residual(L: int, J: float, U: float, h: float, orientation, t
     V = barrier_potential(L, h, orientation)
     basis = product_basis(L, 1, 1)
     H = build_hamiltonian(HubbardParams(L=L, J=J, U=U, V=V, j_down=0.0), basis)
-    psi = DensePropagator(H).advance(named_state(basis, "doublon", 1).amplitudes, t)
-    n_up = StateBlock(basis, psi).density("up")
+    n_up = _densities_at(H, named_state(basis, "doublon", 1), t, "n_up_all")
 
     V[0] += U
     single = product_basis(L, 1, 0)
     H = build_hamiltonian(HubbardParams(L=L, J=J, U=0.0, V=V), single)
-    phi = DensePropagator(H).advance(named_state(single, "single_particle", 1).amplitudes, t)
-    return float(np.max(np.abs(n_up - np.abs(phi) ** 2)))
+    phi = _densities_at(H, named_state(single, "single_particle", 1), t, "n_all")
+    return float(np.max(np.abs(n_up - phi)))
+
+
+def _densities_at(H, psi0: StateBlock, t: float, token: str) -> np.ndarray:
+    """The site densities of a token (n_all, n_up_all) at time t >= 0 from psi0, by the
+    dense oracle."""
+    traj = evolve_trajectory(H, psi0, [0.0, t] if t else [0.0],
+                             PropagatorConfig(method="dense_eig"),
+                             observable_functions([token], psi0.basis))
+    return np.array([col[-1] for col in traj.columns.values()])
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,14 @@ and change nothing there."""
 
 import importlib.util
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
+import pytest
+import yaml
 
+from fermichain import cli
 from fermichain.basis import product_basis
 from fermichain.evolution import METHODS, PropagatorConfig, make_propagator
 from fermichain.hamiltonian import HubbardParams, barrier_potential, build_hamiltonian
@@ -72,3 +76,18 @@ def test_output_check_reference_runs_on_both_of_its_propagators(monkeypatch):
     dense = check._states(H, psi0, times, "dense_eig", config)
     taylor = check._states(H, psi0, times, "taylor", config)
     assert np.all(np.linalg.norm(taylor - dense, axis=1) <= config.tolerance * times + 1e-12)
+
+
+@pytest.mark.parametrize("name", ["sweep_U", "trap_L20"])
+def test_traced_cli_run_exits_0_and_passes_the_output_check(monkeypatch, tmp_path, name):
+    # a traced benchmark run calls cli.main in-process under every wrapper; it exits 1
+    # when a shape the wrappers rely on has changed and an exception escapes them
+    tracer, workloads, check = (_load(n, monkeypatch) for n in ("tracer", "workloads", "check"))
+    workload = workloads.make(name, workloads.DEFAULT_SEED)
+    config, out = tmp_path / f"{name}.yaml", tmp_path / "out"
+    config.write_text(yaml.safe_dump(workload.doc, sort_keys=False))
+    assert tracer.Tracer().run(lambda: cli.main(workload.argv(str(config), str(out)))) == 0
+    with warnings.catch_warnings():  # the output check's CSV reader leaves its file open
+        warnings.simplefilter("ignore", ResourceWarning)
+        verdict = check.check_output(workload, check.reference(workload), out / f"{name}.csv")
+    assert verdict.failed == 0, verdict.reasons

@@ -28,8 +28,8 @@ from fermichain.hamiltonian import (
     build_hamiltonian,
     jstar_site,
 )
-from fermichain.observables import StateBlock, observable_functions
-from fermichain.states import named_state
+from fermichain.observables import observable_functions
+from fermichain.states import StateBlock, named_state
 
 from fock_oracle import csr_from_dense
 
@@ -77,8 +77,8 @@ def test_two_site_rabi_oscillation():
     H = build_hamiltonian(HubbardParams(L=2, J=1.0, U=0.0, V=np.zeros(2)), basis)
     psi0 = named_state(basis, "single_particle", 1)
     times = np.linspace(0, 7, 29)
-    n_2 = observable_functions(["n_2"], basis)["n_2"]
-    density = n_2(StateBlock(basis, _dense_states(H, psi0, times)))
+    (_, n_2), = observable_functions(["n_2"], basis).items()
+    density = n_2(_dense_states(H, psi0, times))[:, 0]
     assert np.all(np.abs(density - np.sin(times) ** 2) <= 1e-12)
 
 

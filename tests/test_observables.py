@@ -11,28 +11,31 @@ from fermichain.hamiltonian import (
     jstar_site,
     total_spin_squared,
 )
-from fermichain.observables import (
-    StateBlock,
-    observable_functions,
-    time_average,
-    trap_time,
-)
+from fermichain.observables import observable_functions, time_average, trap_time
 from fermichain.states import named_state
 
 import fock_oracle
 
 
+def _columns(tokens, basis, amps, **bound):
+    """The columns of a block of amplitudes, as the callable that trajectories sample
+    computes them, by name."""
+    (names, fn), = observable_functions(tokens, basis, **bound).items()
+    values = fn(amps)
+    return {name: values[..., i] for i, name in enumerate(names)}
+
+
 def _measure(tokens, psi):
-    """The columns of one state, as the callables that trajectories sample compute them."""
-    fns = observable_functions(tokens, psi.basis)
-    block = StateBlock(psi.basis, psi.amplitudes[None])
-    return {name: float(fn(block)[0]) for name, fn in fns.items()}
+    """The columns of one state."""
+    return {name: float(col[0])
+            for name, col in _columns(tokens, psi.basis, psi.amplitudes[None]).items()}
 
 
 def _densities(prop, basis, psi0, times, spin=None):
     """Per-site densities on a time grid, (len(times), L)."""
     states = np.concatenate(list(prop.blocks(psi0, np.asarray(times, dtype=float))))
-    return StateBlock(basis, states).density(spin)
+    (_, density), = observable_functions([f"n_{spin}_all" if spin else "n_all"], basis).items()
+    return density(states)
 
 
 def test_doublon_densities():
@@ -135,9 +138,8 @@ def test_block_observables_match_loop_reference():
     s2 = total_spin_squared(basis)
     tokens = ["n_3", "n_up_1", "n_down_L", "n_h2", "n_after", "n_total", "norm",
               "doublon_count", "energy", "s_squared"]
-    fns = observable_functions(tokens, basis, H=H, jstar=jstar_site(L, 10.0, "a"))
     amps = _random_block(basis, 11)
-    columns = {name: fn(StateBlock(basis, amps)) for name, fn in fns.items()}
+    columns = _columns(tokens, basis, amps, H=H, jstar=jstar_site(L, 10.0, "a"))
     for row, v in enumerate(amps):
         reference = _loop_reference(basis, v, H, s2)
         for name, col in columns.items():
@@ -152,10 +154,9 @@ def test_block_observables_match_full_fock_oracle(n_up, n_down):
     V = barrier_potential(L, 10.0, "b")
     basis = product_basis(L, n_up, n_down)
     H = build_hamiltonian(HubbardParams(L=L, J=1.0, U=U, V=V), basis)
-    fns = observable_functions(["n_all", "n_up_all", "n_down_all", "doublon_count",
-                                "energy", "s_squared"], basis, H=H)
     amps = _random_block(basis, 5)
-    columns = {name: fn(StateBlock(basis, amps)) for name, fn in fns.items()}
+    columns = _columns(["n_all", "n_up_all", "n_down_all", "doublon_count",
+                        "energy", "s_squared"], basis, amps, H=H)
 
     E = fock_oracle.sector_embedding(L, basis)
     cd = fock_oracle.creation_operators(2 * L)
@@ -178,6 +179,21 @@ def test_jstar_off_the_chain_is_refused(jstar):
     # on L = 4, jstar 0 read site 4 and -1 site 3; 5 and 2.5 raised a bare IndexError
     with pytest.raises(ParameterError, match=r"jstar must be a site in \[1, 4\]"):
         observable_functions(["n_h2"], product_basis(4, 1, 1), jstar=jstar)
+
+
+@pytest.mark.parametrize("jstar, stack, message", [
+    ([2], True, "got 1 for 2 runs"),
+    ([2, 3, 3], True, "got 3 for 2 runs"),
+    ([2, 3], False, "got 2 for no stack"),
+])
+def test_jstar_list_needs_one_site_per_run_of_the_stack(jstar, stack, message):
+    # on a two-run stack, [2] gave run b run a's n_h2; [2, 3, 3] raised a bare IndexError
+    basis = product_basis(4, 1, 1)
+    params = [HubbardParams(L=4, J=1.0, U=0.0, V=barrier_potential(4, 20.0, o)) for o in "ab"]
+    H = build_hamiltonian(params if stack else params[0], basis)
+    with pytest.raises(ParameterError,
+                       match=f"a jstar list needs one site per run of a stack: {message}"):
+        observable_functions(["n_h2"], basis, H=H, jstar=jstar)
 
 
 def test_time_average_examples():

@@ -10,6 +10,7 @@ from fermichain.errors import ConfigError, ParameterError
 from fermichain.hamiltonian import DENSE_CAP
 from fermichain.observables import columns, time_average
 from fermichain.scenarios import (
+    InitialState,
     Reduction,
     ScenarioConfig,
     SweepConfig,
@@ -206,6 +207,20 @@ def test_single_orientation_has_no_suffix(tmp_path):
     config = scenario_from_dict(_scenario_doc(orientation="a"), name="demo")
     traj, _ = run_scenario(config, output_dir=tmp_path)
     assert list(traj.columns) == ["n_L"]
+
+
+def test_interleaved_columns_keep_their_names():
+    # one callable fills every column of a block; each value must reach its own name,
+    # as the same scenario run with that column's token alone writes it
+    tokens = ["energy", "n_1", "norm", "s_squared", "n_h2", "n_up_all", "doublon_count"]
+    config = scenario_from_dict(_scenario_doc(U=3.0, t_max=1.0, observables=tokens))
+    traj, _ = run_scenario(config)
+    alone = {}
+    for token in tokens:
+        alone.update(run_scenario(dataclasses.replace(config, observables=(token,)))[0].columns)
+    assert sorted(alone) == sorted(traj.columns)
+    for name, col in alone.items():
+        assert np.max(np.abs(traj.columns[name] - col)) <= 1e-12, name
 
 
 def test_custom_initial_state_matches_builtin(tmp_path):
@@ -457,6 +472,15 @@ def _unreachable(*args, **kwargs):
     ({"L": 7}, "L: barrier runs need even L >= 4, got 7"),
     ({"observables": ("bogus",)}, "observables: unknown observable token 'bogus'"),
     ({"description": ["x"]}, "description: must be text, got ['x']"),
+    # an InitialState made in code: sector() read entries[0], which raised a bare IndexError
+    # on no entries and a bare ValueError on an entry that was not a triple
+    ({"initial_state": InitialState("doublon", {"site": 1}, ())},
+     "initial_state: entries must be a non-empty tuple, got ()"),
+    ({"initial_state": InitialState("doublon", {"site": 1}, (((1,), (1,)),))},
+     "initial_state: entries[0] must be (up sites, down sites, amplitude) with the sites as "
+     "tuples, got ((1,), (1,))"),
+    ({"initial_state": InitialState("singlet", None, (((1,), (2,), 1.0),))},
+     "initial_state: fields must be a mapping, got None"),
 ])
 def test_replaced_scenario_is_checked(monkeypatch, changes, message):
     monkeypatch.setattr(scenarios, "product_basis", _unreachable)
