@@ -34,7 +34,7 @@ from .scenarios import (
     run_scenario,
     run_sweep,
 )
-from .states import StateBlock, from_amplitudes, from_entries, named_state
+from .states import from_entries, named_state
 from .verification import (
     fk_equivalence_residual,
     propagator_mirror_residual,

@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
+from numbers import Integral
 
 import numpy as np
 
@@ -65,6 +66,9 @@ class SpinSectorBasis:
 
 def enumerate_sector(L: int, N: int) -> SpinSectorBasis:
     """Enumerate the fixed-particle-number sector of one spin species."""
+    for name, value in (("L", L), ("N", N)):
+        if isinstance(value, bool) or not isinstance(value, Integral):
+            raise ParameterError(f"{name}={value!r} must be an integer")
     if not 1 <= L <= MAX_SITES:
         raise ParameterError(f"site count L={L} outside [1, {MAX_SITES}]")
     if not 0 <= N <= L:

@@ -36,7 +36,6 @@ import numpy as np
 
 from .errors import CapacityError, NumericalError, ParameterError
 from .hamiltonian import DENSE_CAP, SparseHamiltonian
-from .states import StateBlock
 
 METHODS = ("dense_eig", "krylov", "taylor")
 
@@ -429,12 +428,13 @@ def make_propagator(H, config: PropagatorConfig):
 
 def evolve_trajectory(
     H,
-    psi0: StateBlock,
+    psi0: np.ndarray,
     times,
     config: PropagatorConfig,
     observables: dict,
 ) -> Trajectory:
-    """Sample named observables along the evolution of psi0.
+    """Sample named observables along the evolution of psi0, the (dim,)
+    amplitudes of one state over H's basis.
 
     times must be finite and increase strictly from 0.  The configured propagator lands on
     every grid time (no interpolation of observables) and hands the states
@@ -456,10 +456,13 @@ def evolve_trajectory(
         raise ParameterError(f"time grid must start at 0, got {times[0]}")
     if len(times) > 1 and not np.all(np.diff(times) > 0):
         raise ParameterError("time grid must be strictly increasing")
+    if np.shape(psi0) != H.shape[-1:]:
+        raise ParameterError(f"psi0 has shape {np.shape(psi0)}, expected {H.shape[-1:]} "
+                             f"for H of shape {H.shape}")
 
     batch = H.shape[:-2]
     prop = make_propagator(H, config)
-    amps = np.broadcast_to(psi0.amplitudes, batch + H.shape[-1:])
+    amps = np.broadcast_to(psi0, batch + H.shape[-1:])
     columns = {name: np.empty(batch + (len(times),)) for names in observables for name in names}
 
     start = 0

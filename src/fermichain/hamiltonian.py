@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Integral
 
 import numpy as np
 
@@ -42,8 +43,8 @@ class HubbardParams:
     j_down: float | None = None
 
     def __post_init__(self):
-        if self.L < 1:
-            raise ParameterError(f"L={self.L} must be positive")
+        if isinstance(self.L, bool) or not isinstance(self.L, Integral) or self.L < 1:
+            raise ParameterError(f"L={self.L!r} must be a positive integer")
         if not self.J > 0:
             raise ParameterError(f"J={self.J} must be positive")
         if not np.isfinite(self.U):
@@ -178,10 +179,13 @@ def _csr(dim: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> Spar
     return SparseHamiltonian(indptr=indptr, indices=cols[order], data=vals[..., order])
 
 
-def _barrier_sites(L: int, orientation: str) -> tuple[int, int]:
-    """0-based (full-height, half-height) sites of the barrier on the central
-    bond of an even chain: orientation "a" puts the full height at site L/2
-    (a left-incident particle meets the steep side first), "b" mirrors it."""
+def _barrier_sites(L: int, h: float, orientation: str) -> tuple[int, int]:
+    """0-based (full-height, half-height) sites of a barrier of height h on the
+    central bond of an even chain: orientation "a" puts the full height at
+    site L/2 (a left-incident particle meets the steep side first), "b"
+    mirrors it."""
+    if not 0 <= h < math.inf:
+        raise ParameterError(f"barrier height h={h} must be non-negative and finite")
     if orientation not in BARRIER_ORIENTATIONS:
         raise ParameterError(f"orientation must be 'a' or 'b', got {orientation!r}")
     if L % 2 or L < 4:
@@ -192,9 +196,7 @@ def _barrier_sites(L: int, orientation: str) -> tuple[int, int]:
 def barrier_potential(L: int, h: float, orientation: str) -> np.ndarray:
     """Two-site asymmetric barrier: height h at the full-height site, h/2 at
     the other (see _barrier_sites)."""
-    full, half = _barrier_sites(L, orientation)
-    if h < 0:
-        raise ParameterError(f"barrier height h={h} must be non-negative")
+    full, half = _barrier_sites(L, h, orientation)
     V = np.zeros(L)
     V[full] = h
     V[half] = h / 2
@@ -203,7 +205,7 @@ def barrier_potential(L: int, h: float, orientation: str) -> np.ndarray:
 
 def jstar_site(L: int, h: float, orientation: str) -> int:
     """Site whose potential equals h/2 (the resonant-trapping site)."""
-    _, half = _barrier_sites(L, orientation)
+    _, half = _barrier_sites(L, h, orientation)
     if not h > 0:
         raise ParameterError("j* is undefined for a zero barrier")
     return half + 1

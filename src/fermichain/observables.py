@@ -125,6 +125,16 @@ def observable_functions(
     return {tuple(cols): values}
 
 
+def _sampled(times, values) -> tuple[np.ndarray, np.ndarray]:
+    """times and values as float arrays, refused unless values hold one sample
+    per time along their last axis."""
+    times, values = np.asarray(times, dtype=np.float64), np.asarray(values, dtype=np.float64)
+    if times.ndim != 1 or values.shape[-1:] != times.shape:
+        raise ParameterError(f"values of shape {values.shape} are not sampled on "
+                             f"times of shape {times.shape}")
+    return times, values
+
+
 def time_average(times, values, T: float):
     """Trapezoid-rule average over [0, T] of a sampled column (n,), as a float,
     or of each row of a (columns, n) array, as an array.
@@ -133,8 +143,7 @@ def time_average(times, values, T: float):
     averaged as a one-row array, so its average does not depend on the rows
     it comes with.
     """
-    times = np.asarray(times, dtype=np.float64)
-    values = np.asarray(values, dtype=np.float64)
+    times, values = _sampled(times, values)
     if not T > 0:
         raise ParameterError(f"averaging window T={T} must be positive")
     keep = times <= T * (1 + 1e-12)
@@ -152,10 +161,11 @@ def trap_time(times, values, threshold: float = 0.01):
     if never; or that time for each row of a (columns, n) array, NaN if never."""
     if not threshold > 0:
         raise ParameterError(f"threshold={threshold} must be positive")
-    hits = np.atleast_2d(np.asarray(values)) > threshold
+    times, values = _sampled(times, values)
+    hits = np.atleast_2d(values) > threshold
     # a row without a hit stops at the appended True and reads the appended NaN
     hits = np.concatenate([hits, np.ones(hits.shape[:-1] + (1,), dtype=bool)], axis=-1)
-    first = np.append(np.asarray(times, dtype=np.float64), np.nan)[hits.argmax(axis=-1)]
+    first = np.append(times, np.nan)[hits.argmax(axis=-1)]
     if np.ndim(values) > 1:
         return first
     return None if np.isnan(first[0]) else float(first[0])

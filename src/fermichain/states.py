@@ -1,7 +1,7 @@
 """States over a ProductBasis, and the initial states of the tunneling
-experiments.  A StateBlock holds one state (dim,) or a block of them;
-every constructor here returns a one-state block whose amplitudes are
-read-only.  Every initial state is a list of entries (up sites, down
+experiments.  A state is its amplitude array: every constructor here returns
+a read-only complex (basis.dim,) array, indexed as the basis orders its
+configurations.  Every initial state is a list of entries (up sites, down
 sites, amplitude), sites 1-based and in any order; check_entries holds the
 rules, from_entries builds one on a basis, and named_state builds a kind of
 ENTRIES (doublon, singlet, ...) from its site fields, as a config names it;
@@ -26,41 +26,7 @@ import numpy as np
 from .basis import ProductBasis, site_bit
 from .errors import ParameterError
 
-class StateBlock:
-    """Consecutive states over one basis, one per row of an (n, dim) array, or
-    the n states of each of the k runs of a stack, (k, n, dim); one state
-    (dim,) reads as a block without the n axis."""
-
-    def __init__(self, basis: ProductBasis | None, amplitudes: np.ndarray):
-        self.basis = basis
-        self.amplitudes = amplitudes
-
-
-def _finish(basis: ProductBasis, amps: np.ndarray) -> StateBlock:
-    """One state with read-only amplitudes."""
-    amps = np.ascontiguousarray(amps, dtype=np.complex128)
-    amps.setflags(write=False)
-    return StateBlock(basis, amps)
-
-
 NORM_TOLERANCE = 1e-6  # allowed distance of a user-supplied state's norm from 1
-
-
-def _norm(amps) -> float:
-    """The norm of a state's amplitudes, refused when off 1 by more than NORM_TOLERANCE."""
-    norm = float(np.linalg.norm(amps))
-    if not abs(norm - 1.0) <= NORM_TOLERANCE:
-        raise ParameterError(f"amplitudes have norm {norm:.17g}, expected 1 within "
-                             f"{NORM_TOLERANCE:g}")
-    return norm
-
-
-def from_amplitudes(basis: ProductBasis, amplitudes) -> StateBlock:
-    """Wrap a user-supplied amplitude vector; must be normalized within NORM_TOLERANCE."""
-    amps = np.asarray(amplitudes, dtype=np.complex128)
-    if amps.shape != (basis.dim,):
-        raise ParameterError(f"amplitudes have shape {amps.shape}, expected ({basis.dim},)")
-    return _finish(basis, amps / _norm(amps))
 
 
 def check_entries(entries) -> float:
@@ -84,20 +50,26 @@ def check_entries(entries) -> float:
         if config in seen:
             raise ParameterError(f"entries[{k}] repeat the configuration of entries[{seen[config]}]")
         seen[config] = k
-    return _norm([amp for _, _, amp in entries])
+    norm = float(np.linalg.norm([amp for _, _, amp in entries]))
+    if not abs(norm - 1.0) <= NORM_TOLERANCE:
+        raise ParameterError(f"amplitudes have norm {norm:.17g}, expected 1 within "
+                             f"{NORM_TOLERANCE:g}")
+    return norm
 
 
-def from_entries(basis: ProductBasis, entries) -> StateBlock:
-    """The state of entries (up sites, down sites, amplitude) on basis, checked
-    by check_entries and scaled to norm 1; a site off the chain or an entry
-    outside the basis's sector raises ParameterError."""
+def from_entries(basis: ProductBasis, entries) -> np.ndarray:
+    """The read-only amplitudes (basis.dim,) of entries (up sites, down sites,
+    amplitude) on basis, checked by check_entries and scaled to norm 1; a site
+    off the chain or an entry outside the basis's sector raises ParameterError."""
     norm = check_entries(entries)
     if off := [s for up, down, _ in entries for s in (*up, *down) if not 1 <= s <= basis.L]:
         raise ParameterError(f"site {off[0]} outside chain [1, {basis.L}]")
     up, down = np.array([[sum(map(site_bit, e[0])), sum(map(site_bit, e[1]))] for e in entries]).T
     amps = np.zeros(basis.dim, dtype=np.complex128)
     amps[basis.index(up, down)] = [e[2] for e in entries]
-    return _finish(basis, amps / norm)
+    amps /= norm
+    amps.setflags(write=False)
+    return amps
 
 
 _PAIR = 1.0 / np.sqrt(2.0)  # each amplitude of a two-site spin pair
@@ -113,7 +85,7 @@ ENTRIES = {
 }
 
 
-def named_state(basis: ProductBasis, kind: str, *sites, **fields) -> StateBlock:
+def named_state(basis: ProductBasis, kind: str, *sites, **fields) -> np.ndarray:
     """The state of a named kind on basis, from its site fields as a config
     names them: named_state(basis, "singlet", 1, 2) is {kind: singlet, i: 1, j: 2}.
     A missing, extra or misnamed field raises ParameterError naming the kind's fields."""

@@ -6,7 +6,8 @@ single-particle propagator mirror identity (on the (1, 0) sector), the
 density-based tunneling symmetry gap (zero for noninteracting and triplet
 runs, nonzero for the interacting singlet; orientations a and b run as one
 stack, as in the presets), and the frozen-species reduction of the two-body
-problem to an effective one-particle barrier.
+problem to an effective one-particle barrier.  A state is its amplitude
+array, so each check that reads observables of a state takes its basis too.
 """
 
 from __future__ import annotations
@@ -15,12 +16,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .basis import product_basis
+from .basis import ProductBasis, product_basis
 from .errors import ParameterError
 from .evolution import DensePropagator, PropagatorConfig, evolve_trajectory
 from .hamiltonian import BARRIER_ORIENTATIONS, HubbardParams, barrier_potential, build_hamiltonian
 from .observables import observable_functions
-from .states import StateBlock, from_entries, named_state
+from .states import from_entries, named_state
 
 # Largest tunneling-symmetry gap of the interacting singlet run (L=6, U=0.5J,
 # h=10J, t <= 50/J): 0.0230 measured once with the dense oracle on the 0.05/J
@@ -67,21 +68,22 @@ def propagator_mirror_residual(
     return float(abs(amp - amp_mirror))
 
 
-def tunneling_symmetry_gap(params: HubbardParams, psi0: StateBlock, times) -> float:
-    """max_t | <n_C>(t) under V - <n_C>(t) under V reversed |, both from psi0,
-    which must be supported in region A; by parity, the gap between <n_C> from
-    psi0 and <n_A> from the mirrored psi0 under V.  The orientations run as one
-    stack through evolve_trajectory, as the presets run them, and n_after reads
-    region C of the two-site barrier centered on the chain.
+def tunneling_symmetry_gap(params: HubbardParams, basis: ProductBasis, psi0, times) -> float:
+    """max_t | <n_C>(t) under V - <n_C>(t) under V reversed |, both from the
+    amplitudes psi0 over basis, which must be supported in region A; by
+    parity, the gap between <n_C> from psi0 and <n_A> from the mirrored psi0
+    under V.  The orientations run as one stack through evolve_trajectory, as
+    the presets run them, and n_after reads region C of the two-site barrier
+    centered on the chain.
     """
     l_a, _ = _regions(params.L, None, None)
-    H = build_hamiltonian([params, replace(params, V=params.V[::-1])], psi0.basis)  # checks L
-    (_, density), = observable_functions(["n_all"], psi0.basis).items()
-    weight_outside = float(density(psi0.amplitudes)[l_a:].sum())
+    H = build_hamiltonian([params, replace(params, V=params.V[::-1])], basis)  # checks L
+    (_, density), = observable_functions(["n_all"], basis).items()
+    weight_outside = float(density(psi0)[l_a:].sum())
     if weight_outside > 1e-12:
         raise ParameterError(f"initial state leaks {weight_outside} outside region A")
     n_c = evolve_trajectory(H, psi0, times, PropagatorConfig(method="dense_eig"),
-                            observable_functions(["n_after"], psi0.basis)).columns["n_after"]
+                            observable_functions(["n_after"], basis)).columns["n_after"]
     return float(np.max(np.abs(n_c[0] - n_c[1])))
 
 
@@ -96,21 +98,21 @@ def fk_equivalence_residual(L: int, J: float, U: float, h: float, orientation, t
     V = barrier_potential(L, h, orientation)
     basis = product_basis(L, 1, 1)
     H = build_hamiltonian(HubbardParams(L=L, J=J, U=U, V=V, j_down=0.0), basis)
-    n_up = _densities_at(H, named_state(basis, "doublon", 1), t, "n_up_all")
+    n_up = _densities_at(H, basis, named_state(basis, "doublon", 1), t, "n_up_all")
 
     V[0] += U
     single = product_basis(L, 1, 0)
     H = build_hamiltonian(HubbardParams(L=L, J=J, U=0.0, V=V), single)
-    phi = _densities_at(H, named_state(single, "single_particle", 1), t, "n_all")
+    phi = _densities_at(H, single, named_state(single, "single_particle", 1), t, "n_all")
     return float(np.max(np.abs(n_up - phi)))
 
 
-def _densities_at(H, psi0: StateBlock, t: float, token: str) -> np.ndarray:
-    """The site densities of a token (n_all, n_up_all) at time t >= 0 from psi0, by the
-    dense oracle."""
+def _densities_at(H, basis: ProductBasis, psi0: np.ndarray, t: float, token: str) -> np.ndarray:
+    """The site densities of a token (n_all, n_up_all) at time t >= 0 from the
+    amplitudes psi0 over basis, by the dense oracle."""
     traj = evolve_trajectory(H, psi0, [0.0, t] if t else [0.0],
                              PropagatorConfig(method="dense_eig"),
-                             observable_functions([token], psi0.basis))
+                             observable_functions([token], basis))
     return np.array([col[-1] for col in traj.columns.values()])
 
 
@@ -125,7 +127,7 @@ class CheckResult:
     detail: str
 
 
-def _superposition_in_a(basis, l_a: int, rng) -> StateBlock:
+def _superposition_in_a(basis, l_a: int, rng) -> np.ndarray:
     coeffs = rng.normal(size=l_a) + 1j * rng.normal(size=l_a)
     coeffs /= np.linalg.norm(coeffs)
     return from_entries(basis, [((s,), (), c) for s, c in enumerate(coeffs, 1)])
@@ -163,9 +165,10 @@ def run_symmetry_suite() -> list[CheckResult]:
             single = product_basis(L, 1, 0)
             params1 = HubbardParams(L=L, J=1.0, U=0.0, V=V)
             pair = product_basis(L, 1, 1)
-            for psi0 in (named_state(single, "single_particle", 1),
-                         _superposition_in_a(single, l_a, rng), named_state(pair, "doublon", 1)):
-                worst = max(worst, tunneling_symmetry_gap(params1, psi0, times))
+            for basis, psi0 in ((single, named_state(single, "single_particle", 1)),
+                                (single, _superposition_in_a(single, l_a, rng)),
+                                (pair, named_state(pair, "doublon", 1))):
+                worst = max(worst, tunneling_symmetry_gap(params1, basis, psi0, times))
     results.append(CheckResult(
         name="noninteracting symmetry (single particles, superpositions, doublons)",
         passed=worst <= 1e-9,
@@ -179,7 +182,7 @@ def run_symmetry_suite() -> list[CheckResult]:
     worst = 0.0
     for U in (0.5, 2.0, 10.0):
         params = HubbardParams(L=6, J=1.0, U=U, V=V6)
-        worst = max(worst, tunneling_symmetry_gap(params, triplet, times))
+        worst = max(worst, tunneling_symmetry_gap(params, basis6, triplet, times))
     results.append(CheckResult(
         name="triplet symmetry (U in {0.5, 2, 10} J)",
         passed=worst <= 1e-9,
@@ -187,7 +190,7 @@ def run_symmetry_suite() -> list[CheckResult]:
     ))
 
     params = HubbardParams(L=6, J=1.0, U=0.5, V=V6)
-    gap = tunneling_symmetry_gap(params, named_state(basis6, "singlet", 1, 2), times)
+    gap = tunneling_symmetry_gap(params, basis6, named_state(basis6, "singlet", 1, 2), times)
     results.append(CheckResult(
         name="singlet asymmetry (U=0.5J)",
         passed=gap > SINGLET_GAP_FLOOR,

@@ -90,7 +90,7 @@ def test_criterion_03_triplet_symmetry():
     basis = fc.product_basis(6, 1, 1)
     params = fc.HubbardParams(L=6, J=1.0, U=0.5, V=fc.barrier_potential(6, 10.0, "a"))
     times = np.arange(0.0, 50.0 + 1e-9, 0.05)
-    gap = tunneling_symmetry_gap(params, fc.named_state(basis, "triplet", 1, 2), times)
+    gap = tunneling_symmetry_gap(params, basis, fc.named_state(basis, "triplet", 1, 2), times)
 
     config = _scenario(L=6, U=0.5, orientation="a", t_max=50.0,
                        initial_state={"kind": "triplet", "i": 1, "j": 2},
@@ -108,7 +108,7 @@ def test_criterion_04_singlet_asymmetry():
     basis = fc.product_basis(6, 1, 1)
     params = fc.HubbardParams(L=6, J=1.0, U=0.5, V=fc.barrier_potential(6, 10.0, "a"))
     times = np.arange(0.0, 50.0 + 1e-9, 0.05)
-    gap = tunneling_symmetry_gap(params, fc.named_state(basis, "singlet", 1, 2), times)
+    gap = tunneling_symmetry_gap(params, basis, fc.named_state(basis, "singlet", 1, 2), times)
     _finish(4, "singlet tunneling asymmetry exceeds the frozen regression floor",
             gap > SINGLET_GAP_FLOOR,
             f"gap {gap:.4f} (floor {SINGLET_GAP_FLOOR})", started, budget=5.0)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -30,6 +31,15 @@ def test_enumerate_bijection(L):
 def test_enumerate_rejects_bad_parameters(L, N):
     with pytest.raises(ParameterError):
         enumerate_sector(L, N)
+
+
+@pytest.mark.parametrize("L,n_up,message", [
+    (4.5, 1, "L=4.5 must be an integer"), ("4", 1, "L='4' must be an integer"),
+    (True, 1, "L=True must be an integer"), (4, 1.0, "N=1.0 must be an integer"),
+])
+def test_product_basis_refuses_counts_that_are_not_integers(L, n_up, message):
+    with pytest.raises(ParameterError, match=re.escape(message)):
+        product_basis(L, n_up, 1)
 
 
 def test_product_basis_dimensions():

@@ -50,7 +50,7 @@ def test_traced_advance_returns_the_states_of_the_unwrapped_call(monkeypatch):
     basis = product_basis(4, 1, 1)
     H = build_hamiltonian(HubbardParams(L=4, J=1.0, U=10.0, V=barrier_potential(4, 20.0, "a")),
                           basis)
-    psi0 = named_state(basis, "doublon", 1).amplitudes
+    psi0 = named_state(basis, "doublon", 1)
     # krylov_dim 8 < dim 16: a Krylov space that spanned the sector would take the exact path
     props = [make_propagator(H, PropagatorConfig(method, krylov_dim=8)) for method in METHODS]
     assert sorted(type(p).__name__ for p in props) == sorted(c.__name__ for c in tracer.PROPAGATORS)

@@ -29,7 +29,7 @@ from fermichain.hamiltonian import (
     jstar_site,
 )
 from fermichain.observables import observable_functions
-from fermichain.states import StateBlock, named_state
+from fermichain.states import from_entries, named_state
 
 from fock_oracle import csr_from_dense
 
@@ -56,7 +56,7 @@ def _propagator(H, config):
 def _grid_states(H, psi0, times, config):
     """The configured propagator's states on a time grid, (..., len(times), dim):
     psi0 starts every run of a stack."""
-    amps = np.broadcast_to(psi0.amplitudes, H.shape[:-1])
+    amps = np.broadcast_to(psi0, H.shape[:-1])
     return np.concatenate(list(_propagator(H, config).blocks(amps, times)), axis=-2)
 
 
@@ -69,7 +69,7 @@ def test_dense_identity_at_t0():
     H = build_hamiltonian(HubbardParams(L=4, J=1.0, U=3.0, V=np.zeros(4)), basis)
     psi = named_state(basis, "doublon", 2)
     out = _dense_states(H, psi, [0.0])
-    assert np.allclose(out[0], psi.amplitudes, atol=1e-15)
+    assert np.allclose(out[0], psi, atol=1e-15)
 
 
 def test_two_site_rabi_oscillation():
@@ -246,7 +246,7 @@ def test_blocks_start_at_psi0(method):
     psi0 = named_state(basis, "single_particle", 1)
     states = _grid_states(H, psi0, np.array([0.0, 0.5, 1.0]), PropagatorConfig(method))
     assert states.shape == (3, basis.dim)
-    assert np.allclose(states[0], psi0.amplitudes)
+    assert np.allclose(states[0], psi0)
 
 
 def test_dense_capacity_error(monkeypatch):
@@ -365,6 +365,10 @@ def test_time_grid_that_is_not_finite_is_refused(method, times):
     fns = observable_functions(["n_1"], basis)
     with pytest.raises(ParameterError, match="time grid must be finite"):
         evolve_trajectory(H, named_state(basis, "doublon", 4), times, config, fns)
+    # a state of another sector, (2, 0) with dim 6, against H's dim 16
+    other = from_entries(product_basis(4, 2, 0), [((1, 2), (), 1.0)])
+    with pytest.raises(ParameterError, match=re.escape("psi0 has shape (6,), expected (16,)")):
+        evolve_trajectory(H, other, [0.0, 0.5], config, fns)
 
 
 @pytest.fixture
@@ -392,7 +396,7 @@ def _trajectory_error(H, psi0, times, method="krylov"):
     config = PropagatorConfig(method=method)
     states = _grid_states(H, psi0, times, config)
     oracle = DensePropagator(H)
-    exact = np.array([oracle.advance(psi0.amplitudes, t) for t in times])
+    exact = np.array([oracle.advance(psi0, t) for t in times])
     return np.linalg.norm(states - exact, axis=1), config.tolerance
 
 
@@ -435,9 +439,9 @@ def test_krylov_config_that_spans_its_sector_takes_the_exact_path(krylov_dim, co
     config = PropagatorConfig(krylov_dim=krylov_dim)
     prop = make_propagator(H, config)
     assert isinstance(prop, DensePropagator)
-    states = np.concatenate(list(prop.blocks(psi0.amplitudes, times)))
+    states = np.concatenate(list(prop.blocks(psi0, times)))
     oracle = DensePropagator(H)
-    exact = np.array([oracle.advance(psi0.amplitudes, t) for t in times])
+    exact = np.array([oracle.advance(psi0, t) for t in times])
     assert count_matvecs[0] == 0
     assert np.all(np.linalg.norm(states - exact, axis=1) <= config.tolerance * times + 1e-13)
 
@@ -514,7 +518,7 @@ def test_dense_blocks_read_anchored_phases_at_their_own_grid_times(monkeypatch):
     stack = build_hamiltonian(params, basis)
     monkeypatch.setattr(evolution, "_BLOCK_ELEMENTS", 2 * 37 * basis.dim)  # 37 samples a block
     times = 0.05 * np.arange(801)
-    psi0 = np.broadcast_to(named_state(basis, "doublon", 1).amplitudes, (2, basis.dim))
+    psi0 = np.broadcast_to(named_state(basis, "doublon", 1), (2, basis.dim))
     prop = DensePropagator(stack)
     blocks = list(prop.blocks(psi0, times))
     assert [b.shape[-2] for b in blocks[:2]] == [37, 37]
@@ -543,7 +547,7 @@ def test_krylov_coarse_grid_bisects(monkeypatch):
     assert np.all(err <= tol * times + 1e-13)
     assert len(starts) == 20
     oracle = DensePropagator(H)
-    on_grid = np.array([oracle.advance(psi0.amplitudes, t) for t in times])
+    on_grid = np.array([oracle.advance(psi0, t) for t in times])
     assert any(np.min(np.linalg.norm(on_grid - v, axis=1)) > 1e-3 for v in starts)
 
 
@@ -588,7 +592,7 @@ def test_krylov_trap_stack_build_count_and_oracle(site, builds, krylov_bases):
     assert len(krylov_bases) == builds
     for r, p in enumerate(params):
         oracle = DensePropagator(build_hamiltonian(p, basis))
-        exact = np.array([oracle.advance(psi0.amplitudes, t) for t in times])
+        exact = np.array([oracle.advance(psi0, t) for t in times])
         assert np.all(np.linalg.norm(states[r] - exact, axis=1)
                       <= config.tolerance * times + 1e-13)
 
@@ -629,7 +633,7 @@ def test_krylov_rejects_non_finite_operator():
     with pytest.raises(NumericalError):
         KrylovPropagator(H, PropagatorConfig()).advance(v, 0.05)
     with pytest.raises(NumericalError):
-        evolve_trajectory(H, StateBlock(None, v), [0.0, 0.05, 0.1], PropagatorConfig(), {})
+        evolve_trajectory(H, v, [0.0, 0.05, 0.1], PropagatorConfig(), {})
 
 
 # ---------------------------------------------------------------------------
@@ -662,7 +666,7 @@ def test_stack_rows_match_single_runs_and_the_oracle(method, L):
         fns = observable_functions(["n_h2", "energy"], basis, H=H, jstar=jstars[r])
         single = evolve_trajectory(H, psi0, times, config, fns)
         oracle = DensePropagator(H)
-        exact = np.array([oracle.advance(psi0.amplitudes, t) for t in times])
+        exact = np.array([oracle.advance(psi0, t) for t in times])
         assert np.all(np.linalg.norm(states[r] - exact, axis=1) <= bound)
         assert np.all(np.linalg.norm(states[r] - _grid_states(H, psi0, times, config), axis=1)
                       <= bound)
@@ -686,11 +690,11 @@ def test_stack_row_in_an_invariant_space_stays_exact(count_matvecs):
     count_matvecs[0] = 0
     states = _grid_states(stack, psi0, times, config)
     assert count_matvecs[0] > 12  # the moving row needed several bases
-    energy = build_hamiltonian(params[0], basis).expectations(psi0.amplitudes[None])[0]
-    exact = np.exp(-1j * energy * times)[:, None] * psi0.amplitudes
+    energy = build_hamiltonian(params[0], basis).expectations(psi0[None])[0]
+    exact = np.exp(-1j * energy * times)[:, None] * psi0
     assert np.max(np.abs(states[0] - exact)) <= 1e-13
     H = build_hamiltonian(params[1], basis)
     oracle = DensePropagator(H)
-    moving = np.array([oracle.advance(psi0.amplitudes, t) for t in times])
+    moving = np.array([oracle.advance(psi0, t) for t in times])
     assert np.all(np.linalg.norm(states[1] - moving, axis=1)
                   <= config.tolerance * times + 1e-13)

@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -34,6 +37,14 @@ def test_orientation_is_exactly_a_or_b(orientation):
         barrier_potential(4, 10.0, orientation)
     with pytest.raises(ParameterError, match="orientation must be 'a' or 'b'"):
         jstar_site(4, 10.0, orientation)
+
+
+@pytest.mark.parametrize("h", [math.nan, math.inf, -math.inf, -1.0])
+def test_barrier_height_must_be_non_negative_and_finite(h):
+    with pytest.raises(ParameterError, match="must be non-negative and finite"):
+        barrier_potential(4, h, "a")
+    with pytest.raises(ParameterError, match="must be non-negative and finite"):
+        jstar_site(4, h, "a")
 
 
 def test_jstar_site():
@@ -226,7 +237,7 @@ def test_spin_squared_eigenstates():
     s2 = total_spin_squared(basis)
     states = [named_state(basis, "singlet", 1, 2), named_state(basis, "triplet", 1, 2),
               named_state(basis, "doublon", 1)]
-    got = s2.expectations(np.array([psi.amplitudes for psi in states]))
+    got = s2.expectations(np.array(states))
     assert np.all(np.abs(got - [0.0, 2.0, 0.0]) <= 1e-12)
 
 
@@ -255,7 +266,7 @@ def test_spin_squared_matches_full_fock_oracle(n_up):
 
 def test_spin_squared_above_the_dense_cap():
     basis = product_basis(30, 2, 1)  # dim 13050
-    psi = named_state(basis, "doublon_plus_up", 1, 30).amplitudes
+    psi = named_state(basis, "doublon_plus_up", 1, 30)
     s2 = total_spin_squared(basis)
     assert s2.dim == basis.dim
     assert np.linalg.norm(s2.matvec(psi) - 0.75 * psi) <= 1e-12
@@ -286,6 +297,12 @@ def test_params_validation():
         HubbardParams(L=4, J=1.0, U=np.inf, V=np.zeros(4))
     with pytest.raises(ParameterError):
         HubbardParams(L=4, J=1.0, U=1.0, V=np.zeros(3))
+
+
+@pytest.mark.parametrize("L", ["4", 4.0, True, None])
+def test_params_refuse_a_site_count_that_is_not_an_integer(L):
+    with pytest.raises(ParameterError, match=re.escape(f"L={L!r} must be a positive integer")):
+        HubbardParams(L=L, J=1.0, U=1.0, V=np.zeros(4))
 
 
 def test_params_copy_the_potential():

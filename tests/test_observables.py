@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -25,10 +27,9 @@ def _columns(tokens, basis, amps, **bound):
     return {name: values[..., i] for i, name in enumerate(names)}
 
 
-def _measure(tokens, psi):
+def _measure(tokens, basis, psi):
     """The columns of one state."""
-    return {name: float(col[0])
-            for name, col in _columns(tokens, psi.basis, psi.amplitudes[None]).items()}
+    return {name: float(col[0]) for name, col in _columns(tokens, basis, psi[None]).items()}
 
 
 def _densities(prop, basis, psi0, times, spin=None):
@@ -40,7 +41,7 @@ def _densities(prop, basis, psi0, times, spin=None):
 
 def test_doublon_densities():
     basis = product_basis(4, 1, 1)
-    got = _measure(["n_all", "n_up_1", "doublon_count", "n_total"],
+    got = _measure(["n_all", "n_up_1", "doublon_count", "n_total"], basis,
                    named_state(basis, "doublon", 1))
     assert got["n_1"] == 2.0
     assert all(got[f"n_{j}"] == 0.0 for j in (2, 3, 4))
@@ -53,7 +54,7 @@ def test_doublon_densities():
 
 def test_singlet_densities():
     basis = product_basis(4, 1, 1)
-    got = _measure(["n_1", "n_2", "doublon_count"], named_state(basis, "singlet", 1, 2))
+    got = _measure(["n_1", "n_2", "doublon_count"], basis, named_state(basis, "singlet", 1, 2))
     assert abs(got["n_1"] - 1.0) <= 1e-15
     assert abs(got["n_2"] - 1.0) <= 1e-15
     assert abs(got["doublon_count"]) <= 1e-15
@@ -76,10 +77,11 @@ def test_number_conservation_along_run():
 
 def test_n_after_examples():
     basis = product_basis(6, 1, 1)
-    assert _measure(["n_after"], named_state(basis, "doublon", 1))["n_after"] == 0.0
-    assert _measure(["n_after"], named_state(basis, "doublon", 6))["n_after"] == 2.0
+    assert _measure(["n_after"], basis, named_state(basis, "doublon", 1))["n_after"] == 0.0
+    assert _measure(["n_after"], basis, named_state(basis, "doublon", 6))["n_after"] == 2.0
 
-    got = _measure(["n_after", "n_4"], named_state(product_basis(4, 1, 1), "doublon", 3))
+    basis = product_basis(4, 1, 1)
+    got = _measure(["n_after", "n_4"], basis, named_state(basis, "doublon", 3))
     assert got["n_after"] == got["n_4"]
 
     with pytest.raises(ParameterError):
@@ -97,8 +99,8 @@ def test_mirror_covariance_of_densities():
     H_fwd = build_hamiltonian(HubbardParams(L=L, J=1.0, U=2.0, V=V), basis)
     H_mir = build_hamiltonian(HubbardParams(L=L, J=1.0, U=2.0, V=V[::-1].copy()), basis)
     times = (0.0, 3.0, 11.0, 27.0)
-    a = _densities(DensePropagator(H_fwd), basis, psi0.amplitudes, times)
-    b = _densities(DensePropagator(H_mir), basis, mirrored.amplitudes, times)
+    a = _densities(DensePropagator(H_fwd), basis, psi0, times)
+    b = _densities(DensePropagator(H_mir), basis, mirrored, times)
     assert np.max(np.abs(a - b[:, ::-1])) <= 1e-10
 
 
@@ -208,6 +210,9 @@ def test_time_average_examples():
         time_average(np.linspace(0, 1, 11), np.zeros(11), 2.0)  # grid too short
     with pytest.raises(ParameterError):
         time_average(times, vals, -1.0)
+    # a last axis longer than the grid
+    with pytest.raises(ParameterError, match=re.escape("values of shape (4,) are not sampled")):
+        time_average([0.0, 1.0, 2.0], [0.0, 1.0, 2.0, 3.0], 1.0)
 
     # samples beyond T are ignored
     times = np.linspace(0, 2 * np.pi, 6001)
@@ -220,6 +225,9 @@ def test_trap_time_examples():
     assert trap_time([0.0, 1.0], [0.02, 0.0], threshold=0.01) == 0.0
     with pytest.raises(ParameterError):
         trap_time([0.0], [0.0], threshold=0.0)
+    # a crossing after the last time: neither a time nor never
+    with pytest.raises(ParameterError, match=re.escape("values of shape (3,) are not sampled")):
+        trap_time([0.0, 1.0], [0.0, 0.0, 1.0], 0.5)
 
 
 def test_reductions_of_a_column_stack_equal_the_per_column_calls():

@@ -7,31 +7,24 @@ from fermichain.basis import product_basis
 from fermichain.errors import ParameterError
 from fermichain.hamiltonian import HubbardParams, build_hamiltonian, total_spin_squared
 from fermichain.observables import observable_functions
-from fermichain.states import (
-    ENTRIES,
-    StateBlock,
-    check_entries,
-    from_amplitudes,
-    from_entries,
-    named_state,
-)
+from fermichain.states import ENTRIES, check_entries, from_entries, named_state
 
 
-def _densities(psi, token="n_all"):
+def _densities(basis, psi, token="n_all"):
     """The per-site densities of one state, from the site columns of a token."""
-    (_, density), = observable_functions([token], psi.basis).items()
-    return density(psi.amplitudes).tolist()
+    (_, density), = observable_functions([token], basis).items()
+    return density(psi).tolist()
 
 
 def test_doublon_examples():
     basis = product_basis(4, 1, 1)
     psi = named_state(basis, "doublon", 1)
-    assert abs(np.linalg.norm(psi.amplitudes) - 1.0) <= 1e-15
-    assert psi.amplitudes[basis.index(0b0001, 0b0001)] == 1.0
-    assert np.count_nonzero(psi.amplitudes) == 1
+    assert abs(np.linalg.norm(psi) - 1.0) <= 1e-15
+    assert psi[basis.index(0b0001, 0b0001)] == 1.0
+    assert np.count_nonzero(psi) == 1
 
     H = build_hamiltonian(HubbardParams(L=4, J=1.0, U=10.0, V=np.zeros(4)), basis)
-    assert abs(H.expectations(psi.amplitudes[None])[0] - 10.0) <= 1e-12
+    assert abs(H.expectations(psi[None])[0] - 10.0) <= 1e-12
 
 
 def test_pair_states():
@@ -39,11 +32,11 @@ def test_pair_states():
     s2 = total_spin_squared(basis)
     singlet = named_state(basis, "singlet", 1, 2)
     triplet = named_state(basis, "triplet", 1, 2)
-    assert abs(np.linalg.norm(singlet.amplitudes) - 1.0) <= 1e-15
-    assert abs(np.linalg.norm(triplet.amplitudes) - 1.0) <= 1e-15
-    got = s2.expectations(np.array([singlet.amplitudes, triplet.amplitudes]))
+    assert abs(np.linalg.norm(singlet) - 1.0) <= 1e-15
+    assert abs(np.linalg.norm(triplet) - 1.0) <= 1e-15
+    got = s2.expectations(np.array([singlet, triplet]))
     assert np.all(np.abs(got - [0.0, 2.0]) <= 1e-12)
-    assert abs(np.vdot(singlet.amplitudes, triplet.amplitudes)) <= 1e-15
+    assert abs(np.vdot(singlet, triplet)) <= 1e-15
     with pytest.raises(ParameterError):
         named_state(basis, "singlet", 2, 2)
     with pytest.raises(ParameterError):
@@ -54,27 +47,19 @@ def test_doublon_plus_up():
     basis = product_basis(4, 2, 1)
     assert basis.dim == 24
     psi = named_state(basis, "doublon_plus_up", 1, 4)
-    assert np.count_nonzero(psi.amplitudes) == 1
+    assert np.count_nonzero(psi) == 1
     H = build_hamiltonian(HubbardParams(L=4, J=1.0, U=10.0, V=np.zeros(4)), basis)
-    assert abs(H.expectations(psi.amplitudes[None])[0] - 10.0) <= 1e-12
+    assert abs(H.expectations(psi[None])[0] - 10.0) <= 1e-12
     with pytest.raises(ParameterError):
         named_state(basis, "doublon_plus_up", 2, 2)
     with pytest.raises(ParameterError):
         named_state(product_basis(4, 1, 1), "doublon_plus_up", 1, 4)
 
 
-def test_from_amplitudes_validation():
-    basis = product_basis(4, 1, 1)
-    with pytest.raises(ParameterError):
-        from_amplitudes(basis, np.ones(basis.dim))  # badly normalized
-    with pytest.raises(ParameterError):
-        from_amplitudes(basis, np.zeros(3))
-
-
 def test_single_particle_at():
     basis = product_basis(5, 1, 0)
     psi = named_state(basis, "single_particle", 3)
-    assert psi.amplitudes[basis.index(0b00100, 0)] == 1.0
+    assert psi[basis.index(0b00100, 0)] == 1.0
     with pytest.raises(ParameterError):
         named_state(product_basis(5, 1, 1), "single_particle", 3)
 
@@ -107,20 +92,19 @@ def test_from_entries_places_each_amplitude_on_its_configuration():
     basis = product_basis(5, 2, 1)
     entries = [((4, 1), (5,), 0.6), ((2, 3), (2,), 0.8j)]
     psi = from_entries(basis, entries)
-    assert psi.amplitudes[basis.index(0b01001, 0b10000)] == 0.6
-    assert psi.amplitudes[basis.index(0b00110, 0b00010)] == 0.8j
-    assert np.count_nonzero(psi.amplitudes) == 2
+    assert psi[basis.index(0b01001, 0b10000)] == 0.6
+    assert psi[basis.index(0b00110, 0b00010)] == 0.8j
+    assert np.count_nonzero(psi) == 2
 
 
 def test_named_states_are_their_entry_lists():
     basis = product_basis(6, 1, 1)
-    assert np.array_equal(named_state(basis, "singlet", 2, 5).amplitudes,
-                          from_entries(basis, ENTRIES["singlet"](2, 5)).amplitudes)
+    assert np.array_equal(named_state(basis, "singlet", 2, 5),
+                          from_entries(basis, ENTRIES["singlet"](2, 5)))
     spectator = product_basis(6, 2, 1)
     psi = named_state(spectator, "doublon_plus_up", doublon_site=4, up_site=2)
-    assert psi.amplitudes[spectator.index(0b001010, 0b001000)] == 1.0
-    assert np.array_equal(named_state(spectator, "doublon_plus_up", 4, up_site=2).amplitudes,
-                          psi.amplitudes)
+    assert psi[spectator.index(0b001010, 0b001000)] == 1.0
+    assert np.array_equal(named_state(spectator, "doublon_plus_up", 4, up_site=2), psi)
     with pytest.raises(ParameterError, match=re.escape(f"unknown state kind 'quartet'; "
                                                        f"known: {sorted(ENTRIES)}")):
         named_state(basis, "quartet", 1, 2)
@@ -141,7 +125,7 @@ def test_named_state_refuses_sites_that_are_not_integers():
     for site in (2.0, True):
         with pytest.raises(ParameterError, match=re.escape(f"entries[0].up site {site!r} is not")):
             named_state(basis, "doublon", site)
-    assert _densities(named_state(basis, "doublon", np.int64(2))) == [0.0, 2.0, 0.0, 0.0]
+    assert _densities(basis, named_state(basis, "doublon", np.int64(2))) == [0.0, 2.0, 0.0, 0.0]
 
 
 @pytest.mark.parametrize("sites, fields, reason", [
@@ -160,13 +144,14 @@ def test_named_state_binds_the_fields_of_its_kind(sites, fields, reason):
 def test_every_constructor_returns_one_read_only_state():
     basis = product_basis(4, 1, 1)
     psi = named_state(basis, "doublon", 2)
-    states = [psi, from_entries(basis, ENTRIES["singlet"](1, 2)),
-              named_state(basis, "singlet", 1, 2), named_state(basis, "triplet", 1, 2),
-              from_amplitudes(basis, psi.amplitudes),
-              named_state(product_basis(4, 2, 1), "doublon_plus_up", 1, 2),
-              named_state(product_basis(4, 1, 0), "single_particle", 1)]
-    for state in states:
-        assert isinstance(state, StateBlock) and state.amplitudes.shape == (state.basis.dim,)
-        assert not state.amplitudes.flags.writeable
-    assert _densities(psi) == [0.0, 2.0, 0.0, 0.0]
-    assert _densities(psi, "n_up_all") == [0.0, 1.0, 0.0, 0.0]
+    spectator, single = product_basis(4, 2, 1), product_basis(4, 1, 0)
+    states = [(basis, psi), (basis, from_entries(basis, ENTRIES["singlet"](1, 2))),
+              (basis, named_state(basis, "singlet", 1, 2)),
+              (basis, named_state(basis, "triplet", 1, 2)),
+              (spectator, named_state(spectator, "doublon_plus_up", 1, 2)),
+              (single, named_state(single, "single_particle", 1))]
+    for space, state in states:
+        assert type(state) is np.ndarray and state.dtype == np.complex128
+        assert state.shape == (space.dim,) and not state.flags.writeable
+    assert _densities(basis, psi) == [0.0, 2.0, 0.0, 0.0]
+    assert _densities(basis, psi, "n_up_all") == [0.0, 1.0, 0.0, 0.0]

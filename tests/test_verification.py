@@ -72,16 +72,16 @@ def test_symmetry_gap_noninteracting_doublon():
     times = np.arange(0.0, 30.0 + 1e-9, 0.25)
     basis = product_basis(4, 1, 1)
     params = HubbardParams(L=4, J=1.0, U=0.0, V=barrier_potential(4, 10.0, "a"))
-    assert tunneling_symmetry_gap(params, named_state(basis, "doublon", 1), times) <= 1e-9
+    assert tunneling_symmetry_gap(params, basis, named_state(basis, "doublon", 1), times) <= 1e-9
 
 
 def test_symmetry_gap_triplet_vs_singlet():
     times = np.arange(0.0, 50.0 + 1e-9, 0.25)
     basis = product_basis(6, 1, 1)
     params = HubbardParams(L=6, J=1.0, U=0.5, V=barrier_potential(6, 10.0, "a"))
-    assert tunneling_symmetry_gap(params, named_state(basis, "triplet", 1, 2), times) <= 1e-9
-    singlet = named_state(basis, "singlet", 1, 2)
-    assert tunneling_symmetry_gap(params, singlet, times) > SINGLET_GAP_FLOOR
+    triplet, singlet = named_state(basis, "triplet", 1, 2), named_state(basis, "singlet", 1, 2)
+    assert tunneling_symmetry_gap(params, basis, triplet, times) <= 1e-9
+    assert tunneling_symmetry_gap(params, basis, singlet, times) > SINGLET_GAP_FLOOR
 
 
 def test_symmetry_gap_reads_each_row_of_its_stack(monkeypatch):
@@ -98,7 +98,7 @@ def test_symmetry_gap_reads_each_row_of_its_stack(monkeypatch):
     params = HubbardParams(L=6, J=1.0, U=0.5, V=barrier_potential(6, 10.0, "a"))
     singlet = named_state(basis, "singlet", 1, 2)
     monkeypatch.setattr(verification, "build_hamiltonian", first_row_only)
-    assert tunneling_symmetry_gap(params, singlet, times) <= SINGLET_GAP_FLOOR
+    assert tunneling_symmetry_gap(params, basis, singlet, times) <= SINGLET_GAP_FLOOR
 
 
 def test_symmetry_gap_rejects_leaking_state():
@@ -106,7 +106,8 @@ def test_symmetry_gap_rejects_leaking_state():
     basis = product_basis(6, 1, 1)
     params = HubbardParams(L=6, J=1.0, U=0.0, V=barrier_potential(6, 10.0, "a"))
     with pytest.raises(ParameterError):
-        tunneling_symmetry_gap(params, named_state(basis, "doublon", 3), times)  # inside barrier
+        # a doublon inside the barrier
+        tunneling_symmetry_gap(params, basis, named_state(basis, "doublon", 3), times)
 
 
 def test_fk_residual_examples():
