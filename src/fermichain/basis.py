@@ -25,7 +25,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, check_type
 
 MAX_SITES = 62  # masks must fit a signed 64-bit word with headroom
 
@@ -66,9 +66,8 @@ class SpinSectorBasis:
 
 def enumerate_sector(L: int, N: int) -> SpinSectorBasis:
     """Enumerate the fixed-particle-number sector of one spin species."""
-    for name, value in (("L", L), ("N", N)):
-        if isinstance(value, bool) or not isinstance(value, Integral):
-            raise ParameterError(f"{name}={value!r} must be an integer")
+    check_type("L", L, Integral)
+    check_type("N", N, Integral)
     if not 1 <= L <= MAX_SITES:
         raise ParameterError(f"site count L={L} outside [1, {MAX_SITES}]")
     if not 0 <= N <= L:

@@ -34,8 +34,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CapacityError, NumericalError, ParameterError
+from .errors import CapacityError, NumericalError, ParameterError, check_type
 from .hamiltonian import DENSE_CAP, SparseHamiltonian
+from .states import NORM_TOLERANCE
 
 METHODS = ("dense_eig", "krylov", "taylor")
 
@@ -64,12 +65,10 @@ class PropagatorConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ParameterError(f"method: must be one of {list(METHODS)}, got {self.method!r}")
-        for name, kind, what in (("dt", numbers.Real, "a real number"),
-                                 ("tolerance", numbers.Real, "a real number"),
-                                 ("krylov_dim", numbers.Integral, "an integer")):
+        for name, kind in (("dt", numbers.Real), ("tolerance", numbers.Real),
+                           ("krylov_dim", numbers.Integral)):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, kind):
-                raise ParameterError(f"{name}={value!r} must be {what}")
+            check_type(name, value, kind)
             if kind is numbers.Real and not 0 < value < math.inf:
                 raise ParameterError(f"{name}: must be positive and finite, got {value!r}")
         if self.krylov_dim < 2:
@@ -434,7 +433,7 @@ def evolve_trajectory(
     observables: dict,
 ) -> Trajectory:
     """Sample named observables along the evolution of psi0, the (dim,)
-    amplitudes of one state over H's basis.
+    amplitudes of one state over H's basis, of norm 1 within NORM_TOLERANCE.
 
     times must be finite and increase strictly from 0.  The configured propagator lands on
     every grid time (no interpolation of observables) and hands the states
@@ -459,6 +458,8 @@ def evolve_trajectory(
     if np.shape(psi0) != H.shape[-1:]:
         raise ParameterError(f"psi0 has shape {np.shape(psi0)}, expected {H.shape[-1:]} "
                              f"for H of shape {H.shape}")
+    if not abs((norm := math.sqrt(np.vdot(psi0, psi0).real)) - 1.0) <= NORM_TOLERANCE:
+        raise ParameterError(f"psi0 has norm {norm:.17g}, expected 1 within {NORM_TOLERANCE:g}")
 
     batch = H.shape[:-2]
     prop = make_propagator(H, config)

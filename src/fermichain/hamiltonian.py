@@ -18,7 +18,7 @@ from numbers import Integral
 import numpy as np
 
 from .basis import ProductBasis, SpinSectorBasis, product_basis, site_bit
-from .errors import NumericalError, ParameterError
+from .errors import NumericalError, ParameterError, check_type
 
 DENSE_CAP = 4096  # largest dimension handled by dense eigendecompositions
 # (state, stored entry) terms per chunk of an expectation; on a dim-400 stack
@@ -32,7 +32,8 @@ class HubbardParams:
     """Couplings of the chain Hamiltonian.
 
     j_up / j_down override the hopping amplitude per species (used to freeze
-    one species entirely, e.g. j_down=0); both default to J.
+    one species entirely, e.g. j_down=0); both default to J.  Every coupling
+    is a finite real number, and J is positive.
     """
 
     L: int
@@ -45,13 +46,23 @@ class HubbardParams:
     def __post_init__(self):
         if isinstance(self.L, bool) or not isinstance(self.L, Integral) or self.L < 1:
             raise ParameterError(f"L={self.L!r} must be a positive integer")
-        if not self.J > 0:
-            raise ParameterError(f"J={self.J} must be positive")
-        if not np.isfinite(self.U):
-            raise ParameterError(f"U={self.U} must be finite")
-        V = np.array(self.V, dtype=np.float64)  # a copy: the caller's array stays writable
+        for name in ("J", "U", "j_up", "j_down"):
+            value = getattr(self, name)
+            if value is None and name in ("j_up", "j_down"):  # the hop defaults to J
+                continue
+            check_type(name, value)
+            if name == "J" and not value > 0:
+                raise ParameterError(f"J={value} must be positive")
+            if not math.isfinite(value):
+                raise ParameterError(f"{name}={value} must be finite")
+        try:
+            V = np.array(self.V, dtype=np.float64)  # a copy: the caller's array stays writable
+        except (TypeError, ValueError):
+            raise ParameterError(f"V must hold real numbers, got {self.V!r}") from None
         if V.shape != (self.L,):
             raise ParameterError(f"V has shape {V.shape}, expected ({self.L},)")
+        if not np.isfinite(V).all():
+            raise ParameterError(f"V must be finite, got {V.tolist()}")
         V.setflags(write=False)
         object.__setattr__(self, "V", V)
 
@@ -184,6 +195,8 @@ def _barrier_sites(L: int, h: float, orientation: str) -> tuple[int, int]:
     central bond of an even chain: orientation "a" puts the full height at
     site L/2 (a left-incident particle meets the steep side first), "b"
     mirrors it."""
+    check_type("barrier height h", h)
+    check_type("barrier chain length L", L, Integral)
     if not 0 <= h < math.inf:
         raise ParameterError(f"barrier height h={h} must be non-negative and finite")
     if orientation not in BARRIER_ORIENTATIONS:

@@ -9,7 +9,7 @@ import re
 import numpy as np
 
 from .basis import ProductBasis
-from .errors import ParameterError
+from .errors import ParameterError, check_type
 from .hamiltonian import SparseHamiltonian, total_spin_squared
 
 TRAP_COLUMN = "n_h2"  # the column a trap-time reduction reads unless told otherwise
@@ -144,6 +144,7 @@ def time_average(times, values, T: float):
     it comes with.
     """
     times, values = _sampled(times, values)
+    check_type("averaging window T", T)
     if not T > 0:
         raise ParameterError(f"averaging window T={T} must be positive")
     keep = times <= T * (1 + 1e-12)
@@ -159,6 +160,7 @@ def time_average(times, values, T: float):
 def trap_time(times, values, threshold: float = 0.01):
     """First sampled time where a column (n,) strictly exceeds threshold, None
     if never; or that time for each row of a (columns, n) array, NaN if never."""
+    check_type("threshold", threshold)
     if not threshold > 0:
         raise ParameterError(f"threshold={threshold} must be positive")
     times, values = _sampled(times, values)

@@ -14,7 +14,6 @@ import functools
 import inspect
 import json
 import math
-import numbers
 import os
 from collections import Counter
 from dataclasses import dataclass, field
@@ -203,15 +202,10 @@ class InitialState:
 
 
 def _custom_entry(k: int, e) -> tuple:
-    """One amplitude entry of a custom initial-state file, as (up, down, amplitude)."""
+    """One entry of a custom initial-state file, (up, down, amplitude), as check_config reads it."""
     label = f"entries[{k}]"
     if not isinstance(e, dict):
         raise ValueError(f"{label} must be a mapping with 'up', 'down', 're', 'im'")
-    sites = [e.get(key) for key in ("up", "down")]
-    for key, value in zip(("up", "down"), sites):
-        if not isinstance(value, list) or not all(
-                isinstance(v, int) and not isinstance(v, bool) for v in value):
-            raise ValueError(f"{label}.{key} must be a list of integer sites, got {value!r}")
     parts = [e.get(key, 0.0) for key in ("re", "im")]
     try:
         if any(isinstance(v, str) for v in parts):  # JSON, unlike YAML, has no numbers as text
@@ -219,7 +213,7 @@ def _custom_entry(k: int, e) -> tuple:
         amp = complex(*map(_real, parts))
     except ValueError:
         raise ValueError(f"{label}: re and im must be finite numbers, got {parts}") from None
-    return tuple(sites[0]), tuple(sites[1]), amp
+    return e.get("up"), e.get("down"), amp
 
 
 def _custom_entries(path) -> tuple[tuple, ...]:
@@ -245,11 +239,11 @@ INITIAL_STATES = {kind: ({name: (_integer, True) for name in inspect.signature(f
 INITIAL_STATES["custom"] = ({"path": (_custom_entries, True)}, lambda entries: entries)
 
 
-def _entries_problem(state: InitialState) -> str | None:
-    """What check_entries refuses in a state's entries, in the words of its fields."""
+def _entries_problem(state: InitialState, L: int | None) -> str | None:
+    """What check_entries refuses in a state's entries on L sites, in the words of its fields."""
     try:
-        check_entries(state.entries)
-    except ParameterError as exc:  # a named kind's entries break a rule only where two fields meet
+        check_entries(state.entries, L)
+    except ParameterError as exc:  # a named kind's entries break a rule where two fields meet
         values = list(state.fields.values())
         same = [key for key, value in state.fields.items() if values.count(value) > 1]
         return (f"{' and '.join(same)} must differ, got {state.fields[same[0]]} for both" if same
@@ -258,20 +252,11 @@ def _entries_problem(state: InitialState) -> str | None:
 
 
 def _initial_state(doc) -> InitialState:
-    if isinstance(doc, InitialState):  # made in code: its entries are checked before use
-        entries = doc.entries
-        if not isinstance(entries, tuple) or not entries:
-            raise ValueError(f"entries must be a non-empty tuple, got {entries!r}")
-        for k, e in enumerate(entries):
-            if not (isinstance(e, tuple) and len(e) == 3
-                    and all(isinstance(sites, tuple) for sites in e[:2])
-                    and isinstance(e[2], numbers.Number)):
-                raise ValueError(f"entries[{k}] must be (up sites, down sites, amplitude) "
-                                 f"with the sites as tuples, got {e!r}")
+    """An InitialState, or a mapping read into one; its entries are checked, on
+    the scenario's chain, by check_config."""
+    if isinstance(doc, InitialState):  # made in code
         if not isinstance(doc.fields, dict):
             raise ValueError(f"fields must be a mapping, got {doc.fields!r}")
-        if problem := _entries_problem(doc):
-            raise ValueError(problem)
         return doc
     if not isinstance(doc, dict):
         raise ValueError(f"must be a mapping with a 'kind' key, got {doc!r}")
@@ -389,7 +374,8 @@ def check_config(config: ScenarioConfig) -> None:
     L, h, prop = config.L, config.h, config.propagator
     if h < 0:
         errors.append(f"h: must be non-negative, got {h}")
-    if not 1 <= L <= MAX_SITES:
+    chain = 1 <= L <= MAX_SITES
+    if not chain:
         errors.append(f"L: must lie in [1, {MAX_SITES}], got {L}")
     else:
         if h > 0 and (L % 2 or L < 4):
@@ -398,9 +384,9 @@ def check_config(config: ScenarioConfig) -> None:
             columns(config.observables, L, barrier=h > 0)
         except ParameterError as exc:
             errors.append(f"observables: {exc}")
-        errors += [f"initial_state: site {s} outside chain [1, {L}]"
-                   for up, down, _ in config.initial_state.entries
-                   for s in up + down if not 1 <= s <= L]
+    if problem := _entries_problem(config.initial_state, L if chain else None):
+        errors.append(f"initial_state: {problem}")
+    elif chain:  # sector() reads the checked entries
         sector = config.initial_state.sector()
         dim = math.comb(L, sector[0]) * math.comb(L, sector[1])
         try:  # each particle hops to at most two sites: nnz <= dim (1 + 2 N)
@@ -412,8 +398,6 @@ def check_config(config: ScenarioConfig) -> None:
                 errors.append(f"L: the {sector} sector of L={L} has dimension {dim}; a stack "
                               f"of it needs {need / 2**30:.1f} GiB, more than the budget of "
                               f"{MEMORY_BUDGET / 2**30:g} GiB")
-    if problem := _entries_problem(config.initial_state):
-        errors.append(f"initial_state: {problem}")
     if (points := config.t_max / config.sample_dt) > MAX_POINTS:
         errors.append(f"t_max / sample_dt: must be at most {MAX_POINTS}, got {points:g}")
     if prop.method == "taylor" and (steps := config.t_max / prop.dt) > MAX_TAYLOR_STEPS:

@@ -18,8 +18,9 @@ because |down_i up_j> = -|{j},{i}> after reordering the operators.
 
 from __future__ import annotations
 
+import cmath
 import inspect
-from numbers import Integral
+from numbers import Complex, Integral
 
 import numpy as np
 
@@ -29,19 +30,33 @@ from .errors import ParameterError
 NORM_TOLERANCE = 1e-6  # allowed distance of a user-supplied state's norm from 1
 
 
-def check_entries(entries) -> float:
-    """The norm of entries (up sites, down sites, amplitude) that make a state,
-    on any chain: no site twice in one species, one particle-number sector, no
-    configuration twice, integer sites (not bools) and a norm within
-    NORM_TOLERANCE of 1.  Raises ParameterError naming the first entry that
-    breaks a rule."""
+def check_entries(entries, L: int | None = None) -> float:
+    """The norm of entries (up sites, down sites, amplitude), the one rule for
+    every initial state: a list or tuple of such triples, each species' sites a
+    list or tuple of integers (not bools), none twice and on [1, L] if L is
+    given; one particle-number sector, no configuration twice, finite amplitudes
+    (not bools) of norm within NORM_TOLERANCE of 1 (no entries have norm 0).
+    Raises ParameterError naming the first entry that breaks a rule."""
+    if not isinstance(entries, (list, tuple)):
+        raise ParameterError(f"entries must be a list or tuple, got {entries!r}")
     seen = {}
-    for k, (up, down, _) in enumerate(entries):
+    for k, entry in enumerate(entries):
+        if not isinstance(entry, (list, tuple)) or len(entry) != 3:
+            raise ParameterError(f"entries[{k}] must be (up sites, down sites, amplitude), "
+                                 f"got {entry!r}")
+        up, down, amp = entry
         for species, sites in (("up", up), ("down", down)):
+            if not isinstance(sites, (list, tuple)):
+                raise ParameterError(f"entries[{k}].{species} must be a list of sites, "
+                                     f"got {sites!r}")
             if bad := [s for s in sites if isinstance(s, bool) or not isinstance(s, Integral)]:
                 raise ParameterError(f"entries[{k}].{species} site {bad[0]!r} is not an integer")
             if len(set(sites)) != len(sites):
                 raise ParameterError(f"entries[{k}].{species} repeats a site: {list(sites)}")
+            if L is not None and (off := [s for s in sites if not 1 <= s <= L]):
+                raise ParameterError(f"entries[{k}].{species} site {off[0]} outside chain [1, {L}]")
+        if isinstance(amp, bool) or not isinstance(amp, Complex) or not cmath.isfinite(amp):
+            raise ParameterError(f"entries[{k}] amplitude {amp!r} is not a finite number")
         sector, first = (len(up), len(down)), tuple(map(len, entries[0][:2]))
         if sector != first:
             raise ParameterError(f"entries[{k}] lie in the {sector} sector, "
@@ -59,11 +74,9 @@ def check_entries(entries) -> float:
 
 def from_entries(basis: ProductBasis, entries) -> np.ndarray:
     """The read-only amplitudes (basis.dim,) of entries (up sites, down sites,
-    amplitude) on basis, checked by check_entries and scaled to norm 1; a site
-    off the chain or an entry outside the basis's sector raises ParameterError."""
-    norm = check_entries(entries)
-    if off := [s for up, down, _ in entries for s in (*up, *down) if not 1 <= s <= basis.L]:
-        raise ParameterError(f"site {off[0]} outside chain [1, {basis.L}]")
+    amplitude) on basis, checked by check_entries on the basis's chain and
+    scaled to norm 1; an entry outside the basis's sector raises ParameterError."""
+    norm = check_entries(entries, basis.L)
     up, down = np.array([[sum(map(site_bit, e[0])), sum(map(site_bit, e[1]))] for e in entries]).T
     amps = np.zeros(basis.dim, dtype=np.complex128)
     amps[basis.index(up, down)] = [e[2] for e in entries]

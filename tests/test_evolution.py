@@ -371,6 +371,20 @@ def test_time_grid_that_is_not_finite_is_refused(method, times):
         evolve_trajectory(H, other, [0.0, 0.5], config, fns)
 
 
+@pytest.mark.parametrize("amplitudes, norm", [
+    (np.ones(16), "4"), (np.full(16, math.nan), "nan"), (np.full(16, math.inf), "inf"),
+    (np.sqrt(np.full(16, 1.01 / 16)), "1.00498756211208"),
+])
+def test_state_that_is_not_normalized_is_refused(amplitudes, norm):
+    # on an L = 4 (1, 1) H, np.ones(16) ran and wrote a norm column of 4, NaNs NaN columns
+    basis = product_basis(4, 1, 1)
+    H = build_hamiltonian(HubbardParams(L=4, J=1.0, U=0.0, V=np.zeros(4)), basis)
+    with pytest.raises(ParameterError, match=re.escape(f"psi0 has norm {norm}")) as refused:
+        evolve_trajectory(H, amplitudes, [0.0, 0.5], PropagatorConfig(),
+                          observable_functions(["norm"], basis))
+    assert type(refused.value) is ParameterError
+
+
 @pytest.fixture
 def count_matvecs(monkeypatch):
     """Counts SparseHamiltonian matvecs made while the test runs."""

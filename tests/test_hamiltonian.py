@@ -47,6 +47,20 @@ def test_barrier_height_must_be_non_negative_and_finite(h):
         jstar_site(4, h, "a")
 
 
+@pytest.mark.parametrize("L, h, message", [
+    (4.0, 10.0, "barrier chain length L=4.0 must be an integer"),
+    ("4", 10.0, "barrier chain length L='4' must be an integer"),
+    (4, "10", "barrier height h='10' must be a real number"),
+    (4, None, "barrier height h=None must be a real number"),
+])
+def test_barrier_arguments_that_are_not_numbers_are_refused(L, h, message):
+    # barrier_potential raised a bare TypeError on each, jstar_site returned 3.0 on L = 4.0
+    for build in (barrier_potential, jstar_site):
+        with pytest.raises(ParameterError, match=re.escape(message)) as refused:
+            build(L, h, "a")
+        assert type(refused.value) is ParameterError
+
+
 def test_jstar_site():
     assert jstar_site(4, 20.0, "a") == 3
     assert jstar_site(4, 20.0, "b") == 2
@@ -303,6 +317,24 @@ def test_params_validation():
 def test_params_refuse_a_site_count_that_is_not_an_integer(L):
     with pytest.raises(ParameterError, match=re.escape(f"L={L!r} must be a positive integer")):
         HubbardParams(L=L, J=1.0, U=1.0, V=np.zeros(4))
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"J": "1"}, "J='1' must be a real number"),  # a bare TypeError
+    ({"U": None}, "U=None must be a real number"),  # a bare TypeError
+    ({"J": math.inf}, "J=inf must be finite"),
+    ({"j_up": math.nan}, "j_up=nan must be finite"),
+    ({"j_down": math.nan}, "j_down=nan must be finite"),
+    ({"j_down": -math.inf}, "j_down=-inf must be finite"),
+    ({"V": [0.0, math.nan, 0.0, 0.0]}, "V must be finite, got [0.0, nan, 0.0, 0.0]"),
+    ({"V": [0.0, 0.0, math.inf, 0.0]}, "V must be finite, got [0.0, 0.0, inf, 0.0]"),
+    ({"V": ["a"] * 4}, "V must hold real numbers, got ['a', 'a', 'a', 'a']"),  # a bare ValueError
+])
+def test_params_refuse_couplings_that_are_not_finite_numbers(changes, message):
+    fields = {"L": 4, "J": 1.0, "U": 0.0, "V": np.zeros(4), **changes}
+    with pytest.raises(ParameterError, match=re.escape(message)) as refused:
+        HubbardParams(**fields)
+    assert type(refused.value) is ParameterError
 
 
 def test_params_copy_the_potential():

@@ -230,6 +230,17 @@ def test_trap_time_examples():
         trap_time([0.0, 1.0], [0.0, 0.0, 1.0], 0.5)
 
 
+@pytest.mark.parametrize("reduce, message", [
+    (time_average, "averaging window T='1' must be a real number"),
+    (trap_time, "threshold='1' must be a real number"),
+])
+def test_reduction_argument_that_is_not_a_number_is_refused(reduce, message):
+    # each raised a bare TypeError
+    with pytest.raises(ParameterError, match=re.escape(message)) as refused:
+        reduce([0.0, 1.0], [0.0, 1.0], "1")
+    assert type(refused.value) is ParameterError
+
+
 def test_reductions_of_a_column_stack_equal_the_per_column_calls():
     # bit for bit: a sweep reduces all of a trajectory's columns in one call
     rng = np.random.default_rng(5)

@@ -473,12 +473,13 @@ def _unreachable(*args, **kwargs):
     ({"observables": ("bogus",)}, "observables: unknown observable token 'bogus'"),
     ({"description": ["x"]}, "description: must be text, got ['x']"),
     # an InitialState made in code: sector() read entries[0], which raised a bare IndexError
-    # on no entries and a bare ValueError on an entry that was not a triple
+    # on no entries and a bare ValueError on an entry that was not a triple; check_entries
+    # now refuses both before sector() is read
     ({"initial_state": InitialState("doublon", {"site": 1}, ())},
-     "initial_state: entries must be a non-empty tuple, got ()"),
+     "initial_state: the doublon amplitudes have norm 0, expected 1 within 1e-06"),
     ({"initial_state": InitialState("doublon", {"site": 1}, (((1,), (1,)),))},
-     "initial_state: entries[0] must be (up sites, down sites, amplitude) with the sites as "
-     "tuples, got ((1,), (1,))"),
+     "initial_state: the doublon entries[0] must be (up sites, down sites, amplitude), "
+     "got ((1,), (1,))"),
     ({"initial_state": InitialState("singlet", None, (((1,), (2,), 1.0),))},
      "initial_state: fields must be a mapping, got None"),
 ])

@@ -71,10 +71,19 @@ def test_single_particle_at():
     ([((2, 1), (3,), 0.6), ((1, 2), (3,), 0.8)], "repeat the configuration"),  # sites as a set
     ([((1,), (2,), 0.5)], "amplitudes have norm 0.5"),
     ([], "amplitudes have norm 0"),
+    # from_entries raised a bare ValueError or TypeError on these
+    ([((1,), (1,))], "entries[0] must be (up sites, down sites, amplitude), got ((1,), (1,))"),
+    ([(1, (1,), 1.0)], "entries[0].up must be a list of sites, got 1"),
+    ([((1,), (2,), "x")], "entries[0] amplitude 'x' is not a finite number"),
+    ([((1,), (2,), float("nan"))], "entries[0] amplitude nan is not a finite number"),
+    ([((1,), (2,), True)], "entries[0] amplitude True is not a finite number"),
+    (None, "entries must be a list or tuple, got None"),
 ])
 def test_check_entries_refuses_non_states(entries, message):
-    with pytest.raises(ParameterError, match=re.escape(message)):
-        check_entries(entries)
+    for build in (check_entries, lambda entries: from_entries(product_basis(4, 1, 1), entries)):
+        with pytest.raises(ParameterError, match=re.escape(message)) as refused:
+            build(entries)
+        assert type(refused.value) is ParameterError
 
 
 def test_from_entries_refuses_sites_off_the_chain_and_other_sectors():
@@ -82,6 +91,10 @@ def test_from_entries_refuses_sites_off_the_chain_and_other_sectors():
     for site in (0, 5, 63):
         with pytest.raises(ParameterError, match="outside chain"):
             from_entries(basis, [((site,), (1,), 1.0)])
+        with pytest.raises(ParameterError, match=re.escape(f"entries[0].down site {site} outside "
+                                                           f"chain [1, 4]")):
+            check_entries([((1,), (site,), 1.0)], 4)
+        check_entries([((1,), (site,), 1.0)])  # on any chain
     # searchsorted gives each of these masks the position of a (1, 1) configuration
     for entries in ([((1, 2), (1,), 1.0)], [((), (1,), 1.0)], [((1,), (1, 2), 1.0)]):
         with pytest.raises(ParameterError, match="not in \\(L=4, N=1\\) sector"):
