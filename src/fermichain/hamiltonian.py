@@ -56,6 +56,8 @@ class HubbardParams:
             if not math.isfinite(value):
                 raise ParameterError(f"{name}={value} must be finite")
         try:
+            if np.iscomplexobj(self.V):  # the cast below would drop the imaginary part
+                raise TypeError
             V = np.array(self.V, dtype=np.float64)  # a copy: the caller's array stays writable
         except (TypeError, ValueError):
             raise ParameterError(f"V must hold real numbers, got {self.V!r}") from None

@@ -243,11 +243,12 @@ def _entries_problem(state: InitialState, L: int | None) -> str | None:
     """What check_entries refuses in a state's entries on L sites, in the words of its fields."""
     try:
         check_entries(state.entries, L)
-    except ParameterError as exc:  # a named kind's entries break a rule where two fields meet
+    except ParameterError as exc:
         values = list(state.fields.values())
         same = [key for key, value in state.fields.items() if values.count(value) > 1]
-        return (f"{' and '.join(same)} must differ, got {state.fields[same[0]]} for both" if same
-                else f"the {state.kind} {exc}")
+        if same and "repeat" in str(exc):  # a named kind's entries repeat where two fields meet
+            return f"{' and '.join(same)} must differ, got {state.fields[same[0]]} for both"
+        return f"the {state.kind} {exc}"
     return None
 
 

@@ -329,6 +329,7 @@ def test_params_refuse_a_site_count_that_is_not_an_integer(L):
     ({"V": [0.0, math.nan, 0.0, 0.0]}, "V must be finite, got [0.0, nan, 0.0, 0.0]"),
     ({"V": [0.0, 0.0, math.inf, 0.0]}, "V must be finite, got [0.0, 0.0, inf, 0.0]"),
     ({"V": ["a"] * 4}, "V must hold real numbers, got ['a', 'a', 'a', 'a']"),  # a bare ValueError
+    ({"V": np.array([2 + 1j, 0, 0, 0])}, "V must hold real numbers"),  # was cast to [2, 0, 0, 0]
 ])
 def test_params_refuse_couplings_that_are_not_finite_numbers(changes, message):
     fields = {"L": 4, "J": 1.0, "U": 0.0, "V": np.zeros(4), **changes}

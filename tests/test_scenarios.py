@@ -482,6 +482,11 @@ def _unreachable(*args, **kwargs):
      "got ((1,), (1,))"),
     ({"initial_state": InitialState("singlet", None, (((1,), (2,), 1.0),))},
      "initial_state: fields must be a mapping, got None"),
+    # equal fields name the refusal only when the entries repeat a site or a configuration
+    ({"initial_state": InitialState("singlet", {"i": 1, "j": 1}, ())},
+     "initial_state: the singlet amplitudes have norm 0, expected 1 within 1e-06"),
+    ({"initial_state": InitialState("singlet", {"i": 9, "j": 9}, (((9,), (9,), 1.0),))},
+     "initial_state: the singlet entries[0].up site 9 outside chain [1, 4]"),
 ])
 def test_replaced_scenario_is_checked(monkeypatch, changes, message):
     monkeypatch.setattr(scenarios, "product_basis", _unreachable)
