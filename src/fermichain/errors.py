@@ -1,6 +1,8 @@
-"""Exception types shared across the package, and the argument type check that raises one."""
+"""Exception types shared across the package, and the argument checks that raise one."""
 
 from numbers import Integral, Real
+
+import numpy as np
 
 
 class ParameterError(ValueError):
@@ -32,3 +34,13 @@ def check_type(name: str, value, kind=Real) -> None:
     if isinstance(value, bool) or not isinstance(value, kind):
         raise ParameterError(f"{name}={value!r} must be "
                              f"{'an integer' if kind is Integral else 'a real number'}")
+
+
+def real_array(name: str, value) -> np.ndarray:
+    """A float64 copy of value, refused, naming it, unless it is a rectangular array of reals."""
+    try:
+        if np.iscomplexobj(value):  # the cast would drop the imaginary part
+            raise TypeError
+        return np.array(value, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ParameterError(f"{name} must hold real numbers, got {value!r}") from None

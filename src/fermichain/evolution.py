@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CapacityError, NumericalError, ParameterError, check_type
+from .errors import CapacityError, NumericalError, ParameterError, check_type, real_array
 from .hamiltonian import DENSE_CAP, SparseHamiltonian
 from .states import NORM_TOLERANCE
 
@@ -446,7 +446,7 @@ def evolve_trajectory(
     psi0 starts every run; the runs propagate together, and the result holds
     a (k, len(times)) array per column.
     """
-    times = np.asarray(times, dtype=np.float64)
+    times = real_array("times", times)
     if times.ndim != 1 or len(times) == 0:
         raise ParameterError("times must be a non-empty 1-d grid")
     if not np.isfinite(times).all():

@@ -18,11 +18,11 @@ from numbers import Integral
 import numpy as np
 
 from .basis import ProductBasis, SpinSectorBasis, product_basis, site_bit
-from .errors import NumericalError, ParameterError, check_type
+from .errors import NumericalError, ParameterError, check_type, real_array
 
 DENSE_CAP = 4096  # largest dimension handled by dense eigendecompositions
-# (state, stored entry) terms per chunk of an expectation; on a dim-400 stack
-# 2^17, whose chunks hold MB-sized temporaries, ran about 3x slower
+# (state, stored entry) terms per chunk of an expectation; H on a (2, 19, 400)
+# trap block took 252-264, 216-227, 216-250, 212-219 us at 2^13, 2^14, 2^15, 2^17
 _TERMS_PER_PRODUCT = 1 << 15
 BARRIER_ORIENTATIONS = ("a", "b")  # which central site carries the full height h
 
@@ -55,12 +55,7 @@ class HubbardParams:
                 raise ParameterError(f"J={value} must be positive")
             if not math.isfinite(value):
                 raise ParameterError(f"{name}={value} must be finite")
-        try:
-            if np.iscomplexobj(self.V):  # the cast below would drop the imaginary part
-                raise TypeError
-            V = np.array(self.V, dtype=np.float64)  # a copy: the caller's array stays writable
-        except (TypeError, ValueError):
-            raise ParameterError(f"V must hold real numbers, got {self.V!r}") from None
+        V = real_array("V", self.V)  # a copy: the caller's array stays writable
         if V.shape != (self.L,):
             raise ParameterError(f"V has shape {V.shape}, expected ({self.L},)")
         if not np.isfinite(V).all():
@@ -85,7 +80,7 @@ class SparseHamiltonian:
     each row; assembly is deterministic, so identical inputs yield
     bit-identical arrays.  A stack of k matrices shares one pattern (indptr,
     indices) and stores its values as a (k, nnz) array; a single matrix
-    stores (nnz,).  Instances are immutable.
+    stores (nnz,).  Instances are immutable; products read the slot-major _slots.
     """
 
     indptr: np.ndarray
@@ -110,20 +105,20 @@ class SparseHamiltonian:
         return self.data.shape[:-1] + (self.dim, self.dim)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        """A @ x along the last axis of a complex array x; rows without entries give 0.
+        """A @ x along the last axis of a complex array x, each row summed over
+        its entries in column order.
 
         One matrix acts on every vector of x.  Matrix r of a stack acts on
         x[r], of shape (dim,) or (n, dim); a single vector (dim,) meets every
         matrix of the stack.
         """
         x = np.asarray(x, dtype=np.complex128)
-        data = self.data.reshape(self.data.shape[:-1] + (1,) * (x.ndim - self.data.ndim) + (-1,))
-        sums = np.add.reduceat(data * x.take(self.indices, axis=-1), self._starts, axis=-1)
-        if sums.shape[-1] == self.dim:
-            return sums
-        out = np.zeros(sums.shape[:-1] + (self.dim,), dtype=np.complex128)
-        out[..., self._nonempty] = sums
-        return out
+        cols, vals = self._slots
+        if x.ndim < self.data.ndim:  # the vector meets every matrix: gather it once per matrix
+            x = np.broadcast_to(x, self.data.shape[:-1] + x.shape)
+        terms = x.take(cols, axis=-1)
+        terms *= vals.reshape(vals.shape[:-2] + (1,) * (x.ndim - self.data.ndim) + vals.shape[-2:])
+        return terms.sum(axis=-2)
 
     @cached_property
     def _rows(self) -> np.ndarray:
@@ -131,40 +126,27 @@ class SparseHamiltonian:
         return np.repeat(np.arange(self.dim), np.diff(self.indptr))
 
     @cached_property
-    def _nonempty(self) -> np.ndarray:
-        return np.flatnonzero(np.diff(self.indptr))
-
-    @cached_property
-    def _starts(self) -> np.ndarray:
-        """First stored entry of every row that has one."""
-        return self.indptr[self._nonempty]
-
-    @cached_property
-    def _upper(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Rows and columns of the stored entries on and above the diagonal, and
-        their weights in a quadratic form: the value, doubled off the diagonal,
-        each repeated for the real and imaginary part."""
-        keep = self._rows <= self.indices
-        rows, cols = self._rows[keep], self.indices[keep]
-        weights = self.data[..., keep] * np.where(rows < cols, 2.0, 1.0)
-        return rows, cols, np.repeat(weights, 2, axis=-1)[..., None]
+    def _slots(self) -> tuple[np.ndarray, np.ndarray]:
+        """Entries slot-major, entry s of row r at [s, r]: columns (w, dim) and values
+        (..., w, dim) for the longest row's w, padded with column 0 and value 0;
+        complex values, so matvec multiplies its gathered terms in place."""
+        counts = np.diff(self.indptr)
+        slot = np.arange(self.nnz) - np.repeat(self.indptr[:-1], counts)
+        width = int(counts.max(initial=0))
+        cols = np.zeros((width, self.dim), dtype=np.int64)
+        cols[slot, self._rows] = self.indices
+        vals = np.zeros(self.data.shape[:-1] + (width, self.dim), dtype=np.complex128)
+        vals[..., slot, self._rows] = self.data
+        return cols, vals
 
     def expectations(self, block: np.ndarray) -> np.ndarray:
-        """<psi|A|psi> for each state psi of an (n, dim) block, or of a (k, n, dim)
-        block against a stack (run r under matrix r), a few states at a time.
-
-        A is real symmetric, so the form reads only the stored upper triangle:
-        sum_r A_rr |psi_r|^2 + sum_{r<c} 2 A_rc (Re psi_r Re psi_c + Im psi_r Im psi_c),
-        one product of gathered amplitude pairs and one matrix-vector product
-        with the weights; no matvec."""
-        rows, cols, weights = self._upper
+        """<psi|A psi> for each state psi of an (n, dim) block, or of a (k, n, dim)
+        block against a stack (run r under matrix r), a few states at a time."""
         out = np.empty(block.shape[:-1])
         step = max(1, _TERMS_PER_PRODUCT // (max(self.nnz, 1) * math.prod(block.shape[:-2])))
         for lo in range(0, block.shape[-2], step):
-            part = np.asarray(block[..., lo:lo + step, :], dtype=np.complex128)
-            pairs = part.take(rows, axis=-1).view(np.float64)
-            pairs *= part.take(cols, axis=-1).view(np.float64)
-            out[..., lo:lo + step] = (pairs @ weights)[..., 0]
+            part = block[..., lo:lo + step, :]
+            out[..., lo:lo + step] = np.vecdot(part, self.matvec(part)).real
         return out
 
     def to_dense(self) -> np.ndarray:
@@ -176,11 +158,7 @@ class SparseHamiltonian:
     def inf_norm(self) -> float:
         """Maximum absolute row sum (over every matrix of a stack); an upper
         bound on the spectral radius."""
-        if self.nnz == 0:
-            return 0.0
-        sums = np.zeros(self.data.shape[:-1] + (self.dim,))
-        np.add.at(sums, (..., self._rows), np.abs(self.data))
-        return float(sums.max())
+        return float(np.abs(self._slots[1].real).sum(axis=-2).max(initial=0.0))
 
 
 def _csr(dim: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> SparseHamiltonian:

@@ -9,7 +9,7 @@ import re
 import numpy as np
 
 from .basis import ProductBasis
-from .errors import ParameterError, check_type
+from .errors import ParameterError, check_type, real_array
 from .hamiltonian import SparseHamiltonian, total_spin_squared
 
 TRAP_COLUMN = "n_h2"  # the column a trap-time reduction reads unless told otherwise
@@ -128,7 +128,7 @@ def observable_functions(
 def _sampled(times, values) -> tuple[np.ndarray, np.ndarray]:
     """times and values as float arrays, refused unless values hold one sample
     per time along their last axis."""
-    times, values = np.asarray(times, dtype=np.float64), np.asarray(values, dtype=np.float64)
+    times, values = real_array("times", times), real_array("values", values)
     if times.ndim != 1 or values.shape[-1:] != times.shape:
         raise ParameterError(f"values of shape {values.shape} are not sampled on "
                              f"times of shape {times.shape}")

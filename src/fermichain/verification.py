@@ -13,11 +13,12 @@ array, so each check that reads observables of a state takes its basis too.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from numbers import Integral
 
 import numpy as np
 
 from .basis import ProductBasis, product_basis
-from .errors import ParameterError
+from .errors import ParameterError, check_type, real_array
 from .evolution import DensePropagator, PropagatorConfig, evolve_trajectory
 from .hamiltonian import BARRIER_ORIENTATIONS, HubbardParams, barrier_potential, build_hamiltonian
 from .observables import observable_functions
@@ -48,10 +49,15 @@ def propagator_mirror_residual(
     """|<c|exp(-iHt)|a> - <L+1-c|exp(-iHt)|L+1-a>| for the one-particle chain.
 
     a must lie before the barrier block and c after it; V must vanish outside
-    the block (it is arbitrary inside).
+    the block (it is arbitrary inside).  t is a finite real time.
     """
+    check_type("t", t)
+    if not np.isfinite(t):
+        raise ParameterError(f"t={t} must be finite")
+    check_type("a", a, Integral)
+    check_type("c", c, Integral)
     l_a, l_b = _regions(L, l_a, l_b)
-    V = np.ascontiguousarray(V, dtype=np.float64)
+    V = real_array("V", V)
     if V.shape != (L,):
         raise ParameterError(f"V has shape {V.shape}, expected ({L},)")
     outside = np.concatenate([V[:l_a], V[l_a + l_b:]])
@@ -95,8 +101,11 @@ def fk_equivalence_residual(L: int, J: float, U: float, h: float, orientation, t
     down particle pinned at site 1, where the up particle starts too; the
     one-particle problem sees the barrier plus U at site 1.
     """
+    check_type("t", t)
+    if not 0 <= t < np.inf:
+        raise ParameterError(f"t={t} must be non-negative and finite")
+    basis = product_basis(L, 1, 1)  # refuses an L beyond MAX_SITES before V is allocated
     V = barrier_potential(L, h, orientation)
-    basis = product_basis(L, 1, 1)
     H = build_hamiltonian(HubbardParams(L=L, J=J, U=U, V=V, j_down=0.0), basis)
     n_up = _densities_at(H, basis, named_state(basis, "doublon", 1), t, "n_up_all")
 

@@ -31,6 +31,7 @@ from fermichain.hamiltonian import (
 from fermichain.observables import observable_functions
 from fermichain.states import from_entries, named_state
 
+import fock_oracle
 from fock_oracle import csr_from_dense
 
 
@@ -559,7 +560,7 @@ def test_krylov_coarse_grid_bisects(monkeypatch):
     psi0 = named_state(basis, "doublon", 3)
     err, tol = _trajectory_error(H, psi0, times)
     assert np.all(err <= tol * times + 1e-13)
-    assert len(starts) == 20
+    assert len(starts) == 21
     oracle = DensePropagator(H)
     on_grid = np.array([oracle.advance(psi0, t) for t in times])
     assert any(np.min(np.linalg.norm(on_grid - v, axis=1)) > 1e-3 for v in starts)
@@ -623,21 +624,33 @@ def test_krylov_reused_basis_that_fails_is_rebuilt_not_bisected(krylov_bases):
     assert np.all(err <= tol * times + 1e-13)
 
 
-def test_energy_and_s_squared_columns_make_no_matvec(count_matvecs):
-    basis, params, stack = _trap_stack()
-    psi0 = named_state(basis, "doublon", 4)
-    times = 0.05 * np.arange(61)
+def test_energy_and_s_squared_columns_match_the_fock_oracle():
+    # the trapping shape on L=4 (U = h/2 = 10, both orientations as one stack):
+    # each sample's columns against <psi|A|psi> with the full-Fock H and S^2
+    # restricted to the sector; then the L=20 trap stack, whose doublon starts
+    # away from the barrier: energy U, and a doublon is a singlet
+    basis = product_basis(4, 1, 1)
+    Vs = [barrier_potential(4, 20.0, o) for o in "ab"]
+    stack = build_hamiltonian([HubbardParams(L=4, J=1.0, U=10.0, V=V) for V in Vs], basis)
+    psi0 = from_entries(basis, [((1,), (1,), 0.8), ((2,), (1,), 0.6j)])
+    times = 0.05 * np.arange(41)
+    config = PropagatorConfig(method="taylor")
     fns = observable_functions(["energy", "s_squared"], basis, H=stack)
-    count_matvecs[0] = 0
-    evolve_trajectory(stack, psi0, times, PropagatorConfig(), {})
-    propagation = count_matvecs[0]
-    count_matvecs[0] = 0
-    traj = evolve_trajectory(stack, psi0, times, PropagatorConfig(), fns)
-    assert count_matvecs[0] == propagation
+    traj = evolve_trajectory(stack, psi0, times, config, fns)
+    states = _grid_states(stack, psi0, times, config)
+    E = fock_oracle.sector_embedding(4, basis)
+    s2 = E.T @ fock_oracle.full_spin_squared(4) @ E
+    for r, V in enumerate(Vs):
+        h = fock_oracle.restricted_hamiltonian(4, 1.0, 1.0, 10.0, V, basis)
+        for name, op in (("energy", h), ("s_squared", s2)):
+            want = np.einsum("ti,ij,tj->t", states[r].conj(), op, states[r]).real
+            assert np.max(np.abs(traj.columns[name][r] - want)) <= 1e-12
+
+    basis, params, stack = _trap_stack()
+    fns = observable_functions(["energy", "s_squared"], basis, H=stack)
+    traj = evolve_trajectory(stack, named_state(basis, "doublon", 4), 0.05 * np.arange(61),
+                             PropagatorConfig(), fns)
     assert np.allclose(traj.columns["s_squared"], 0.0, rtol=0, atol=1e-12)  # a doublon is a singlet
-    count_matvecs[0] = 0
-    traj = evolve_trajectory(stack, psi0, times, PropagatorConfig(method="dense_eig"), fns)
-    assert count_matvecs[0] == 0
     assert np.allclose(traj.columns["energy"], 10.0, rtol=0, atol=1e-9)
 
 

@@ -121,7 +121,7 @@ def _random_sector_operators(rng):
 
 @pytest.mark.parametrize("seed", range(12))
 def test_expectations_match_dense_quadratic_forms(seed, monkeypatch):
-    # <psi|A|psi> from the stored upper triangle against einsum over the dense
+    # <psi|A psi> through the sparse product against einsum over the dense
     # matrix: single H and S^2 on (n, dim) and (k, n, dim) blocks, a stack on
     # (k, n, dim), in chunks from one state up to the whole block
     from fermichain import hamiltonian
@@ -147,7 +147,7 @@ def test_expectations_match_dense_quadratic_forms(seed, monkeypatch):
 
 @pytest.mark.parametrize("seed", range(12))
 def test_assembled_operators_equal_their_transpose(seed):
-    # expectations read only the upper triangle, which needs exact symmetry
+    # Lanczos and the real part of <psi|A psi> both take A to be exactly symmetric
     basis, H, stack, s2 = _random_sector_operators(np.random.default_rng(seed))
     for op in (H, stack, s2):
         dense = op.to_dense()
@@ -292,6 +292,37 @@ def test_matvec_matches_dense_product():
     H = build_hamiltonian(HubbardParams(L=5, J=1.0, U=2.0, V=rng.uniform(-3, 3, size=5)), basis)
     x = rng.normal(size=H.dim) + 1j * rng.normal(size=H.dim)
     assert np.allclose(H.matvec(x), H.to_dense() @ x, atol=1e-13, rtol=0)
+
+
+def test_one_vector_meets_every_matrix_of_a_stack():
+    rng = np.random.default_rng(6)
+    basis = product_basis(5, 2, 1)
+    params = [HubbardParams(L=5, J=1.0, U=U, V=rng.uniform(-3, 3, size=5)) for U in (0.0, 2.0, 7.5)]
+    stack = build_hamiltonian(params, basis)
+    x = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
+    got = stack.matvec(x)
+    assert got.shape == (3, basis.dim)
+    for r, p in enumerate(params):
+        assert np.array_equal(got[r], build_hamiltonian(p, basis).matvec(x))
+
+
+@pytest.mark.parametrize("sector", [(6, 2, 1), (8, 3, 3)])
+def test_matvec_sums_each_row_in_column_order(sector):
+    # rows of 3-7 and 3-13 entries: every row is the sequential sum of its
+    # products, lowest column first, to the last bit
+    rng = np.random.default_rng(7)
+    basis = product_basis(*sector)
+    L = sector[0]
+    H = build_hamiltonian(HubbardParams(L=L, J=1.0, U=3.3, V=rng.uniform(-4, 4, size=L)), basis)
+    x = rng.normal(size=H.dim) + 1j * rng.normal(size=H.dim)
+    want = np.empty(H.dim, dtype=complex)
+    for r in range(H.dim):
+        entries = slice(H.indptr[r], H.indptr[r + 1])
+        terms = H.data[entries] * x[H.indices[entries]]
+        want[r] = terms[0]
+        for term in terms[1:]:
+            want[r] += term
+    assert np.array_equal(H.matvec(x), want)
 
 
 def test_matvec_handles_empty_rows():

@@ -241,6 +241,19 @@ def test_reduction_argument_that_is_not_a_number_is_refused(reduce, message):
     assert type(refused.value) is ParameterError
 
 
+@pytest.mark.parametrize("reduce, times, values, message", [
+    (time_average, [0.0, 1.0], [[1, 2], [3]], "values must hold real numbers"),
+    (trap_time, [[0.0, 1.0], [2.0]], [0.0, 1.0], "times must hold real numbers"),
+    (time_average, [0.0, 1.0], {}, "values must hold real numbers, got {}"),  # a bare TypeError
+    (trap_time, [0.0, 1.0], [0.0, 1j], "values must hold real numbers"),
+])
+def test_ragged_or_non_numeric_samples_are_refused(reduce, times, values, message):
+    # a ragged list raised numpy's bare "setting an array element with a sequence"
+    with pytest.raises(ParameterError, match=re.escape(message)) as refused:
+        reduce(times, values, 1.0) if reduce is time_average else reduce(times, values)
+    assert type(refused.value) is ParameterError
+
+
 def test_reductions_of_a_column_stack_equal_the_per_column_calls():
     # bit for bit: a sweep reduces all of a trajectory's columns in one call
     rng = np.random.default_rng(5)

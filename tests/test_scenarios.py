@@ -179,6 +179,16 @@ def test_csv_determinism_byte_identical(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_krylov_trajectory_csv_is_byte_identical(tmp_path):
+    # fig5b's sector (dim 400) is below the dense cap but above krylov_dim, so
+    # every sample comes out of Lanczos bases built from sparse products
+    config = dataclasses.replace(load_preset("fig5b"), t_max=1.0)
+    _, p1 = run_scenario(config, output_dir=tmp_path / "one")
+    _, p2 = run_scenario(config, output_dir=tmp_path / "two")
+    assert len(p1.read_text().splitlines()) == 22
+    assert p1.read_bytes() == p2.read_bytes()
+
+
 def test_csv_floats_have_17_significant_digits(tmp_path):
     config = scenario_from_dict(_scenario_doc(), name="demo")
     _, path = run_scenario(config, output_dir=tmp_path)

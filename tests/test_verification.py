@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,20 @@ def test_mirror_residual_region_validation():
     bad[0] = 1.0
     with pytest.raises(ParameterError):
         propagator_mirror_residual(6, 1.0, bad, 1.0, 1, 6)
+
+
+@pytest.mark.parametrize("t, a, c, message", [
+    (float("inf"), 1, 6, "t=inf must be finite"),  # nan after a RuntimeWarning
+    (float("nan"), 1, 6, "t=nan must be finite"),  # nan, silently
+    (1j, 1, 6, "t=1j must be a real number"),
+    (1.0, "1", 6, "a='1' must be an integer"),  # a bare TypeError
+    (1.0, 1, 6.0, "c=6.0 must be an integer"),
+])
+def test_mirror_residual_refuses_a_time_or_site_of_the_wrong_kind(t, a, c, message):
+    V = barrier_potential(6, 10.0, "a")
+    with pytest.raises(ParameterError, match=re.escape(message)) as refused:
+        propagator_mirror_residual(6, 1.0, V, t, a, c)
+    assert type(refused.value) is ParameterError
 
 
 def test_mirror_identity_reads_the_production_assembly(monkeypatch):
@@ -114,6 +130,28 @@ def test_fk_residual_examples():
     assert fk_equivalence_residual(4, 1.0, 3.0, 20.0, "a", 20.0) <= 1e-10
     assert fk_equivalence_residual(4, 1.0, 3.0, 20.0, "b", 20.0) <= 1e-10
     assert fk_equivalence_residual(4, 1.0, 0.0, 20.0, "a", 10.0) <= 1e-10
+
+
+@pytest.mark.parametrize("L, t, message", [
+    (10**30, 1.0, "site count L=1000000000000000000000000000000 outside [1, 62]"),
+    (4, np.zeros((2, 2)), "must be a real number"),  # the truth value of an array
+    (4, -1.0, "t=-1.0 must be non-negative and finite"),
+    (4, float("nan"), "t=nan must be non-negative and finite"),
+])
+def test_fk_residual_refuses_a_chain_or_time_it_cannot_run(L, t, message):
+    # each raised a bare ValueError or named only the time grid
+    with pytest.raises(ParameterError, match=re.escape(message)) as refused:
+        fk_equivalence_residual(L, 1.0, 1.0, 20.0, "a", t)
+    assert type(refused.value) is ParameterError
+
+
+def test_symmetry_gap_refuses_a_ragged_time_grid():
+    # np.asarray raised a bare ValueError inside evolve_trajectory
+    basis = product_basis(6, 1, 1)
+    params = HubbardParams(L=6, J=1.0, U=0.0, V=barrier_potential(6, 10.0, "a"))
+    with pytest.raises(ParameterError, match="times must hold real numbers") as refused:
+        tunneling_symmetry_gap(params, basis, named_state(basis, "doublon", 1), [[0.0], [1.0, 2.0]])
+    assert type(refused.value) is ParameterError
 
 
 def test_fk_effective_potentials_are_not_mirror_images():
