@@ -6,9 +6,12 @@ Sites are labeled 1..L.  Dynamics is exact within a fixed (N_up, N_down)
 sector: sparse Hamiltonians assembled over occupation bitmasks, propagated
 by a dense eigendecomposition oracle, a Lanczos/Krylov stepper, or a
 truncated Taylor series.
+
+The package exports what the CLI, the presets, `verify` and the README
+examples use; the rest imports from its module (fermichain.scenarios.load_config).
 """
 
-from .basis import ProductBasis, SpinSectorBasis, enumerate_sector, product_basis
+from .basis import ProductBasis, SpinSectorBasis, product_basis
 from .errors import CapacityError, ConfigError, NumericalError, ParameterError
 from .evolution import (
     PropagatorConfig,
@@ -27,7 +30,6 @@ from .observables import observable_functions, time_average, trap_time
 from .scenarios import (
     ScenarioConfig,
     SweepConfig,
-    load_config,
     load_preset,
     preset_names,
     resolve_config,
@@ -35,12 +37,6 @@ from .scenarios import (
     run_sweep,
 )
 from .states import from_entries, named_state
-from .verification import (
-    fk_equivalence_residual,
-    propagator_mirror_residual,
-    run_fk_suite,
-    run_symmetry_suite,
-    tunneling_symmetry_gap,
-)
+from .verification import tunneling_symmetry_gap
 
 __version__ = "0.1.0"

@@ -63,7 +63,7 @@ class PropagatorConfig:
     krylov_dim: int = 30
 
     def __post_init__(self):
-        if self.method not in METHODS:
+        if not isinstance(self.method, str) or self.method not in METHODS:
             raise ParameterError(f"method: must be one of {list(METHODS)}, got {self.method!r}")
         for name, kind in (("dt", numbers.Real), ("tolerance", numbers.Real),
                            ("krylov_dim", numbers.Integral)):
@@ -425,6 +425,23 @@ def make_propagator(H, config: PropagatorConfig):
     return TaylorPropagator(H, config)
 
 
+def check_state(psi0, H) -> np.ndarray:
+    """psi0 as an array; a ParameterError unless it is a (dim,) array of
+    numbers of norm 1 within NORM_TOLERANCE, for H of shape (..., dim, dim)."""
+    try:
+        psi0 = np.asarray(psi0)
+    except ValueError:
+        raise ParameterError("psi0 must be an array of numbers, got a ragged sequence") from None
+    if not np.issubdtype(psi0.dtype, np.number):
+        raise ParameterError(f"psi0 must be an array of numbers, got dtype {psi0.dtype}")
+    if psi0.shape != H.shape[-1:]:
+        raise ParameterError(f"psi0 has shape {psi0.shape}, expected {H.shape[-1:]} "
+                             f"for H of shape {H.shape}")
+    if not abs((norm := math.sqrt(np.vdot(psi0, psi0).real)) - 1.0) <= NORM_TOLERANCE:
+        raise ParameterError(f"psi0 has norm {norm:.17g}, expected 1 within {NORM_TOLERANCE:g}")
+    return psi0
+
+
 def evolve_trajectory(
     H,
     psi0: np.ndarray,
@@ -455,11 +472,7 @@ def evolve_trajectory(
         raise ParameterError(f"time grid must start at 0, got {times[0]}")
     if len(times) > 1 and not np.all(np.diff(times) > 0):
         raise ParameterError("time grid must be strictly increasing")
-    if np.shape(psi0) != H.shape[-1:]:
-        raise ParameterError(f"psi0 has shape {np.shape(psi0)}, expected {H.shape[-1:]} "
-                             f"for H of shape {H.shape}")
-    if not abs((norm := math.sqrt(np.vdot(psi0, psi0).real)) - 1.0) <= NORM_TOLERANCE:
-        raise ParameterError(f"psi0 has norm {norm:.17g}, expected 1 within {NORM_TOLERANCE:g}")
+    psi0 = check_state(psi0, H)
 
     batch = H.shape[:-2]
     prop = make_propagator(H, config)

@@ -17,7 +17,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .basis import ProductBasis, SpinSectorBasis, product_basis, site_bit
+from .basis import MAX_SITES, ProductBasis, SpinSectorBasis, product_basis, site_bit
 from .errors import NumericalError, ParameterError, check_type, real_array
 
 DENSE_CAP = 4096  # largest dimension handled by dense eigendecompositions
@@ -174,15 +174,15 @@ def _barrier_sites(L: int, h: float, orientation: str) -> tuple[int, int]:
     """0-based (full-height, half-height) sites of a barrier of height h on the
     central bond of an even chain: orientation "a" puts the full height at
     site L/2 (a left-incident particle meets the steep side first), "b"
-    mirrors it."""
+    mirrors it; a chain longer than MAX_SITES, which no basis holds, is refused."""
     check_type("barrier height h", h)
     check_type("barrier chain length L", L, Integral)
     if not 0 <= h < math.inf:
         raise ParameterError(f"barrier height h={h} must be non-negative and finite")
-    if orientation not in BARRIER_ORIENTATIONS:
+    if not isinstance(orientation, str) or orientation not in BARRIER_ORIENTATIONS:
         raise ParameterError(f"orientation must be 'a' or 'b', got {orientation!r}")
-    if L % 2 or L < 4:
-        raise ParameterError(f"barrier needs an even chain with L >= 4, got L={L}")
+    if L % 2 or not 4 <= L <= MAX_SITES:
+        raise ParameterError(f"barrier needs an even chain with 4 <= L <= {MAX_SITES}, got L={L}")
     return (L // 2 - 1, L // 2) if orientation == "a" else (L // 2, L // 2 - 1)
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import math
 import numbers
 import re
 
@@ -21,12 +22,16 @@ _SITE_TOKEN = re.compile(r"n(?:_(up|down))?_(\d+|L|all)")
 def columns(tokens, L: int, barrier: bool = True) -> dict[str, tuple]:
     """The columns of observable tokens on an L-site chain, in token order:
     name -> (kind, site, spin); kind is n_site for a site density, else the
-    token.  Raises ParameterError on an unknown token, a site outside the
-    chain, n_after on an odd chain, n_h2 without a barrier, or a column
-    named twice.
+    token.  Raises ParameterError on tokens that are not a list, an unknown
+    token, a site outside the chain, n_after on an odd chain, n_h2 without a
+    barrier, or a column named twice.
     """
+    try:
+        tokens = [str(token) for token in tokens]
+    except TypeError:
+        raise ParameterError(f"observable tokens must be a list, got {tokens!r}") from None
     out = {}
-    for token in map(str, tokens):
+    for token in tokens:
         m = _SITE_TOKEN.fullmatch(token)
         if m and m[2] == "all":
             found = {f"{token[:-3]}{j}": ("n_site", j, m[1]) for j in range(1, L + 1)}
@@ -137,7 +142,7 @@ def _sampled(times, values) -> tuple[np.ndarray, np.ndarray]:
 
 def time_average(times, values, T: float):
     """Trapezoid-rule average over [0, T] of a sampled column (n,), as a float,
-    or of each row of a (columns, n) array, as an array.
+    or of each row of a (..., n) array, as an array (...).
 
     The grid must cover [0, T]; samples beyond T are ignored.  A column is
     averaged as a one-row array, so its average does not depend on the rows
@@ -152,17 +157,18 @@ def time_average(times, values, T: float):
     if len(tt) < 2 or tt[-1] < T * (1 - 1e-9):
         raise ParameterError(f"trajectory covers [0, {times[-1] if len(times) else 0}], need [0, {T}]")
     # row-major rows: each row's sum is then the same pairwise sum as a 1-d array's
-    rows = np.ascontiguousarray(np.atleast_2d(values)[:, keep])
+    rows = np.ascontiguousarray(np.atleast_2d(values)[..., keep])
     avg = np.trapezoid(rows, tt, axis=-1) / (tt[-1] - tt[0])
     return float(avg[0]) if values.ndim == 1 else avg
 
 
 def trap_time(times, values, threshold: float = 0.01):
     """First sampled time where a column (n,) strictly exceeds threshold, None
-    if never; or that time for each row of a (columns, n) array, NaN if never."""
+    if never; or that time for each row of a (..., n) array, NaN if never.
+    threshold is positive and finite."""
     check_type("threshold", threshold)
-    if not threshold > 0:
-        raise ParameterError(f"threshold={threshold} must be positive")
+    if not 0 < threshold < math.inf:
+        raise ParameterError(f"threshold={threshold} must be positive and finite")
     times, values = _sampled(times, values)
     hits = np.atleast_2d(values) > threshold
     # a row without a hit stops at the appended True and reads the appended NaN

@@ -581,10 +581,14 @@ def _run_configs(configs: list[ScenarioConfig]):
 def _output_dir(output_dir, files) -> Path | None:
     """output_dir, created before anything runs, with each of the files the run
     will write there checked; a directory that cannot be made or a file that
-    cannot be written is a ConfigError, as write_rows_csv words it."""
+    cannot be written is a ConfigError, as write_rows_csv words it, and an
+    output_dir that is not a path a ParameterError."""
     if output_dir is None:
         return None
-    out = Path(output_dir)
+    try:
+        out = Path(output_dir)
+    except TypeError:
+        raise ParameterError(f"output_dir must be a path, got {output_dir!r}") from None
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:

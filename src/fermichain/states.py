@@ -102,7 +102,7 @@ def named_state(basis: ProductBasis, kind: str, *sites, **fields) -> np.ndarray:
     """The state of a named kind on basis, from its site fields as a config
     names them: named_state(basis, "singlet", 1, 2) is {kind: singlet, i: 1, j: 2}.
     A missing, extra or misnamed field raises ParameterError naming the kind's fields."""
-    if kind not in ENTRIES:
+    if not isinstance(kind, str) or kind not in ENTRIES:
         raise ParameterError(f"unknown state kind {kind!r}; known: {sorted(ENTRIES)}")
     signature = inspect.signature(ENTRIES[kind])
     try:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .basis import ProductBasis, product_basis
 from .errors import ParameterError, check_type, real_array
-from .evolution import DensePropagator, PropagatorConfig, evolve_trajectory
+from .evolution import DensePropagator, PropagatorConfig, check_state, evolve_trajectory
 from .hamiltonian import BARRIER_ORIENTATIONS, HubbardParams, barrier_potential, build_hamiltonian
 from .observables import observable_functions
 from .states import from_entries, named_state
@@ -84,6 +84,7 @@ def tunneling_symmetry_gap(params: HubbardParams, basis: ProductBasis, psi0, tim
     """
     l_a, _ = _regions(params.L, None, None)
     H = build_hamiltonian([params, replace(params, V=params.V[::-1])], basis)  # checks L
+    psi0 = check_state(psi0, H)
     (_, density), = observable_functions(["n_all"], basis).items()
     weight_outside = float(density(psi0)[l_a:].sum())
     if weight_outside > 1e-12:

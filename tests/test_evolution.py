@@ -386,6 +386,29 @@ def test_state_that_is_not_normalized_is_refused(amplitudes, norm):
     assert type(refused.value) is ParameterError
 
 
+@pytest.mark.parametrize("psi0, message", [
+    ([[1.0], [0.0, 0.0]], "got a ragged sequence"),
+    (["a"] * 16, "got dtype <U1"),
+    ([None] * 16, "got dtype object"),
+    ([True] + [False] * 15, "got dtype bool"),
+])
+def test_state_that_is_not_an_array_of_numbers_is_refused(psi0, message):
+    # a ragged or str psi0 raised a bare ValueError from np.shape or np.vdot
+    basis = product_basis(4, 1, 1)
+    H = build_hamiltonian(HubbardParams(L=4, J=1.0, U=0.0, V=np.zeros(4)), basis)
+    with pytest.raises(ParameterError, match=re.escape(f"psi0 must be an array of numbers, "
+                                                       f"{message}")) as refused:
+        evolve_trajectory(H, psi0, [0.0, 0.5], PropagatorConfig(), {})
+    assert type(refused.value) is ParameterError
+
+
+@pytest.mark.parametrize("method", [np.array(["krylov"]), np.array(["krylov", "taylor"])])
+def test_method_that_is_not_a_string_is_refused(method):
+    # a one-name array was accepted, a longer one raised numpy's bare "truth value is ambiguous"
+    with pytest.raises(ParameterError, match="method: must be one of"):
+        PropagatorConfig(method=method)
+
+
 @pytest.fixture
 def count_matvecs(monkeypatch):
     """Counts SparseHamiltonian matvecs made while the test runs."""

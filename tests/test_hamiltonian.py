@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from fermichain.basis import product_basis
+from fermichain.basis import MAX_SITES, product_basis
 from fermichain.errors import NumericalError, ParameterError
 from fermichain.hamiltonian import (
     HubbardParams,
@@ -31,7 +31,8 @@ def test_barrier_shapes():
         barrier_potential(4, 1.0, "c")
 
 
-@pytest.mark.parametrize("orientation", ["A", " a ", "B", "both", None])
+@pytest.mark.parametrize("orientation", ["A", " a ", "B", "both", None,
+                                         np.array(["a"]), np.array(["a", "b"])])
 def test_orientation_is_exactly_a_or_b(orientation):
     with pytest.raises(ParameterError, match="orientation must be 'a' or 'b'"):
         barrier_potential(4, 10.0, orientation)
@@ -58,6 +59,16 @@ def test_barrier_arguments_that_are_not_numbers_are_refused(L, h, message):
     for build in (barrier_potential, jstar_site):
         with pytest.raises(ParameterError, match=re.escape(message)) as refused:
             build(L, h, "a")
+        assert type(refused.value) is ParameterError
+
+
+@pytest.mark.parametrize("L", [MAX_SITES + 2, 10**30])
+def test_barrier_on_a_chain_no_basis_holds_is_refused(L):
+    # L = 10**30 raised numpy's bare "Maximum allowed dimension exceeded" and jstar_site
+    # returned a 31-digit site; L = 64 built a potential for a chain no basis holds
+    for build in (barrier_potential, jstar_site):
+        with pytest.raises(ParameterError, match=f"4 <= L <= {MAX_SITES}, got L={L}") as refused:
+            build(L, 1.0, "a")
         assert type(refused.value) is ParameterError
 
 

@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -252,6 +253,31 @@ def test_ragged_or_non_numeric_samples_are_refused(reduce, times, values, messag
     with pytest.raises(ParameterError, match=re.escape(message)) as refused:
         reduce(times, values, 1.0) if reduce is time_average else reduce(times, values)
     assert type(refused.value) is ParameterError
+
+
+@pytest.mark.parametrize("shape", [(2, 3, 3), (2, 2, 3)])
+def test_time_average_of_a_stack_of_tables_averages_each_row(shape):
+    # (2, 3, 3) values were averaged over the wrong axis, giving [[2, 8], [20, 26]];
+    # (2, 2, 3) values raised a bare IndexError
+    values = np.arange(float(math.prod(shape))).reshape(shape)
+    averages = time_average([0.0, 1.0, 2.0], values, 1.0)
+    assert averages.tolist() == ((values[..., 0] + values[..., 1]) / 2).tolist()
+    assert averages.tolist() == [time_average([0.0, 1.0, 2.0], table, 1.0).tolist()
+                                 for table in values]
+
+
+@pytest.mark.parametrize("threshold", [math.inf, math.nan, 0.0, -1.0])
+def test_trap_time_threshold_must_be_positive_and_finite(threshold):
+    # an infinite threshold returned None, as if the column never crossed it
+    with pytest.raises(ParameterError, match="must be positive and finite"):
+        trap_time([0.0, 1.0], [1.0, 2.0], threshold)
+
+
+@pytest.mark.parametrize("tokens", [None, 1, True, 2.5])
+def test_tokens_that_are_not_a_list_are_refused(tokens):
+    # each raised a bare TypeError: the object is not iterable
+    with pytest.raises(ParameterError, match=re.escape(f"tokens must be a list, got {tokens!r}")):
+        observable_functions(tokens, product_basis(4, 1, 1))
 
 
 def test_reductions_of_a_column_stack_equal_the_per_column_calls():

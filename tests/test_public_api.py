@@ -9,7 +9,7 @@ EXPORTS = {
     # errors
     "CapacityError", "ConfigError", "NumericalError", "ParameterError",
     # basis
-    "ProductBasis", "SpinSectorBasis", "enumerate_sector", "product_basis",
+    "ProductBasis", "SpinSectorBasis", "product_basis",
     # hamiltonian
     "HubbardParams", "SparseHamiltonian", "barrier_potential", "build_hamiltonian",
     "jstar_site", "total_spin_squared",
@@ -19,11 +19,10 @@ EXPORTS = {
     "PropagatorConfig", "Trajectory", "evolve_trajectory",
     "observable_functions", "time_average", "trap_time",
     # scenarios
-    "ScenarioConfig", "SweepConfig", "load_config", "load_preset", "preset_names",
+    "ScenarioConfig", "SweepConfig", "load_preset", "preset_names",
     "resolve_config", "run_scenario", "run_sweep",
     # verification
-    "fk_equivalence_residual", "propagator_mirror_residual", "run_fk_suite",
-    "run_symmetry_suite", "tunneling_symmetry_gap",
+    "tunneling_symmetry_gap",
 }
 
 

@@ -519,6 +519,16 @@ def test_made_config_name_must_be_a_plain_file_name(tmp_path, monkeypatch, name)
     assert list(tmp_path.rglob("*")) == []
 
 
+@pytest.mark.parametrize("output_dir", [0, True, ["out"]])
+def test_output_dir_that_is_not_a_path_is_refused(monkeypatch, output_dir):
+    # Path(output_dir) raised a bare TypeError
+    monkeypatch.setattr(scenarios, "product_basis", _unreachable)
+    for run, config in [(run_scenario, load_preset("fig2")), (run_sweep, _mini_sweep())]:
+        with pytest.raises(ParameterError, match="output_dir must be a path") as refused:
+            run(config, output_dir=output_dir)
+        assert type(refused.value) is ParameterError
+
+
 def test_replaced_field_stores_its_checked_value():
     config = dataclasses.replace(load_preset("fig2"), L="6", t_max="1e-1")
     assert (config.L, config.t_max) == (6, 0.1)

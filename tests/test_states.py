@@ -141,6 +141,13 @@ def test_named_state_refuses_sites_that_are_not_integers():
     assert _densities(basis, named_state(basis, "doublon", np.int64(2))) == [0.0, 2.0, 0.0, 0.0]
 
 
+@pytest.mark.parametrize("kind", [{}, ["doublon"], np.array(["doublon"]), None, 1])
+def test_named_state_kind_that_is_not_a_name_is_refused(kind):
+    # an unhashable kind raised a bare TypeError: unhashable type
+    with pytest.raises(ParameterError, match=re.escape(f"unknown state kind {kind!r}")):
+        named_state(product_basis(4, 1, 1), kind, 1)
+
+
 @pytest.mark.parametrize("sites, fields, reason", [
     ((1,), {}, "missing a required argument: 'j'"),
     ((1, 2, 3), {}, "too many positional arguments"),

@@ -154,6 +154,30 @@ def test_symmetry_gap_refuses_a_ragged_time_grid():
     assert type(refused.value) is ParameterError
 
 
+@pytest.mark.parametrize("psi0, message", [
+    ([[1.0], [0.0, 0.0]], "psi0 must be an array of numbers, got a ragged sequence"),
+    (["a"] * 16, "psi0 must be an array of numbers, got dtype <U1"),
+    ([1.0, 0.0, 0.0], "psi0 has shape (3,), expected (16,)"),
+])
+def test_symmetry_gap_refuses_a_state_that_is_not_amplitudes_over_its_basis(psi0, message):
+    # each raised a bare AttributeError, TypeError or ValueError from the region-A check
+    basis = product_basis(4, 1, 1)
+    params = HubbardParams(L=4, J=1.0, U=0.0, V=barrier_potential(4, 10.0, "a"))
+    with pytest.raises(ParameterError, match=re.escape(message)) as refused:
+        tunneling_symmetry_gap(params, basis, psi0, [0.0, 1.0])
+    assert type(refused.value) is ParameterError
+
+
+def test_symmetry_gap_reads_a_state_given_as_a_list():
+    # the region-A check read psi0.shape, so a list raised a bare AttributeError
+    basis = product_basis(4, 1, 1)
+    params = HubbardParams(L=4, J=1.0, U=0.0, V=barrier_potential(4, 10.0, "a"))
+    psi0 = named_state(basis, "doublon", 1)
+    times = np.arange(0.0, 5.0 + 1e-9, 0.25)
+    assert (tunneling_symmetry_gap(params, basis, psi0.tolist(), times)
+            == tunneling_symmetry_gap(params, basis, psi0, times))
+
+
 def test_fk_effective_potentials_are_not_mirror_images():
     # the one-particle chains seen by the mobile species, the barrier plus U at site 1
     diags = []
