@@ -78,15 +78,10 @@ class PropagatorConfig:
 @dataclass(eq=False)
 class Trajectory:
     """Sampled observables along one evolution run, or along the k runs of a
-    stack: then each column is (k, len(times))."""
+    stack: then each column is (k, len(times)), and run r is row r of each."""
 
     times: np.ndarray
     columns: dict[str, np.ndarray]
-
-    def row(self, r: int) -> "Trajectory":
-        """Run r of a stack as a trajectory of its own."""
-        return Trajectory(times=self.times,
-                          columns={name: col[r] for name, col in self.columns.items()})
 
 
 def _block_rows(amplitudes: int) -> int:
@@ -174,9 +169,9 @@ class _KrylovBasis(NamedTuple):
     the eigenpairs of each row's tridiagonal T (k, m) and (k, m, m), the
     residual norms beta (k,), ||v|| (k,) and the rounding of an error estimate
     read from each row (k,), m eps beta ||v||: the estimate sums m terms whose
-    magnitudes add up to at most beta ||v||.  A row whose space was invariant
-    has beta 0, its T padded with decoupled zeros; every exponential read from
-    it is then exact."""
+    magnitudes add up to at most beta ||v||.  A row that stopped growing (its
+    space was invariant) has beta 0 at its stop and zeros past it, in V and
+    in T; every exponential read from it is then exact."""
 
     V: np.ndarray
     evals: np.ndarray
@@ -209,17 +204,15 @@ class KrylovPropagator:
     advance = _advance
 
     def _lanczos(self, amps: np.ndarray) -> _KrylovBasis:
-        """Bases of the rows of a (k, dim) stack, built in lockstep: one matvec
-        of the stack per basis vector; a row that reaches an invariant space
-        (or starts from zero) stops growing and reads zeros from then on."""
+        """Bases of the rows of a (k, dim) stack, built in lockstep: one matvec of
+        the stack per basis vector; a row that stops (an invariant space, or a zero
+        start) stores beta = 0 at its stop, and its vectors, alpha and beta are 0 after it."""
         k, m = len(amps), self.m
         nv = _norms(amps)
         V = np.zeros((k, m, self.dim), dtype=np.complex128)
         alpha = np.zeros((k, m))
         beta = np.zeros((k, m))
-        live = np.zeros((k, m), dtype=bool)  # live[r, j]: row r has basis vector j
-        live[:, 0] = nv > 0
-        V[:, 0] = amps / np.where(live[:, 0], nv, np.inf)[:, None]
+        V[:, 0] = amps / np.where(nv > 0, nv, np.inf)[:, None]
         for j in range(m):
             v = V[:, j]
             w = self.matvec(v)
@@ -232,24 +225,21 @@ class KrylovPropagator:
             beta[:, j] = b = _norms(w)
             if j + 1 == m:
                 break
-            # a row whose space is invariant (beta ~ 0) is exact and stops growing,
-            # and so does a row with a non-finite beta, which raises below
-            live[:, j + 1] = grow = b >= 1e-14 * np.maximum(1.0, np.abs(a))
-            if not grow.any():
+            # an invariant row (beta ~ 0) is exact and stops; a non-finite one raises below
+            beta[b < 1e-14 * np.maximum(1.0, np.abs(a)), j] = 0.0
+            if not (grow := beta[:, j] > 0).any():
                 break
             V[:, j + 1] = w / np.where(grow, b, np.inf)[:, None]
         if not np.isfinite(beta).all():  # the error estimate scales with beta
             raise NumericalError("krylov error estimate is not finite",
                                  dimension=self.dim, krylov_dim=m)
-        size = np.maximum(live.sum(axis=1), 1)
-        n = int(size.max())
-        last = np.arange(n) >= size[:, None] - 1  # no coupling past a row's last vector
+        n = j + 1
         T = np.zeros((k, n, n))
         i = np.arange(n)
         T[:, i, i] = alpha[:, :n]
-        T[:, i[:-1], i[1:]] = T[:, i[1:], i[:-1]] = np.where(last, 0.0, beta[:, :n])[:, :-1]
+        T[:, i[:-1], i[1:]] = T[:, i[1:], i[:-1]] = beta[:, :n - 1]
         evals, evecs = np.linalg.eigh(T)
-        residual = np.where(size == m, beta[:, m - 1], 0.0) if m < self.dim else np.zeros(k)
+        residual = beta[:, m - 1] if m < self.dim else np.zeros(k)
         return _KrylovBasis(V[:, :n], evals, evecs, residual, nv,
                             n * np.finfo(np.float64).eps * residual * nv)
 

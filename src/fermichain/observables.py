@@ -72,10 +72,13 @@ def observable_functions(
     product |psi|^2 @ D (norm is the square root of the column of ones).
     energy and s_squared are H's and S^2's expectations.  H is required when
     an energy column is requested, jstar when an n_h2 column is: one site in
-    [1, L], or one per run of a stack H, when D is (k, dim, d).  The S^2
-    matrix depends only on the basis and is built only when requested.
+    [1, L], or one per run of a stack H, when D is (k, dim, d).  An H that
+    does not act on the basis is refused.  The S^2 matrix depends only on the
+    basis and is built only when requested.
     """
     cols = columns(tokens, basis.L, barrier=jstar is not None)
+    if H is not None and (dim := np.shape(H)[-1]) != basis.dim:
+        raise ParameterError(f"H acts on dimension {dim}, the basis has dimension {basis.dim}")
 
     @functools.cache
     def occupations(spin):

@@ -546,8 +546,8 @@ def _stacks(runs: list[tuple[ScenarioConfig, str]]):
             yield basis, group[lo:lo + size]
 
 
-def _run_stack(basis: ProductBasis, stack: list[tuple[ScenarioConfig, str]]) -> list[Trajectory]:
-    """Propagate the runs of one stack together; one trajectory per run."""
+def _run_stack(basis: ProductBasis, stack: list[tuple[ScenarioConfig, str]]) -> Trajectory:
+    """Propagate the runs of one stack together; run r is row r of each column."""
     config = stack[0][0]
     params, jstars = [], []
     for run, orientation in stack:
@@ -561,8 +561,7 @@ def _run_stack(basis: ProductBasis, stack: list[tuple[ScenarioConfig, str]]) -> 
     fns = observable_functions(config.observables, basis, H=H,
                                jstar=None if None in jstars else jstars)
     times = _time_grid(config.t_max, config.sample_dt)
-    traj = evolve_trajectory(H, psi0, times, config.propagator, fns)
-    return [traj.row(r) for r in range(len(stack))]
+    return evolve_trajectory(H, psi0, times, config.propagator, fns)
 
 
 def _run_configs(configs: list[ScenarioConfig]):
@@ -570,12 +569,12 @@ def _run_configs(configs: list[ScenarioConfig]):
     in run_scenario.  The runs (one per orientation) propagate in stacks, one
     after another, and a stack's basis is built when the stack is reached."""
     runs = [(config, o) for config in configs for o in _orientations(config)]
-    done = (traj for basis, stack in _stacks(runs) for traj in _run_stack(basis, stack))
+    done = ((traj, r) for basis, stack in _stacks(runs)
+            for traj in [_run_stack(basis, stack)] for r in range(len(stack)))
     for config in configs:
-        trajs = [next(done) for _ in _orientations(config)]
-        cols = (col for traj in trajs for col in traj.columns.values())
-        yield Trajectory(times=trajs[0].times,
-                         columns=dict(zip(_trajectory_columns(config), cols, strict=True)))
+        rows = [next(done) for _ in _orientations(config)]
+        cols = (col[r] for traj, r in rows for col in traj.columns.values())
+        yield Trajectory(rows[0][0].times, dict(zip(_trajectory_columns(config), cols, strict=True)))
 
 
 def _output_dir(output_dir, files) -> Path | None:

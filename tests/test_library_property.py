@@ -76,6 +76,14 @@ FIELDS = {"L": 4, "U": 0.0, "h": 10.0, "initial_state": {"kind": "doublon", "sit
 SCENARIO = ScenarioConfig(**FIELDS)
 SWEEP = SweepConfig(name="prop", parameter="U", values=[0.0, 1.0], base=SCENARIO)
 
+
+def _bound_values(tokens, basis, H, jstar):
+    """observable_functions, its callable then evaluated once on a block of one
+    sample of basis.dim amplitudes per run of H."""
+    (fn,) = observable_functions(tokens, basis, H, jstar).values()
+    return fn(np.zeros(np.shape(H)[:-2] + (1, basis.dim), dtype=np.complex128))
+
+
 # the valid call of each export
 CALLS = {
     "CapacityError": Call(errors.CapacityError, ("too big",)),
@@ -109,7 +117,7 @@ CALLS = {
         Library([PropagatorConfig(), PropagatorConfig("dense_eig"),
                  PropagatorConfig("taylor", dt=0.5)]),
         Library([observable_functions(["n_1", "energy"], BASIS, H)]))),
-    "observable_functions": Call(observable_functions, (
+    "observable_functions": Call(_bound_values, (
         ["n_1", "n_h2", "energy", "s_squared"], Library([BASIS, OTHER]),
         Library([STACK, H, None]), [3, 2])),
     "time_average": Call(time_average, (TIMES, [0.0, 1.0, 0.0], 1.0)),

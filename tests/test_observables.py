@@ -199,6 +199,15 @@ def test_jstar_list_needs_one_site_per_run_of_the_stack(jstar, stack, message):
         observable_functions(["n_h2"], basis, H=H, jstar=jstar)
 
 
+@pytest.mark.parametrize("tokens", [["energy"], ["n_1"]])
+def test_hamiltonian_on_another_basis_is_refused_when_bound(tokens):
+    # an L = 6 (1, 0) H (dim 6) bound to an L = 4 (1, 1) basis (dim 16) raised a
+    # bare ValueError from vecdot at the first evaluation
+    H6 = build_hamiltonian(HubbardParams(L=6, J=1.0, U=0.0, V=np.zeros(6)), product_basis(6, 1, 0))
+    with pytest.raises(ParameterError, match="H acts on dimension 6, the basis has dimension 16"):
+        observable_functions(tokens, product_basis(4, 1, 1), H=H6)
+
+
 def test_time_average_examples():
     times = np.linspace(0, 2.0, 201)
     assert abs(time_average(times, np.full_like(times, 3.25), 2.0) - 3.25) <= 1e-14
