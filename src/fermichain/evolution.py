@@ -3,17 +3,19 @@
 Three interchangeable propagators: a dense eigendecomposition (the oracle,
 capped in dimension), a Lanczos/Krylov stepper (production default), and a
 truncated Taylor series (independent cross-check).  Every Krylov or Taylor
-step of length s keeps its estimated local error below tolerance * s, so a
-run to time t accumulates at most tolerance * t.  A Krylov estimate also
-passes within the rounding of its read, n eps beta ||v|| for a basis of n
-vectors (3e-14 at n = 30, beta ||v|| = 4): each Lanczos basis may add that
-much, and grids finer than that rounding over tolerance still run.
+step of length s keeps a bound on its local error below tolerance * s, so a
+run to time t accumulates at most tolerance * t: a Taylor step bounds it by
+its next term, a Krylov step by the integral of its defect over the step.  A
+Krylov bound also passes within the rounding of its read, n eps beta ||v||
+for a basis of n vectors (3e-14 at n = 30, beta ||v|| = 4): each Lanczos
+basis may add that much, and grids finer than that rounding over tolerance
+still run.
 
 A trajectory is propagated over its whole time grid and handed out in blocks
 of consecutive samples, each an (n, dim) array.  The dense propagator reads
 every sample from one eigendecomposition; the Krylov propagator reads
 samples from one Lanczos basis ("dense output", as in Expokit: Sidje, ACM
-TOMS 24:130, 1998) until one fails its error estimate, and only then builds
+TOMS 24:130, 1998) until one fails its error bound, and only then builds
 the next, which starts between grid times when a new basis cannot reach even
 the next sample; the Taylor propagator, kept as the independent reference,
 sums its series over equal substeps of each sample interval.  Every
@@ -187,9 +189,15 @@ class KrylovPropagator:
 
     One reorthogonalization pass keeps the Krylov basis orthonormal at machine
     precision, so norms are preserved over long runs.  A state read from a
-    basis a time s after its start has the a-posteriori error estimate
-    |beta_m y_m(s)| ||v|| (Hochbruck & Lubich, SIAM J. Numer. Anal. 34:1911,
-    1997).  A state is read only when that estimate is at most
+    basis a time s after its start misses the exact one by at most the defect
+    integral beta ||v|| int_0^s |y_m(r)| dr for Hermitian H, where y_m is the
+    last entry of exp(-iTs) e1 (Jawecki, Auzinger & Koch, BIT Numer. Math.
+    60:157, 2020).  Its integrand is the endpoint estimate of Hochbruck &
+    Lubich (SIAM J. Numer. Anal. 34:1911, 1997), which at the end of a step
+    reads many times the error.  The integral is taken by the trapezoid rule
+    over the samples read from the basis, from (0, 0): a sample is read only
+    where |y_m| still rises convexly, and there the trapezoid lies above the
+    integral.  A state is read only when that integral is at most
     tolerance * s, or within the rounding of the read, for every row; a new
     basis that cannot reach the next sample moves the state part of the way,
     and a non-finite estimate raises NumericalError.
@@ -200,6 +208,8 @@ class KrylovPropagator:
         self.m = min(config.krylov_dim, self.dim)
         self.tolerance = config.tolerance
         self.dt = config.dt
+        # |alpha| <= ||H||_inf, so a step whose every beta reaches this stops no row
+        self.grows = 1e-14 * max(1.0, H.inf_norm)
 
     advance = _advance
 
@@ -225,11 +235,13 @@ class KrylovPropagator:
             beta[:, j] = b = _norms(w)
             if j + 1 == m:
                 break
-            # an invariant row (beta ~ 0) is exact and stops; a non-finite one raises below
-            beta[b < 1e-14 * np.maximum(1.0, np.abs(a)), j] = 0.0
-            if not (grow := beta[:, j] > 0).any():
-                break
-            V[:, j + 1] = w / np.where(grow, b, np.inf)[:, None]
+            if not b.min() >= self.grows:  # a row may stop, or a beta is NaN
+                # an invariant row (beta ~ 0) is exact and stops; a non-finite one raises below
+                beta[b < 1e-14 * np.maximum(1.0, np.abs(a)), j] = 0.0
+                if not (grow := beta[:, j] > 0).any():
+                    break
+                b = np.where(grow, b, np.inf)
+            np.divide(w, b[:, None], out=V[:, j + 1])
         if not np.isfinite(beta).all():  # the error estimate scales with beta
             raise NumericalError("krylov error estimate is not finite",
                                  dimension=self.dim, krylov_dim=m)
@@ -253,31 +265,49 @@ class KrylovPropagator:
         """The states of coefficients Y, (k, n, dim)."""
         return basis.norm[:, None, None] * (np.swapaxes(Y, 1, 2) @ basis.V)
 
+    def _accept(self, basis: _KrylovBasis, s: np.ndarray, err: np.ndarray,
+                since=(0.0, 0.0, 0.0)) -> tuple[np.ndarray, np.ndarray]:
+        """Whether each of the times s (n,), each farther from the basis's start
+        than the one before, passes in every row, and the bounds it was judged
+        by (k, n): the trapezoid integrals of the estimates err (k, n) from 0
+        through s, continued from since = (time, estimate, integral) of the last
+        sample read from this basis, (0, 0, 0) for none.  A sample passes when
+        its integral is at most tolerance * |s| plus the rounding of the read."""
+        s0, e0, area0 = since
+        ds = 0.5 * np.abs(s - np.concatenate(([s0], s[:-1])))
+        area = ds * err
+        area[:, 1:] += ds[1:] * err[:, :-1]
+        area[:, 0] += area0 + ds[0] * e0
+        np.cumsum(area, axis=1, out=area)
+        return np.all(area <= self.tolerance * np.abs(s) + basis.rounding[:, None], axis=0), area
+
     def _partway(self, basis: _KrylovBasis, t0: float, span: float) -> tuple[np.ndarray, float]:
-        """From a basis built at t0 that cannot reach t0 + span: the first state of
-        t0 + span/2, t0 + span/4, ... whose estimate passes in every row, and its time."""
-        h = span * 0.5 ** np.arange(1, _KRYLOV_HALVINGS + 1)
+        """From a basis built at t0 that cannot reach t0 + span: the state at the
+        farthest of t0 + span/2, t0 + span/4, ... whose bound, integrated up
+        through the nearer halvings, passes in every row, and its time."""
+        h = span * 0.5 ** np.arange(_KRYLOV_HALVINGS, 0, -1)
         Y, err = self._read(basis, h)
-        ok = np.all(err <= self.tolerance * np.abs(h) + basis.rounding[:, None], axis=0)
+        ok, _ = self._accept(basis, h, err)
         if not ok.any():
             raise NumericalError("krylov step failed to reach tolerance",
-                                 residual=float(np.max(err[:, -1])), step=span,
+                                 residual=float(np.max(err[:, 0])), step=span,
                                  dimension=self.dim, krylov_dim=self.m)
-        j = int(ok.argmax())
+        j = np.flatnonzero(ok)[-1]
         return self._states(basis, Y[:, :, j:j + 1])[:, 0], t0 + h[j]
 
     def blocks(self, amps: np.ndarray, times: np.ndarray):
         """States at every grid time, in blocks of shape (..., n, dim).
 
         A Lanczos basis of the stack, built at time t0, serves the following
-        samples for as long as each one's estimate, in every row, stays within
+        samples for as long as each one's bound, the integral of the estimate
+        from t0 over every sample read so far, stays in every row within
         tolerance times its distance |s| from t0; the first sample that fails
         ends the basis, and the next one is built at the last sample served.
         Samples are tried a window at a time: the window starts at dt and
         becomes twice the last served sample's distance from its basis's
         start; the next sample is always tried.  A new basis that fails even
         that sample carries the state to the first of s/2, s/4, ... (down to
-        2**-_KRYLOV_HALVINGS s) whose estimate passes, and the next basis
+        2**-_KRYLOV_HALVINGS s) whose bound passes, and the next basis
         starts there, between grid times.  The bases' spans tile the grid, so
         the error at t is at most tolerance * |t| plus the read's rounding once
         per basis.  A basis exact in every row serves every remaining sample,
@@ -293,13 +323,13 @@ class KrylovPropagator:
         while i < last:
             fresh = basis is None
             if fresh:
-                basis, t0 = self._lanczos(cur), start
+                basis, t0, since = self._lanczos(cur), start, (0.0, 0.0, 0.0)
             hi = min(last + 1, i + 1 + rows)
             if basis.beta.any():
                 hi = min(hi, max(i + 2, int(np.searchsorted(times, t0 + window, "right"))))
             s = times[i + 1:hi] - t0
             Y, err = self._read(basis, s)
-            ok = np.all(err <= self.tolerance * np.abs(s) + basis.rounding[:, None], axis=0)
+            ok, area = self._accept(basis, s, err, since)
             n = len(s) if ok.all() else int(ok.argmin())
             if not n:  # a basis that serves no sample ends; a new one first goes part of the way
                 if fresh:
@@ -308,6 +338,7 @@ class KrylovPropagator:
                 continue
             block = self._states(basis, Y[:, :, :n])
             window = 2.0 * s[n - 1]
+            since = (s[n - 1], err[:, n - 1], area[:, n - 1])
             if n < len(s):
                 basis = None  # a failed sample ends the basis
             i += n
