@@ -13,14 +13,14 @@ still run.
 
 A trajectory is propagated over its whole time grid and handed out in blocks
 of consecutive samples, each an (n, dim) array.  The dense propagator reads
-every sample from one eigendecomposition; the Krylov propagator reads
-samples from one Lanczos basis ("dense output", as in Expokit: Sidje, ACM
-TOMS 24:130, 1998) until one fails its error bound, and only then builds
-the next, which starts between grid times when a new basis cannot reach even
-the next sample; the Taylor propagator, kept as the independent reference,
-sums its series over equal substeps of each sample interval.  Every
-propagator steps only in its `blocks`; its `advance` is the last state of
-`blocks` over [0, dt].
+every sample from one eigendecomposition; the Krylov propagator finds how
+far each Lanczos basis reaches on probes of its own, reads every sample in
+that reach from it ("dense output", as in Expokit: Sidje, ACM TOMS 24:130,
+1998) and starts the next basis at the reach, on a grid time or between two,
+so its steps do not depend on the grid; the Taylor propagator, kept as the
+independent reference, sums its series over equal substeps of each sample
+interval.  Every propagator steps only in its `blocks`; its `advance` is the
+last state of `blocks` over [0, dt].
 
 plan picks, from a sector's size alone, the propagator that runs it, the runs
 per stack and the memory of a stack; make_propagator, the config checks and
@@ -46,7 +46,7 @@ MAX_TAYLOR_STEPS = 1_000_000  # per Taylor run: t / dt
 _TAYLOR_THETA = 4.0  # max ||H|| * dt per Taylor substep; keeps term growth mild
 _MAX_TAYLOR_SUBSTEPS = 4096  # per Taylor step; ||H|| * dt up to 4096 * _TAYLOR_THETA
 _MAX_TAYLOR_TERMS = 200  # per Taylor substep
-_KRYLOV_HALVINGS = 12  # a new basis steps at least 2**-12 of the way to its next sample
+_KRYLOV_PROBES = 32  # a basis reads its estimate at r (1 ... 2N)/N to find its reach
 _BLOCK_ELEMENTS = 1 << 20  # amplitudes per block (16 MiB): bounds a trajectory's memory
 _ANCHORED_MIN = 16  # fewest lattice samples in a block whose phases come from anchors
 
@@ -55,7 +55,7 @@ _ANCHORED_MIN = 16  # fewest lattice samples in a block whose phases come from a
 class PropagatorConfig:
     """Stepper selection and accuracy knobs (times in 1/J).
 
-    dt is the first trial step of the adaptive Krylov stepper and the
+    dt is the first trial reach of the adaptive Krylov stepper and the
     longest sub-step of the Taylor stepper.
     """
 
@@ -195,12 +195,13 @@ class KrylovPropagator:
     60:157, 2020).  Its integrand is the endpoint estimate of Hochbruck &
     Lubich (SIAM J. Numer. Anal. 34:1911, 1997), which at the end of a step
     reads many times the error.  The integral is taken by the trapezoid rule
-    over the samples read from the basis, from (0, 0): a sample is read only
-    where |y_m| still rises convexly, and there the trapezoid lies above the
-    integral.  A state is read only when that integral is at most
-    tolerance * s, or within the rounding of the read, for every row; a new
-    basis that cannot reach the next sample moves the state part of the way,
-    and a non-finite estimate raises NumericalError.
+    from (0, 0) over probes of the basis's own, 2 _KRYLOV_PROBES of them; a
+    basis reaches as far as that integral stays at most tolerance * s, or
+    within the rounding of the read, at every probe and in every row.  Where
+    |y_m| still rises convexly the trapezoid lies above the integral, and
+    where it rises the average of the estimate cannot fall, so a bound that
+    passes at the reach passes at every sample before it.  A non-finite
+    estimate raises NumericalError.
     """
 
     def __init__(self, H: SparseHamiltonian, config: PropagatorConfig):
@@ -265,87 +266,74 @@ class KrylovPropagator:
         """The states of coefficients Y, (k, n, dim)."""
         return basis.norm[:, None, None] * (np.swapaxes(Y, 1, 2) @ basis.V)
 
-    def _accept(self, basis: _KrylovBasis, s: np.ndarray, err: np.ndarray,
-                since=(0.0, 0.0, 0.0)) -> tuple[np.ndarray, np.ndarray]:
-        """Whether each of the times s (n,), each farther from the basis's start
-        than the one before, passes in every row, and the bounds it was judged
-        by (k, n): the trapezoid integrals of the estimates err (k, n) from 0
-        through s, continued from since = (time, estimate, integral) of the last
-        sample read from this basis, (0, 0, 0) for none.  A sample passes when
-        its integral is at most tolerance * |s| plus the rounding of the read."""
-        s0, e0, area0 = since
-        ds = 0.5 * np.abs(s - np.concatenate(([s0], s[:-1])))
+    def _accept(self, basis: _KrylovBasis, s: np.ndarray,
+                err: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Whether each of the times s (n,), ascending from the basis's start,
+        passes in every row, and the bounds it was judged by (k, n): the
+        trapezoid integrals of the estimates err (k, n) from (0, 0) through s.
+        A time passes when its integral is at most tolerance * s plus the
+        rounding of the read."""
+        ds = 0.5 * np.diff(s, prepend=0.0)
         area = ds * err
         area[:, 1:] += ds[1:] * err[:, :-1]
-        area[:, 0] += area0 + ds[0] * e0
         np.cumsum(area, axis=1, out=area)
-        return np.all(area <= self.tolerance * np.abs(s) + basis.rounding[:, None], axis=0), area
+        return np.all(area <= self.tolerance * s + basis.rounding[:, None], axis=0), area
 
-    def _partway(self, basis: _KrylovBasis, t0: float, span: float) -> tuple[np.ndarray, float]:
-        """From a basis built at t0 that cannot reach t0 + span: the state at the
-        farthest of t0 + span/2, t0 + span/4, ... whose bound, integrated up
-        through the nearer halvings, passes in every row, and its time."""
-        h = span * 0.5 ** np.arange(_KRYLOV_HALVINGS, 0, -1)
-        Y, err = self._read(basis, h)
-        ok, _ = self._accept(basis, h, err)
-        if not ok.any():
+    def _reach(self, basis: _KrylovBasis, r: float, span: float) -> float:
+        """How far a basis that is not exact serves: the last of its probes
+        r (1 ... 2N)/N, N = _KRYLOV_PROBES, before the first that fails, or
+        span, the rest of the grid, if that is nearer.  r doubles while every
+        probe passes and halves while none does; a reach below 2**-12 dt
+        raises NumericalError."""
+        probes = np.arange(1, 2 * _KRYLOV_PROBES + 1) / _KRYLOV_PROBES
+        floor, reach = 2.0 ** -12 * self.dt, 0.0
+        while r >= floor:
+            p = r * probes
+            err = self._read(basis, p)[1]
+            ok, _ = self._accept(basis, p, err)
+            n = len(p) if ok.all() else int(ok.argmin())
+            reach = max(reach, p[n - 1] if n else 0.0)
+            if reach >= span:
+                return span
+            if reach and n < len(p):
+                break
+            r = 2.0 * r if n else 0.5 * r
+        if reach < floor:
             raise NumericalError("krylov step failed to reach tolerance",
-                                 residual=float(np.max(err[:, 0])), step=span,
+                                 residual=float(np.max(err[:, 0])), step=floor,
                                  dimension=self.dim, krylov_dim=self.m)
-        j = np.flatnonzero(ok)[-1]
-        return self._states(basis, Y[:, :, j:j + 1])[:, 0], t0 + h[j]
+        return reach
 
     def blocks(self, amps: np.ndarray, times: np.ndarray):
         """States at every grid time, in blocks of shape (..., n, dim).
 
-        A Lanczos basis of the stack, built at time t0, serves the following
-        samples for as long as each one's bound, the integral of the estimate
-        from t0 over every sample read so far, stays in every row within
-        tolerance times its distance |s| from t0; the first sample that fails
-        ends the basis, and the next one is built at the last sample served.
-        Samples are tried a window at a time: the window starts at dt and
-        becomes twice the last served sample's distance from its basis's
-        start; the next sample is always tried.  A new basis that fails even
-        that sample carries the state to the first of s/2, s/4, ... (down to
-        2**-_KRYLOV_HALVINGS s) whose bound passes, and the next basis
-        starts there, between grid times.  The bases' spans tile the grid, so
-        the error at t is at most tolerance * |t| plus the read's rounding once
-        per basis.  A basis exact in every row serves every remaining sample,
-        without windows.
+        A Lanczos basis of the stack, built at time t0, serves every grid time
+        in (t0, t0 + reach], where _reach finds how far its bound holds on
+        probes of its own, first from dt and then from the last basis's reach;
+        the next basis starts at t0 + reach, on a grid time or between two.
+        The bases' spans tile the grid, so the error at t is at most
+        tolerance * t plus the read's rounding once per basis.  A basis exact
+        in every row serves the rest of the grid.
         """
         shape = np.shape(amps)[:-1]
         cur = np.array(amps, dtype=np.complex128).reshape(-1, self.dim)  # a (k, dim) copy
         rows = _block_rows(cur.size)
         head = cur[:, None]  # the t = 0 state rides with the first block
-        window = self.dt
-        basis = None
-        start, i, last = times[0], 0, len(times) - 1  # cur is the state at time start
+        t0, i, last, reach = times[0], 0, len(times) - 1, self.dt  # cur is the state at t0
         while i < last:
-            fresh = basis is None
-            if fresh:
-                basis, t0, since = self._lanczos(cur), start, (0.0, 0.0, 0.0)
-            hi = min(last + 1, i + 1 + rows)
-            if basis.beta.any():
-                hi = min(hi, max(i + 2, int(np.searchsorted(times, t0 + window, "right"))))
-            s = times[i + 1:hi] - t0
-            Y, err = self._read(basis, s)
-            ok, area = self._accept(basis, s, err, since)
-            n = len(s) if ok.all() else int(ok.argmin())
-            if not n:  # a basis that serves no sample ends; a new one first goes part of the way
-                if fresh:
-                    cur, start = self._partway(basis, t0, s[0])
-                basis = None
-                continue
-            block = self._states(basis, Y[:, :, :n])
-            window = 2.0 * s[n - 1]
-            since = (s[n - 1], err[:, n - 1], area[:, n - 1])
-            if n < len(s):
-                basis = None  # a failed sample ends the basis
+            basis = self._lanczos(cur)
+            s = times[i + 1:] - t0
+            reach = self._reach(basis, reach, s[-1]) if basis.beta.any() else s[-1]
+            n = int(np.searchsorted(s, reach, "right"))
+            for lo in range(0, n, rows):
+                block = self._states(basis, self._read(basis, s[lo:min(n, lo + rows)])[0])
+                if head is not None:
+                    block, head = np.concatenate([head, block], axis=1), None
+                yield block.reshape(shape + block.shape[1:])
             i += n
-            cur, start = block[:, -1].copy(), times[i]
-            if head is not None:
-                block, head = np.concatenate([head, block], axis=1), None
-            yield block.reshape(shape + block.shape[1:])
+            if i < last:
+                cur = self._states(basis, self._read(basis, np.array([reach]))[0])[:, 0]
+                t0 += reach
         if head is not None:
             yield head.reshape(shape + head.shape[1:])
 

@@ -565,31 +565,6 @@ def test_dense_blocks_read_anchored_phases_at_their_own_grid_times(monkeypatch):
     assert np.max(np.abs(np.concatenate(blocks, axis=-2) - direct)) <= 2e-12
 
 
-def test_krylov_coarse_grid_bisects(monkeypatch):
-    # no basis reaches 5/J at this tolerance: a new basis that fails its first
-    # sample carries the state part of the way there, and the next basis starts
-    # between grid times; covering each 5/J with equal sub-steps, restarted
-    # from scratch with twice as many on failure, took 33 builds, and judging
-    # each halving by its own estimate rather than the integral took 21
-    basis, H = _barrier_sector(20, "a")
-    starts = []
-    lanczos = KrylovPropagator._lanczos
-
-    def building(self, amps):
-        starts.append(amps[0].copy())
-        return lanczos(self, amps)
-
-    monkeypatch.setattr(KrylovPropagator, "_lanczos", building)
-    times = np.array([0.0, 5.0, 10.0, 15.0])
-    psi0 = named_state(basis, "doublon", 3)
-    err, tol = _trajectory_error(H, psi0, times)
-    assert np.all(err <= tol * times + 1e-13)
-    assert len(starts) == 18
-    oracle = DensePropagator(H)
-    on_grid = np.array([oracle.advance(psi0, t) for t in times])
-    assert any(np.min(np.linalg.norm(on_grid - v, axis=1)) > 1e-3 for v in starts)
-
-
 def _trap_stack():
     """The trapping sector L=20 (1,1), U = h/2 = 10, both orientations as one stack."""
     basis = product_basis(20, 1, 1)
@@ -668,16 +643,39 @@ def test_krylov_bound_holds_the_error_of_every_accepted_sample(site, step, monke
     assert sum(checked) >= round(15 / step)
 
 
-def test_krylov_reused_basis_that_fails_is_rebuilt_not_bisected(krylov_bases):
-    # on a 0.6 grid a fresh basis reaches its first sample but not always the
-    # next one: the reused basis then fails its first new sample, and the step
-    # restarts from the last state with a new basis instead of bisecting
-    basis, H = _barrier_sector(20, "a")
-    times = 0.6 * np.arange(11)
-    err, tol = _trajectory_error(H, named_state(basis, "doublon", 3), times)
-    assert all(reads[0] for reads in krylov_bases)  # every fresh basis reached its first sample
-    assert sum(not ok for reads in krylov_bases for ok in reads[1:]) >= 1
-    assert np.all(err <= tol * times + 1e-13)
+@pytest.mark.parametrize("site", [1, 4, 9])
+def test_krylov_builds_do_not_depend_on_the_sample_grid(site, monkeypatch):
+    # each basis finds its reach on probes of its own, so the trap stack takes
+    # the same bases on every grid (12, 14 and 18 at sites 1, 4 and 9); judged
+    # at grid times, they took 13, 25 and 25 on the 0.6 grid and 17, 21 and 24
+    # on the 5.0 grid, and the 5.0 grid bisected to its first sample
+    basis, params, stack = _trap_stack()
+    psi0 = named_state(basis, "doublon", site)
+    starts = []
+    lanczos = KrylovPropagator._lanczos
+
+    def building(self, amps):
+        starts.append(amps.copy())
+        return lanczos(self, amps)
+
+    monkeypatch.setattr(KrylovPropagator, "_lanczos", building)
+    config = PropagatorConfig()
+    builds = {}
+    for step in (0.05, 0.6, 5.0):
+        starts.clear()
+        times = step * np.arange(round(15 / step) + 1)
+        states = _grid_states(stack, psi0, times, config)
+        builds[step] = len(starts)
+        exact = _dense_states(stack, psi0, times)
+        assert np.all(np.linalg.norm(states - exact, axis=-1) <= config.tolerance * times + 1e-13)
+        if step == 0.05:
+            fine = states
+        shared = fine[:, np.round(times / 0.05).astype(int)]  # the 0.05 grid's samples at times
+        assert np.all(np.linalg.norm(states - shared, axis=-1) <= config.tolerance * times + 1e-13)
+    assert builds[0.6] == builds[5.0] == builds[0.05]
+    # some basis starts between the 5.0 grid's times
+    assert any(np.min(np.linalg.norm(exact - v[:, None], axis=-1)) > 1e-3
+               for v in starts)
 
 
 def test_energy_and_s_squared_columns_match_the_fock_oracle():
