@@ -574,22 +574,15 @@ def _trap_stack():
 
 @pytest.fixture
 def krylov_bases(monkeypatch):
-    """Per Lanczos build made while the test runs, the propagator's own verdict
-    on the first sample of each read of that basis."""
+    """The start of each Lanczos build made while the test runs."""
     bases = []
-    lanczos, accept = KrylovPropagator._lanczos, KrylovPropagator._accept
+    lanczos = KrylovPropagator._lanczos
 
     def building(self, amps):
-        bases.append([])
+        bases.append(amps.copy())
         return lanczos(self, amps)
 
-    def accepting(self, basis, s, err, *since):
-        ok, area = accept(self, basis, s, err, *since)
-        bases[-1].append(bool(ok[0]))
-        return ok, area
-
     monkeypatch.setattr(KrylovPropagator, "_lanczos", building)
-    monkeypatch.setattr(KrylovPropagator, "_accept", accepting)
     return bases
 
 
@@ -644,28 +637,19 @@ def test_krylov_bound_holds_the_error_of_every_accepted_sample(site, step, monke
 
 
 @pytest.mark.parametrize("site", [1, 4, 9])
-def test_krylov_builds_do_not_depend_on_the_sample_grid(site, monkeypatch):
-    # each basis finds its reach on probes of its own, so the trap stack takes
-    # the same bases on every grid (12, 14 and 18 at sites 1, 4 and 9); judged
-    # at grid times, they took 13, 25 and 25 on the 0.6 grid and 17, 21 and 24
-    # on the 5.0 grid, and the 5.0 grid bisected to its first sample
+def test_krylov_builds_do_not_depend_on_the_sample_grid(site, krylov_bases):
+    # each basis finds its reach on probes of its own, not at grid times, so
+    # the trap stack takes the same bases on every grid, and on the 5.0 grid
+    # some of them start between grid times
     basis, params, stack = _trap_stack()
     psi0 = named_state(basis, "doublon", site)
-    starts = []
-    lanczos = KrylovPropagator._lanczos
-
-    def building(self, amps):
-        starts.append(amps.copy())
-        return lanczos(self, amps)
-
-    monkeypatch.setattr(KrylovPropagator, "_lanczos", building)
     config = PropagatorConfig()
     builds = {}
     for step in (0.05, 0.6, 5.0):
-        starts.clear()
+        krylov_bases.clear()
         times = step * np.arange(round(15 / step) + 1)
         states = _grid_states(stack, psi0, times, config)
-        builds[step] = len(starts)
+        builds[step] = len(krylov_bases)
         exact = _dense_states(stack, psi0, times)
         assert np.all(np.linalg.norm(states - exact, axis=-1) <= config.tolerance * times + 1e-13)
         if step == 0.05:
@@ -673,9 +657,8 @@ def test_krylov_builds_do_not_depend_on_the_sample_grid(site, monkeypatch):
         shared = fine[:, np.round(times / 0.05).astype(int)]  # the 0.05 grid's samples at times
         assert np.all(np.linalg.norm(states - shared, axis=-1) <= config.tolerance * times + 1e-13)
     assert builds[0.6] == builds[5.0] == builds[0.05]
-    # some basis starts between the 5.0 grid's times
     assert any(np.min(np.linalg.norm(exact - v[:, None], axis=-1)) > 1e-3
-               for v in starts)
+               for v in krylov_bases)
 
 
 def test_energy_and_s_squared_columns_match_the_fock_oracle():
