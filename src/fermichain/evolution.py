@@ -6,21 +6,23 @@ truncated Taylor series (independent cross-check).  Every Krylov or Taylor
 step of length s keeps a bound on its local error below tolerance * s, so a
 run to time t accumulates at most tolerance * t: a Taylor step bounds it by
 its next term, a Krylov step by the integral of its defect over the step.  A
-Krylov bound also passes within the rounding of its read, n eps beta ||v||
-for a basis of n vectors (3e-14 at n = 30, beta ||v|| = 4): each Lanczos
-basis may add that much, and grids finer than that rounding over tolerance
-still run.
+Krylov bound also passes within the rounding of its error estimate,
+n eps beta ||v|| for a basis of n vectors (3e-14 at n = 30, beta ||v|| = 4),
+so grids finer than that rounding over tolerance still run: each basis may
+add that term to the promise tolerance * t, and a few (dim + ||H|| s) eps of
+rounding, which the term does not cover, to the states it reads.
 
 A trajectory is propagated over its whole time grid and handed out in blocks
 of consecutive samples, each an (n, dim) array.  The dense propagator reads
-every sample from one eigendecomposition; the Krylov propagator finds how
-far each Lanczos basis reaches on probes of its own, reads every sample in
-that reach from it ("dense output", as in Expokit: Sidje, ACM TOMS 24:130,
-1998) and starts the next basis at the reach, on a grid time or between two,
-so its steps do not depend on the grid; the Taylor propagator, kept as the
-independent reference, sums its series over equal substeps of each sample
-interval.  Every propagator steps only in its `blocks`; its `advance` is the
-last state of `blocks` over [0, dt].
+every sample, t = 0 with the rest, from one eigendecomposition; the others
+hand out their start, as given, as a block of one sample.  The Krylov
+propagator finds how far each Lanczos basis reaches on probes of its own,
+reads every sample in that reach from it ("dense output", as in Expokit:
+Sidje, ACM TOMS 24:130, 1998) and starts the next basis at the reach, on a
+grid time or between two, so its steps do not depend on the grid; the Taylor
+propagator, kept as the independent reference, sums its series over equal
+substeps of each sample interval.  Every propagator steps only in its
+`blocks`; its `advance` is the last state of `blocks` over [0, dt].
 
 plan picks, from a sector's size alone, the propagator that runs it, the runs
 per stack and the memory of a stack; make_propagator, the config checks and
@@ -305,20 +307,22 @@ class KrylovPropagator:
         return reach
 
     def blocks(self, amps: np.ndarray, times: np.ndarray):
-        """States at every grid time, in blocks of shape (..., n, dim).
+        """States at every grid time, in blocks of shape (..., n, dim): first
+        the start, as given, alone, then the states of each basis.
 
         A Lanczos basis of the stack, built at time t0, serves every grid time
         in (t0, t0 + reach], where _reach finds how far its bound holds on
         probes of its own, first from dt and then from the last basis's reach;
         the next basis starts at t0 + reach, on a grid time or between two.
         The bases' spans tile the grid, so the error at t is at most
-        tolerance * t plus the read's rounding once per basis.  A basis exact
-        in every row serves the rest of the grid.
+        tolerance * t plus, once per basis, the estimate's rounding and a few
+        (dim + ||H|| s) eps of the states'.  A basis exact in every row serves
+        the rest of the grid.
         """
         shape = np.shape(amps)[:-1]
         cur = np.array(amps, dtype=np.complex128).reshape(-1, self.dim)  # a (k, dim) copy
         rows = _block_rows(cur.size)
-        head = cur[:, None]  # the t = 0 state rides with the first block
+        yield cur.reshape(shape + (1, self.dim))
         t0, i, last, reach = times[0], 0, len(times) - 1, self.dt  # cur is the state at t0
         while i < last:
             basis = self._lanczos(cur)
@@ -327,15 +331,11 @@ class KrylovPropagator:
             n = int(np.searchsorted(s, reach, "right"))
             for lo in range(0, n, rows):
                 block = self._states(basis, self._read(basis, s[lo:min(n, lo + rows)])[0])
-                if head is not None:
-                    block, head = np.concatenate([head, block], axis=1), None
                 yield block.reshape(shape + block.shape[1:])
             i += n
             if i < last:
                 cur = self._states(basis, self._read(basis, np.array([reach]))[0])[:, 0]
                 t0 += reach
-        if head is not None:
-            yield head.reshape(shape + head.shape[1:])
 
 
 class TaylorPropagator:
@@ -370,7 +370,8 @@ class TaylorPropagator:
         )
 
     def blocks(self, amps: np.ndarray, times: np.ndarray):
-        """States at every grid time, in blocks of shape (..., n, dim).  A sample
+        """States at every grid time, in blocks of shape (..., n, dim): first
+        the start, as given, alone, then the stepped samples.  A sample
         interval delta takes n = max(ceil(|delta| / dt), ceil(||H|| |delta| /
         _TAYLOR_THETA)) equal substeps; a grid longer than MAX_TAYLOR_STEPS dt
         is refused before any stepping, and an interval whose dt-long steps
@@ -380,22 +381,19 @@ class TaylorPropagator:
                                  f"got t / dt = {steps:g}")
         cur = np.array(amps, dtype=np.complex128)
         rows = _block_rows(cur.size)
-        block = [cur]
-        for k in range(1, len(times)):
-            delta = times[k] - times[k - 1]
-            nsteps = max(1, math.ceil(abs(delta) / self.dt - 1e-9))
-            if not self.hnorm * abs(delta / nsteps) / _TAYLOR_THETA <= _MAX_TAYLOR_SUBSTEPS:
-                raise NumericalError(  # a non-finite norm fails here too
-                    f"taylor step needs more than {_MAX_TAYLOR_SUBSTEPS} substeps",
-                    norm=self.hnorm, step=delta / nsteps)
-            n = max(nsteps, math.ceil(self.hnorm * abs(delta) / _TAYLOR_THETA))
-            for _ in range(n):
-                cur = self._substep(cur, delta / n)
-            block.append(cur)
-            if len(block) == rows:
-                yield np.stack(block, axis=-2)
-                block = []
-        if block:
+        yield cur[..., None, :]
+        for lo in range(1, len(times), rows):
+            block = []
+            for delta in np.diff(times[lo - 1:lo + rows]):
+                nsteps = max(1, math.ceil(abs(delta) / self.dt - 1e-9))
+                if not self.hnorm * abs(delta / nsteps) / _TAYLOR_THETA <= _MAX_TAYLOR_SUBSTEPS:
+                    raise NumericalError(  # a non-finite norm fails here too
+                        f"taylor step needs more than {_MAX_TAYLOR_SUBSTEPS} substeps",
+                        norm=self.hnorm, step=delta / nsteps)
+                n = max(nsteps, math.ceil(self.hnorm * abs(delta) / _TAYLOR_THETA))
+                for _ in range(n):
+                    cur = self._substep(cur, delta / n)
+                block.append(cur)
             yield np.stack(block, axis=-2)
 
 
@@ -486,15 +484,15 @@ def evolve_trajectory(
     batch = H.shape[:-2]
     prop = make_propagator(H, config)
     amps = np.broadcast_to(psi0, batch + H.shape[-1:])
-    columns = {name: np.empty(batch + (len(times),)) for names in observables for name in names}
+    tables = [np.empty(batch + (len(times), len(names))) for names in observables]
 
     start = 0
     for block in prop.blocks(amps, times):
         stop = start + block.shape[-2]
-        for names, fn in observables.items():
-            values = fn(block)
-            for i, name in enumerate(names):
-                columns[name][..., start:stop] = values[..., i]
+        for table, fn in zip(tables, observables.values()):
+            table[..., start:stop, :] = fn(block)
         start = stop
 
+    columns = {name: table[..., i] for names, table in zip(observables, tables)
+               for i, name in enumerate(names)}
     return Trajectory(times=times, columns=columns)

@@ -118,9 +118,7 @@ def observable_functions(
         else:  # norm
             roots.append(i)
             weights.append(np.ones(basis.dim))
-    table = np.empty(max((w.shape for w in weights), key=len, default=()) + (len(weights),))
-    for c, w in enumerate(weights):
-        table[..., c] = w
+    table = np.stack(np.broadcast_arrays(*weights), axis=-1) if weights else None
 
     def values(amplitudes: np.ndarray) -> np.ndarray:
         out = np.empty(amplitudes.shape[:-1] + (len(cols),))

@@ -1,12 +1,16 @@
 """Regenerate the regression set in tests/data/.
 
-    PYTHONPATH=src python tests/make_preset_data.py
+    PYTHONPATH=src python tests/make_preset_data.py [OUTPUT_DIR]
 
 Runs every shipped preset, and the gated workloads of the benchmark in
 perfbench/workloads.py at the seeds in WORKLOAD_SEEDS, and keeps what
 test_preset_data.py compares: the table of each sweep in full, and every
 EVERY-th row of each trajectory, each as the CSV the program writes.
 Regenerate the set only in a change that says why the physics output moved.
+
+With OUTPUT_DIR, every CSV is written there in full and tests/data/ is left
+alone: run it on two checkouts and compare the two directories with md5sum
+to see whether a change moves any output.
 """
 
 from __future__ import annotations
@@ -65,17 +69,19 @@ def preset_csv(config, output_dir) -> Path:
     return run_scenario(config, output_dir)[1]
 
 
-def main() -> None:
-    DATA.mkdir(exist_ok=True)
+def main(output_dir=None) -> None:
+    """Write each CSV thinned to tests/data/, or in full to output_dir."""
+    out = DATA if output_dir is None else Path(output_dir)
+    out.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         for name in names():
             config = load(name)
             lines = preset_csv(config, tmp).read_text().splitlines(keepends=True)
-            if not isinstance(config, SweepConfig):
+            if output_dir is None and not isinstance(config, SweepConfig):
                 lines = lines[:1] + lines[1::EVERY]
-            (DATA / f"{name}.csv").write_text("".join(lines))
+            (out / f"{name}.csv").write_text("".join(lines))
             print(f"{name}: {len(lines) - 1} rows")
 
 
 if __name__ == "__main__":
-    main()
+    main(*sys.argv[1:])

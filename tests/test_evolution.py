@@ -250,6 +250,43 @@ def test_blocks_start_at_psi0(method):
     assert np.allclose(states[0], psi0)
 
 
+@pytest.mark.parametrize("method", METHODS)
+def test_blocks_hand_out_the_grid_in_order_and_evolve_reads_each_once(method, monkeypatch):
+    # a two-run stack in blocks of at most three samples; krylov_dim 8 lies
+    # below the sector's 16, so krylov runs Lanczos
+    from fermichain import evolution
+
+    basis = product_basis(4, 1, 1)
+    stack = build_hamiltonian([HubbardParams(L=4, J=1.0, U=U, V=np.zeros(4)) for U in (2.0, 5.0)],
+                              basis)
+    monkeypatch.setattr(evolution, "_BLOCK_ELEMENTS", 3 * 2 * basis.dim)
+    psi0 = named_state(basis, "doublon", 2)
+    start = np.broadcast_to(psi0, (2, 1, basis.dim))
+    times = 0.1 * np.arange(11)
+    config = PropagatorConfig(method, krylov_dim=8)
+    prop = make_propagator(stack, config)
+    assert isinstance(prop, KrylovPropagator) == (method == "krylov")
+    blocks = list(prop.blocks(start[:, 0], times))
+    states = np.concatenate(blocks, axis=-2)
+    assert states.shape == (2, len(times), basis.dim)
+    exact = _dense_states(stack, psi0, times)
+    assert np.all(np.linalg.norm(states - exact, axis=-1) <= config.tolerance * times + 1e-13)
+    if method != "dense_eig":  # the start alone, as given
+        assert np.array_equal(blocks[0], start)
+
+    (names, fn), = observable_functions(["n_all", "norm"], basis).items()
+    calls = []
+
+    def counting(block):
+        calls.append(block.shape[-2])
+        return fn(block)
+
+    traj = evolve_trajectory(stack, psi0, times, config, {names: counting})
+    assert calls == [b.shape[-2] for b in blocks]
+    values = np.stack([traj.columns[name] for name in names], axis=-1)
+    assert np.allclose(values, fn(states), rtol=0, atol=1e-14)
+
+
 def test_dense_capacity_error(monkeypatch):
     # checked from the shape alone: neither matrix is ever made dense
     dim = DENSE_CAP + 1
@@ -588,10 +625,10 @@ def krylov_bases(monkeypatch):
 
 @pytest.mark.parametrize("site, builds", [(1, 12), (4, 14), (9, 18)])
 def test_krylov_trap_stack_build_count_and_oracle(site, builds, krylov_bases):
-    # the trap_L20 benchmark shape (t_max 15, default settings); a basis serves
-    # samples until the integral of its error estimate outgrows the budget: 14,
-    # 16 and 20 builds when each sample's estimate had to fit the budget itself,
-    # 18, 20 and 23 when each basis also served a single window
+    # the trap_L20 benchmark shape (t_max 15, default settings); each basis
+    # reaches the last of its probes whose trapezoid integral of the error
+    # estimate stays within tolerance * s, which takes 12, 14 and 18 builds,
+    # and every sample it serves stays within tolerance * t of the oracle
     basis, params, stack = _trap_stack()
     psi0 = named_state(basis, "doublon", site)
     times = 0.05 * np.arange(301)
@@ -608,9 +645,10 @@ def test_krylov_trap_stack_build_count_and_oracle(site, builds, krylov_bases):
 @pytest.mark.parametrize("step", [0.05, 0.6, 5.0])
 @pytest.mark.parametrize("site", [1, 4, 9])
 def test_krylov_bound_holds_the_error_of_every_accepted_sample(site, step, monkeypatch):
-    # each basis's samples against the exact evolution of the state it was built
-    # from: a bound that dropped the integral of earlier windows, or skipped the
-    # point (0, 0), would fall below the error it claims to hold
+    # each probe a basis passes, against the exact evolution of the state it
+    # was built from: a bound that skipped the point (0, 0) of the trapezoid,
+    # or integrated from a later probe, would fall below the error it claims
+    # to hold
     basis, params, stack = _trap_stack()
     exact = DensePropagator(stack)
     starts, checked = [], []
@@ -620,8 +658,8 @@ def test_krylov_bound_holds_the_error_of_every_accepted_sample(site, step, monke
         starts.append(amps.copy())  # every read is of the latest basis
         return lanczos(self, amps)
 
-    def accepting(self, built, s, err, *since):
-        ok, area = accept(self, built, s, err, *since)
+    def accepting(self, built, s, err):
+        ok, area = accept(self, built, s, err)
         states = self._states(built, self._read(built, s)[0])
         want = np.concatenate(list(exact.blocks(starts[-1], s)), axis=-2)
         gap = np.linalg.norm(states - want, axis=-1)
